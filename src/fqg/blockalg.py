@@ -352,14 +352,6 @@ def flip_perm(a: BlockAlgebra) -> np.ndarray:
     return f
 
 
-def flip_matrix(a: BlockAlgebra) -> np.ndarray:
-    f = flip_perm(a)
-    aa_dim = len(f)
-    m = np.zeros((aa_dim, aa_dim))
-    m[np.arange(aa_dim), f] = 1.0
-    return m
-
-
 # ---------------------------------------------------------------------------
 # centre
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Command-line surface: build algebras, run verification suites, convolve.
 
-Exit code 0 iff every gating check passes.  Reports are deterministic for a
-fixed (seed, spec, tolerances, version); the JSON form never includes timing.
+Exit code 0 iff every gating check passes, 1 if one fails, 2 if the input is
+refused or a step runs out of memory (a typed FqgError).  Reports are
+deterministic for a fixed (seed, spec, tolerances, version); the JSON form
+never includes timing.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import __version__
 from . import blockalg as ba
 from .blockalg import ToleranceConfig, spectrum
 from .duality import Functional, build_dual, jordan_decompose, fourier_of_counit_support
-from .errors import FqgError, ParseError
+from .errors import FqgError, ParseError, ResourceLimit
 from .groups import by_name, from_cayley_csv, from_permutation_file
 from .hopf import HopfAlgebra, function_algebra, group_algebra, verify_axioms
 from .io import (element_from_json, element_to_json, load_hopf_file,
@@ -298,7 +300,9 @@ def main(argv=None) -> int:
             return cmd_biinner(args)
         if args.command == "convolve":
             return cmd_convolve(args)
-    except FqgError as err:
+    except (FqgError, MemoryError) as err:
+        if isinstance(err, MemoryError):
+            err = ResourceLimit(str(err) or "out of memory")
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     return 2

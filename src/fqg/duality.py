@@ -116,10 +116,6 @@ class DualHopfAlgebra:
             raise ba.ShapeMismatch("convolution arguments must live in the base algebra")
         return self.inverse_fourier(self.fourier(a) * self.fourier(b))
 
-    def dual_convolve(self, ahat: AlgebraElement, bhat: AlgebraElement) -> AlgebraElement:
-        """Convolution of the dual: multiplication of A transported by F."""
-        return self.fourier(self.inverse_fourier(ahat) * self.inverse_fourier(bhat))
-
 
 def build_dual(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
                seed: int = 0x0D0A1) -> DualHopfAlgebra:
@@ -166,10 +162,6 @@ def build_dual(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
                          dual_haar, name=f"dual({h.name})",
                          meta={"kind": "dual", "base": h.name})
     return DualHopfAlgebra(h, dual_h, phi, phi_inv)
-
-
-def dual_axiom_report(d: DualHopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> AxiomReport:
-    return verify_axioms(d.hopf, tol)
 
 
 # ---------------------------------------------------------------------------

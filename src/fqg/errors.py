@@ -107,3 +107,7 @@ class NotCStarAlgebra(FqgError):
 
 class ParseError(FqgError):
     pass
+
+
+class ResourceLimit(FqgError):
+    """The computation needs more memory than the process can allocate."""

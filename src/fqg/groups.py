@@ -39,9 +39,6 @@ class Group:
         row = self.table[g]
         return row.index(0)
 
-    def inverses(self) -> list[int]:
-        return [self.inv(g) for g in range(self.order)]
-
     def conjugacy_classes(self) -> list[list[int]]:
         seen, classes = set(), []
         for g in range(self.order):

@@ -15,8 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from . import blockalg as ba
-from .blockalg import AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig
-from .duality import DualHopfAlgebra, Functional
+from .blockalg import AlgebraElement, DEFAULT_TOL, ToleranceConfig
+from .duality import DualHopfAlgebra
 from .errors import (CommutantViolation, HaarNotFaithful, LegMismatch,
                      NotSimpleTensor, NotUnitary, PentagonFailed,
                      SpectrumFullCircle)
@@ -133,17 +133,14 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     if dual.base is not h:
         raise ba.ShapeMismatch("GNS space and dual must come from the same algebra")
     n = gns.dim
-    a = h.algebra
-    one = a.unit()
-    basis = [a.basis_element(k) for k in range(n)]
 
-    # V on element coordinates: column (a, b) = coords of delta(e_a)(1 (x) e_b)
-    v_el = np.empty((n * n, n * n), complex)
-    for i in range(n):
-        di = h.delta(basis[i])
-        for j in range(n):
-            w = di * ba.tensor_element(one, basis[j])
-            v_el[:, i * n + j] = _coords_to_kron(w.coords(), h.perm2)
+    # V on element coordinates: column (i, j) = kron coords of
+    # delta(e_i)(1 (x) e_j); since (x (x) y)(1 (x) e_j) = x (x) (y e_j), this
+    # is delta(e_i) with its second leg multiplied on the right by e_j
+    dk = np.empty_like(h.coproduct)
+    dk[h.perm2] = h.coproduct                    # dk[p * n + q, i]
+    v_el = np.einsum('pqi,jrq->prij', dk.reshape(n, n, n),
+                     ba.right_mult_tensor(h.algebra)).reshape(n * n, n * n)
     w2 = np.kron(gns.onb, gns.onb)
     v = w2 @ v_el @ np.linalg.inv(w2)
 
@@ -152,13 +149,7 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     if cert["unitarity"] > tol.eq_tol * 100:
         raise NotUnitary(f"V fails unitarity: {cert['unitarity']:.2e}")
 
-    # pentagon V12 V13 V23 = V23 V12 on H (x) H (x) H
-    eye = np.eye(n)
-    v12 = np.kron(v, eye)
-    v23 = np.kron(eye, v)
-    v13 = _middle_leg(v, n)
-    pent = v12 @ v13 @ v23 - v23 @ v12
-    cert["pentagon"] = float(np.linalg.norm(pent)) / max(1.0, float(np.linalg.norm(v12)))
+    cert["pentagon"] = pentagon_residual(v, n)
     if cert["pentagon"] > 1e-8:
         raise PentagonFailed(f"pentagon residual {cert['pentagon']:.2e}")
 
@@ -221,17 +212,29 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     return mu
 
 
-def _coords_to_kron(w: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    kron = np.empty_like(w)
-    kron[perm] = w
-    return kron
+def pentagon_residual(v: np.ndarray, n: int) -> float:
+    """Frobenius norm of V12 V13 V23 - V23 V12 on H (x) H (x) H, divided by
+    max(1, ||V12||_F) = max(1, sqrt(n) ||V||_F).
 
-
-def _middle_leg(v: np.ndarray, n: int) -> np.ndarray:
-    """V13 acting on legs 1 and 3 of C^n (x) C^n (x) C^n."""
-    v4 = v.reshape(n, n, n, n)       # axes (row1, row2, col1, col2)
-    out = np.einsum('abcd,ef->aebcfd', v4, np.eye(n))
-    return out.reshape(n ** 3, n ** 3)
+    Exact, but never forms an n^3 x n^3 matrix: both sides are applied to
+    e_i (x) I, one first-leg column index i at a time (O(n^8) time, O(n^5)
+    memory), and the squared norms of the slices are summed.
+    """
+    v4 = v.reshape(n, n, n, n)                 # axes (row1, row2, col1, col2)
+    v_rows = v4.reshape(n, n, n * n)           # (row1, row2, cols)
+    total = 0.0
+    for i in range(n):
+        w = v4[:, :, i, :]                     # w[a, b, j] = <e_a e_b|V|e_i e_j>
+        # V23 (e_i (x) I) = e_i (x) V; V13 then contracts leg 3 against w:
+        # left[a, b, c, (j, l)] = sum_k w[a, c, k] V[(b, k), (j, l)]
+        left = np.matmul(w[:, None], v_rows[None])
+        left = (v @ left.reshape(n * n, n ** 3)).reshape(n, n, n, n, n)
+        # V23 V12 (e_i (x) I): right[a, j, b, c, l] = sum_k w[a, k, j] V[(b, c), (k, l)]
+        right = np.tensordot(w, v4, axes=(1, 2))
+        left -= right.transpose(0, 2, 3, 1, 4)
+        total += float(np.vdot(left, left).real)
+    norm = max(1.0, float(np.sqrt(n) * np.linalg.norm(v)))
+    return float(np.sqrt(total)) / norm
 
 
 def _second_legs(v: np.ndarray, n: int) -> np.ndarray:
@@ -269,18 +272,13 @@ class FixedSpaces:
 def fixed_and_cofixed(mu: MultiplicativeUnitary, tol: ToleranceConfig = DEFAULT_TOL) -> FixedSpaces:
     n = mu.dim
     v = mu.matrix
-    eye = np.eye(n)
-    # stack conditions over a basis of the other leg
-    rows_fixed = []
-    rows_cofixed = []
-    for k in range(n):
-        ek = eye[:, k]
-        sel = np.kron(eye, ek.reshape(n, 1))          # xi -> xi (x) e_k
-        rows_fixed.append((v - np.eye(n * n)) @ sel)
-        sel2 = np.kron(ek.reshape(n, 1), eye)         # eta -> e_k (x) eta
-        rows_cofixed.append((v - np.eye(n * n)) @ sel2)
-    fixed = _null(np.vstack(rows_fixed))
-    cofixed = _null(np.vstack(rows_cofixed))
+    # stack conditions over a basis of the other leg: w[:, :, k] is
+    # (V - 1) restricted to xi (x) e_k, w[:, k, :] to e_k (x) eta
+    w = (v - np.eye(n * n)).reshape(n * n, n, n)
+    rows_fixed = w.transpose(2, 0, 1).reshape(n ** 3, n)
+    rows_cofixed = w.transpose(1, 0, 2).reshape(n ** 3, n)
+    fixed = _null(rows_fixed)
+    cofixed = _null(rows_cofixed)
 
     # quoted eigenvector property: rep(A) maps cofixed vectors to multiples,
     # dual slices map fixed vectors to multiples

@@ -114,6 +114,17 @@ def test_cli_corrupted_file_nonzero_exit(tmp_path, capsys):
     assert "axioms" in err
 
 
+def test_cli_memory_error_is_a_typed_refusal(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.85 GiB for an array")
+    monkeypatch.setattr("fqg.cli.build_multiplicative_unitary", refuse)
+    rc = main(["verify", "--group", "Z2", "--samples", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ResourceLimit: Unable to allocate 2.85 GiB")
+    assert "Traceback" not in err
+
+
 def test_cli_biinner_z4(capsys):
     rc = main(["biinner", "--group", "Z4", "--algebra", "function",
                "--samples", "30", "--seed", "7", "--json"])

@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fqg import blockalg as ba
-from fqg.errors import NotSimpleTensor, NotUnitary, SpectrumFullCircle
-from fqg.groups import cyclic
+from fqg import multunitary
+from fqg.errors import (NotSimpleTensor, NotUnitary, PentagonFailed,
+                        SpectrumFullCircle)
+from fqg.groups import by_name, cyclic
 from fqg.hopf import function_algebra, group_algebra
 from fqg.duality import build_dual
 from fqg.multunitary import (build_gns, build_multiplicative_unitary,
                              commutation_test, fixed_and_cofixed,
                              pair_from_commutant, path_in_commutant,
+                             pentagon_residual,
                              solve_commutant_partner, split_simple_tensor,
                              unitary_fractional_power)
 
@@ -58,6 +63,22 @@ def test_v_is_permutation_type_on_function_z2():
     assert np.linalg.norm(mu.matrix - oracle) < 1e-12
 
 
+def test_closed_form_v_matches_elementwise_products(workbenches):
+    # oracle: column (i, j) of V on element coordinates is delta(e_i)(1 (x) e_j),
+    # multiplied out in the tensor algebra
+    for key, wb in workbenches.items():
+        h, n = wb.hopf, wb.mu.dim
+        one = h.algebra.unit()
+        basis = [h.algebra.basis_element(k) for k in range(n)]
+        v_el = np.empty((n * n, n * n), complex)
+        for i in range(n):
+            di = h.delta(basis[i])
+            for j in range(n):
+                v_el[h.perm2, i * n + j] = (di * ba.tensor_element(one, basis[j])).coords()
+        w2 = np.kron(wb.gns.onb, wb.gns.onb)
+        assert np.array_equal(w2 @ v_el @ np.linalg.inv(w2), wb.mu.matrix), key
+
+
 def test_unitarity_pentagon_legs_everywhere(workbenches):
     for key, wb in workbenches.items():
         c = wb.mu.certificates
@@ -81,7 +102,77 @@ def test_dual_leg_representation(workbenches):
                               - mu.rep_dual(xh).conj().T) < 1e-9
 
 
+def _dense_pentagon_residual(v, n):
+    """Oracle: the pentagon residual from dense n^3 x n^3 leg matrices."""
+    eye = np.eye(n)
+    v12 = np.kron(v, eye)
+    v23 = np.kron(eye, v)
+    v13 = np.einsum('abcd,ef->aebcfd', v.reshape(n, n, n, n), eye).reshape(n ** 3, n ** 3)
+    pent = v12 @ v13 @ v23 - v23 @ v12
+    return float(np.linalg.norm(pent)) / max(1.0, float(np.linalg.norm(v12)))
+
+
+def test_pentagon_residual_matches_dense_oracle(workbenches):
+    for key, wb in workbenches.items():
+        n = wb.mu.dim
+        got = pentagon_residual(wb.mu.matrix, n)
+        assert abs(got - _dense_pentagon_residual(wb.mu.matrix, n)) < 1e-13, key
+        assert got == wb.mu.certificates["pentagon"], key
+
+
+@pytest.mark.parametrize("key", ["kp", "group:S3", "function:D4"])
+def test_pentagon_residual_detects_non_pentagonal_unitary(workbenches, key):
+    mu = workbenches[key].mu
+    n = mu.dim
+    rng = np.random.default_rng(4242)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    bad = mu.matrix @ np.kron(u, np.eye(n))       # unitary, not pentagonal
+    assert np.linalg.norm(bad.conj().T @ bad - np.eye(n * n)) < 1e-12
+    got = pentagon_residual(bad, n)
+    want = _dense_pentagon_residual(bad, n)
+    assert got > 1e-3 and want > 1e-3
+    assert abs(got - want) < 1e-13 * max(1.0, want)
+
+
+@pytest.mark.parametrize("residual, fails", [(2e-8, True), (0.5e-8, False)])
+def test_pentagon_gate_threshold(monkeypatch, residual, fails):
+    h = function_algebra(cyclic(3))
+    d, gns = build_dual(h), build_gns(h)
+    monkeypatch.setattr(multunitary, "pentagon_residual", lambda v, n: residual)
+    if fails:
+        with pytest.raises(PentagonFailed):
+            build_multiplicative_unitary(gns, d)
+    else:
+        assert build_multiplicative_unitary(gns, d).certificates["pentagon"] == residual
+
+
+def test_multiplicative_unitary_memory_at_dim_16():
+    # n^3 x n^3 leg matrices alone would take ~1.3 GB at N = 16
+    h = group_algebra(by_name("dihedral:8"))
+    d, gns = build_dual(h), build_gns(h)
+    tracemalloc.start()
+    try:
+        mu = build_multiplicative_unitary(gns, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mu.certificates["pentagon"] < 1e-10
+    assert peak < 256 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
+
+
 # -- fixed and cofixed vectors -----------------------------------------------------
+
+def test_fixed_cofixed_match_selector_products(workbenches):
+    # oracle: restrict V - 1 to xi (x) e_k and e_k (x) eta by Kronecker selectors
+    for key, wb in workbenches.items():
+        n, v = wb.mu.dim, wb.mu.matrix
+        eye = np.eye(n)
+        rows_fixed = [(v - np.eye(n * n)) @ np.kron(eye, eye[:, [k]]) for k in range(n)]
+        rows_cofixed = [(v - np.eye(n * n)) @ np.kron(eye[:, [k]], eye) for k in range(n)]
+        fx = fixed_and_cofixed(wb.mu)
+        assert np.array_equal(fx.fixed, multunitary._null(np.vstack(rows_fixed))), key
+        assert np.array_equal(fx.cofixed, multunitary._null(np.vstack(rows_cofixed))), key
+
 
 def test_fixed_cofixed_function_z2_explicit():
     h = function_algebra(cyclic(2))
