@@ -155,7 +155,9 @@ def sample_identity_component(model: BiInnerGroupModel, x: AlgebraElement,
         raise NotInLieAlgebra("element outside the computed Lie algebra")
     v = exp_element(t * x)
     h = model.hopf
-    assert h.ksym_defect(v) < 1e-7 * max(1.0, v.norm())
+    defect = h.ksym_defect(v)
+    if defect >= 1e-7 * max(1.0, v.norm()):
+        raise NotInLieAlgebra(f"exp(t x) is not kappa-symmetric: defect {defect:.3e}")
     return v
 
 

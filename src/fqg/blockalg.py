@@ -80,11 +80,29 @@ class BlockAlgebra:
                     out.append((b, r, s))
         return out
 
+    def block_coords(self) -> list[np.ndarray]:
+        """For every block, the (n, n) array of coordinates of its matrix units."""
+        return [off + np.arange(n * n).reshape(n, n)
+                for off, n in zip(self.offsets, self.block_dims)]
+
+    def blocks_by_size(self) -> dict[int, np.ndarray]:
+        """{n: idx} with idx[k] the coordinates of the k-th n x n block."""
+        groups: dict[int, list[np.ndarray]] = {}
+        for idx in self.block_coords():
+            groups.setdefault(len(idx), []).append(idx)
+        return {n: np.stack(g) for n, g in groups.items()}
+
+    def unit_coords(self) -> np.ndarray:
+        v = np.zeros(self.dim, complex)
+        for idx in self.block_coords():
+            v[np.diagonal(idx)] = 1.0
+        return v
+
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, [np.zeros((n, n), complex) for n in self.block_dims])
 
     def unit(self) -> "AlgebraElement":
-        return AlgebraElement(self, [np.eye(n, dtype=complex) for n in self.block_dims])
+        return self.from_coords(self.unit_coords())
 
     def element(self, blocks) -> "AlgebraElement":
         return AlgebraElement(self, blocks)
@@ -114,15 +132,26 @@ class BlockAlgebra:
         return [self.block_unit(b) for b in range(self.nblocks)]
 
 
+def unit_products(a: BlockAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (i, j, k) of every nonzero product e_i e_j = e_k of two
+    matrix units: e_{b,r,s} e_{b,s,u} = e_{b,r,u}."""
+    trip = [np.broadcast_arrays(idx[:, :, None], idx[None, :, :], idx[:, None, :])
+            for idx in a.block_coords()]
+    return tuple(np.concatenate([t[m].reshape(-1) for t in trip]) for m in range(3))
+
+
+def adjoint_perm(a: BlockAlgebra) -> np.ndarray:
+    """P with e_k* = e_{P[k]}: (b, r, s) -> (b, s, r)."""
+    return np.concatenate([idx.T.reshape(-1) for idx in a.block_coords()])
+
+
 @lru_cache(maxsize=None)
 def left_mult_tensor(a: BlockAlgebra) -> np.ndarray:
     """T[a] = matrix of left multiplication by basis e_a on coordinates."""
     n = a.dim
+    i, j, k = unit_products(a)
     t = np.zeros((n, n, n), complex)
-    for i in range(n):
-        ei = a.basis_element(i)
-        for j in range(n):
-            t[i][:, j] = (ei * a.basis_element(j)).coords()
+    t[i, k, j] = 1.0
     return t
 
 
@@ -130,11 +159,9 @@ def left_mult_tensor(a: BlockAlgebra) -> np.ndarray:
 def right_mult_tensor(a: BlockAlgebra) -> np.ndarray:
     """T[a] = matrix of right multiplication by basis e_a on coordinates."""
     n = a.dim
+    i, j, k = unit_products(a)
     t = np.zeros((n, n, n), complex)
-    for i in range(n):
-        ei = a.basis_element(i)
-        for j in range(n):
-            t[i][:, j] = (a.basis_element(j) * ei).coords()
+    t[j, k, i] = 1.0
     return t
 
 
@@ -279,23 +306,13 @@ def tensor_algebra(a: BlockAlgebra, b: BlockAlgebra) -> BlockAlgebra:
 
 @lru_cache(maxsize=None)
 def tensor_perm(a: BlockAlgebra, b: BlockAlgebra) -> np.ndarray:
-    """Permutation P with coords_{A(x)B}(x(x)y) = kron(coords x, coords y)[P]."""
-    ab = tensor_algebra(a, b)
-    nb_ = b.dim
-    perm = np.empty(ab.dim, dtype=np.intp)
-    # index helpers
-    a_idx = {(blk, r, s): i for i, (blk, r, s) in enumerate(a.basis_labels)}
-    b_idx = {(blk, r, s): i for i, (blk, r, s) in enumerate(b.basis_labels)}
-    t = 0
-    for i, n in enumerate(a.block_dims):
-        for j, m in enumerate(b.block_dims):
-            for r in range(n):
-                for tt in range(m):
-                    for s in range(n):
-                        for u in range(m):
-                            perm[t] = a_idx[(i, r, s)] * nb_ + b_idx[(j, tt, u)]
-                            t += 1
-    return perm
+    """Permutation P with coords_{A(x)B}(x(x)y) = kron(coords x, coords y)[P].
+
+    Block (i, j) of A (x) B holds e_{i,r,s} (x) e_{j,t,u} at row r*m + t and
+    column s*m + u, read in row-major order [r, t, s, u].
+    """
+    return np.concatenate([(ia[:, None, :, None] * b.dim + ib[None, :, None, :]).reshape(-1)
+                           for ia in a.block_coords() for ib in b.block_coords()])
 
 
 def inverse_perm(p: np.ndarray) -> np.ndarray:
@@ -328,28 +345,12 @@ def tensor_functional_row(r1: np.ndarray, r2: np.ndarray, p_in: np.ndarray) -> n
 @lru_cache(maxsize=None)
 def flip_perm(a: BlockAlgebra) -> np.ndarray:
     """Permutation F on coords(A(x)A) with sigma(w) = w[F], sigma(x(x)y) = y(x)x."""
-    aa = tensor_algebra(a, a)
-    dims = a.block_dims
-    off = {}
-    t = 0
-    for i, n in enumerate(dims):
-        for j, m in enumerate(dims):
-            off[(i, j)] = t
-            t += (n * m) ** 2
-    f = np.empty(aa.dim, dtype=np.intp)
-    for i, n in enumerate(dims):
-        for j, m in enumerate(dims):
-            base = off[(i, j)]
-            base_sw = off[(j, i)]
-            nm = n * m
-            for r in range(n):
-                for tt in range(m):
-                    for s in range(n):
-                        for u in range(m):
-                            dst = base + (r * m + tt) * nm + (s * m + u)
-                            src = base_sw + (tt * n + r) * nm + (u * n + s)
-                            f[dst] = src
-    return f
+    coords = tensor_algebra(a, a).block_coords()
+    k, dims = a.nblocks, a.block_dims
+    # block (i, j) at [r, t, s, u] reads block (j, i) at [t, r, u, s]
+    swapped = [coords[j * k + i].reshape(m, n, m, n).transpose(1, 0, 3, 2)
+               for i, n in enumerate(dims) for j, m in enumerate(dims)]
+    return np.concatenate([s.reshape(-1) for s in swapped])
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +364,8 @@ def centre_basis(a: BlockAlgebra, tol: float = 1e-10) -> list[AlgebraElement]:
     honestly from the commutator system so it doubles as a test oracle.
     """
     n = a.dim
-    rows = []
-    for k in range(n):
-        e = a.basis_element(k)
-        cols = np.empty((n, n), complex)
-        for j in range(n):
-            z = a.basis_element(j)
-            cols[:, j] = (z * e - e * z).coords()
-        rows.append(cols)
-    stack = np.vstack(rows)
+    # rows k*n + i: coords of z e_k - e_k z, linear in z
+    stack = (right_mult_tensor(a) - left_mult_tensor(a)).reshape(n * n, n)
     _, sv, vh = np.linalg.svd(stack, full_matrices=False)
     null = vh.conj().T[:, np.sum(sv > tol * max(1.0, sv[0])):] if len(sv) else vh.conj().T
     return [a.from_coords(null[:, i]) for i in range(null.shape[1])]

@@ -105,6 +105,10 @@ class NotCStarAlgebra(FqgError):
     pass
 
 
+class WedderburnRetry(FqgError):
+    """A randomised Wedderburn step was unlucky; retried with fresh randomness."""
+
+
 class ParseError(FqgError):
     pass
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockalg import BlockAlgebra, tensor_element, tensor_perm
+from .blockalg import BlockAlgebra, inverse_perm, tensor_element, tensor_perm
 from .hopf import HopfAlgebra, compute_haar, verify_axioms
 from .errors import NotCStarAlgebra
 
@@ -57,12 +57,12 @@ def build_kac_paljutkin() -> HopfAlgebra:
     counit = np.ones(n) @ winv  # every generator has counit 1
 
     # antipode: solve m(kappa (x) id)delta = eps(.)1 as a linear system in kappa
-    perm = tensor_perm(alg, alg)
+    iperm = inverse_perm(tensor_perm(alg, alg))
     basis = [alg.basis_element(k) for k in range(n)]
     unit_coords = one.coords()
     rows, rhs = [], []
     for j in range(n):
-        gamma = _coords_to_kron(coproduct[:, j], perm).reshape(n, n)
+        gamma = coproduct[iperm, j].reshape(n, n)
         # sum_ab gamma[a,b] kappa(e_a) e_b ; unknown kappa as N x N matrix
         block_rows = np.zeros((n, n * n), complex)
         for a in range(n):
@@ -89,12 +89,6 @@ def build_kac_paljutkin() -> HopfAlgebra:
     if not report.passed:
         raise NotCStarAlgebra(f"presentation fails axioms: {report.failing()}")
     return h
-
-
-def _coords_to_kron(w: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    kron = np.empty_like(w)
-    kron[perm] = w[np.arange(len(w))]
-    return kron
 
 
 def _unit_row(n: int, a: int) -> np.ndarray:

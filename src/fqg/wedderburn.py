@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blockalg import BlockAlgebra
-from .errors import NotCStarAlgebra
+from .errors import NotCStarAlgebra, WedderburnRetry
 
 _DEFAULT_SEED = 0x517C
 
@@ -83,20 +83,20 @@ def _minimal_central_idempotents(alg, centre, gram_w, rng, tol):
     b = 0.5 * (b + b.conj().T)
     vals, vecs = np.linalg.eigh(b)
     if k > 1 and np.min(np.diff(vals)) < 1e-6 * max(1.0, np.max(np.abs(vals))):
-        raise ValueError("central spectrum not separated")
+        raise WedderburnRetry("central spectrum not separated")
     idems = []
     for j in range(k):
         w = zon @ vecs[:, j]
         w2 = alg.mult(w, w)
         scale = np.vdot(w, w2) / np.vdot(w, w)
         if abs(scale) < 1e-8:
-            raise ValueError("degenerate central eigenvector")
+            raise WedderburnRetry("degenerate central eigenvector")
         p = w / scale
         nrm = max(1.0, float(np.linalg.norm(p)))
         if np.linalg.norm(alg.mult(p, p) - p) > 1e-8 * nrm:
-            raise ValueError("central eigenvector does not scale to an idempotent")
+            raise WedderburnRetry("central eigenvector does not scale to an idempotent")
         if np.linalg.norm(alg.star_of(p) - p) > 1e-8 * nrm:
-            raise ValueError("central idempotent is not self-adjoint")
+            raise WedderburnRetry("central idempotent is not self-adjoint")
         idems.append(p)
     return idems
 
@@ -108,10 +108,8 @@ def wedderburn(alg: AbstractStarAlgebra, *, seed: int = _DEFAULT_SEED,
     for _ in range(max_tries):
         try:
             return _wedderburn_once(alg, rng, tol)
-        except NotCStarAlgebra:
-            raise
-        except Exception as err:  # retry with fresh randomness
-            last_err = err
+        except (WedderburnRetry, np.linalg.LinAlgError) as err:
+            last_err = err   # retry with fresh randomness
     raise NotCStarAlgebra(f"wedderburn failed: {last_err}")
 
 
@@ -139,7 +137,7 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng, tol) -> WedderburnResult:
     def to_coords(op: np.ndarray) -> np.ndarray:
         c = rep_pinv @ op.reshape(-1)
         if np.linalg.norm(rep_flat @ c - op.reshape(-1)) > 1e-7 * max(1.0, np.linalg.norm(op)):
-            raise ValueError("operator not in the algebra image")
+            raise WedderburnRetry("operator not in the algebra image")
         return c
 
     def rep_of(v: np.ndarray) -> np.ndarray:
@@ -166,7 +164,7 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng, tol) -> WedderburnResult:
         r = int(np.sum(svp > 1e-8 * max(1.0, svp[0])))
         d = int(round(np.sqrt(r)))
         if d * d != r:
-            raise ValueError(f"corner rank {r} is not a perfect square")
+            raise WedderburnRetry(f"corner rank {r} is not a perfect square")
         blocks.append((d, p))
     blocks.sort(key=lambda t: (t[0], float(np.real(tr @ t[1]))))
 
@@ -196,7 +194,7 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng, tol) -> WedderburnResult:
                     d == 1 or min(c[0] - pr[-1] for pr, c in zip(uniq, uniq[1:])) > 1e-4):
                 break
         else:
-            raise ValueError("no generic corner element found")
+            raise WedderburnRetry("no generic corner element found")
         qs = []
         for cluster in uniq:
             sel = np.zeros(n, dtype=bool)
@@ -216,9 +214,9 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng, tol) -> WedderburnResult:
                 if mu > 1e-8:
                     break
             else:
-                raise ValueError("failed to link minimal projections")
+                raise WedderburnRetry("failed to link minimal projections")
             if np.linalg.norm(ww - mu * qs[r]) > 1e-6 * max(1.0, mu):
-                raise ValueError("partial isometry defect")
+                raise WedderburnRetry("partial isometry defect")
             us.append(wv / np.sqrt(mu))
         # matrix units and coefficient-extraction rows
         for r in range(d):
@@ -242,5 +240,5 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng, tol) -> WedderburnResult:
             xb = target.from_coords(phi @ eb)
             res = max(res, float(np.linalg.norm(phi @ alg.mult(ea, eb) - (xa * xb).coords())))
     if res > 1e-7:
-        raise ValueError(f"iso residual {res:.2e}")
+        raise WedderburnRetry(f"iso residual {res:.2e}")
     return WedderburnResult(target, phi, iso_inv, res)

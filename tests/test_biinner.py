@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fqg import blockalg as ba
+from fqg import biinner
 from fqg.biinner import (brute_force_biinner_consistency, build_group_model,
                          classify_biinner, exp_element, in_identity_component,
                          sample_identity_component)
@@ -117,6 +118,18 @@ def test_sample_rejects_non_lie_elements(kp, workbenches):
     bad = ba.random_selfadjoint(wb.hopf.algebra, RNG)
     with pytest.raises(NotInLieAlgebra):
         sample_identity_component(wb.model, bad, 0.5)
+
+
+def test_sample_refuses_non_ksymmetric_exponential(workbenches, monkeypatch):
+    # exp(t x) of a Lie element is kappa-symmetric; a faulty exponential must
+    # be refused with a typed error that names the defect, also under -O
+    wb = workbenches["function:Z4"]
+    x = wb.model.random_element(RNG)
+    bad = ba.random_unitary(wb.hopf.algebra, np.random.default_rng(3))
+    assert wb.hopf.ksym_defect(bad) > 1e-3
+    monkeypatch.setattr(biinner, "exp_element", lambda _: bad)
+    with pytest.raises(NotInLieAlgebra, match="defect"):
+        sample_identity_component(wb.model, x, 0.5)
 
 
 def test_small_t_derivative_of_conjugation(workbenches):

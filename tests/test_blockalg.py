@@ -164,6 +164,37 @@ def test_tensor_perm_consistency():
                        tensor_element(x, y).coords())
 
 
+def _loop_tensor_perm(a, b):
+    """Element-by-element construction, kept as an oracle."""
+    a_idx = {lab: i for i, lab in enumerate(a.basis_labels)}
+    b_idx = {lab: i for i, lab in enumerate(b.basis_labels)}
+    perm = []
+    for i, n in enumerate(a.block_dims):
+        for j, m in enumerate(b.block_dims):
+            for r in range(n):
+                for t in range(m):
+                    for s in range(n):
+                        for u in range(m):
+                            perm.append(a_idx[(i, r, s)] * b.dim + b_idx[(j, t, u)])
+    return np.array(perm, dtype=np.intp)
+
+
+@pytest.mark.parametrize("dims_a, dims_b", [((1,), (2,)), ((2, 1), (1, 2)),
+                                            ((1, 1, 2), (3, 1)), ((1, 1, 1, 1, 2),) * 2])
+def test_closed_form_tensor_and_flip_perms_match_loops(dims_a, dims_b):
+    a, b = BlockAlgebra(dims_a), BlockAlgebra(dims_b)
+    p = ba.tensor_perm(a, b)
+    assert p.dtype == np.intp and np.array_equal(p, _loop_tensor_perm(a, b))
+    # the flip sends x (x) y to y (x) x, on every pair of matrix units
+    f = ba.flip_perm(a)
+    paa, n = ba.tensor_perm(a, a), a.dim
+    eye = np.eye(n)
+    for i in range(n):
+        for j in range(n):
+            xy = np.kron(eye[i], eye[j])[paa]
+            assert np.array_equal(xy[f], np.kron(eye[j], eye[i])[paa])
+
+
 # -- centre ------------------------------------------------------------------
 
 def test_centre_dimension_is_number_of_blocks():

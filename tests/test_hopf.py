@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from fqg import blockalg as ba
 from fqg.blockalg import BlockAlgebra
 from fqg.errors import NoCharacterBlock, NonUniqueHaar
 from fqg.groups import cyclic, dihedral, symmetric
-from fqg.hopf import (HopfAlgebra, cocentre_basis, compute_haar, counit_support,
-                      function_algebra, group_algebra, ksymmetric_basis,
-                      verify_axioms, with_computed_haar)
+from fqg.hopf import (AxiomReport, HopfAlgebra, cocentre_basis, compute_haar,
+                      counit_support, function_algebra, group_algebra,
+                      ksymmetric_basis, verify_axioms, with_computed_haar)
 
 RNG = np.random.default_rng(77)
 
@@ -87,6 +89,252 @@ def test_axioms_all_generated_groups_up_to_order_8(workbenches):
     for key, wb in workbenches.items():
         rep = verify_axioms(wb.hopf)
         assert rep.passed, f"{key}: {rep.failing()}"
+
+
+
+# -- batched certificates against the per-basis oracle ---------------------------
+#
+# The loops below are the former element-by-element constructions, kept only
+# here as oracles for the closed-form tensors and the batched verify_axioms.
+
+def _basis(a):
+    return [a.basis_element(k) for k in range(a.dim)]
+
+
+def _loop_left_mult(a):
+    n, basis = a.dim, _basis(a)
+    t = np.zeros((n, n, n), complex)
+    for i in range(n):
+        for j in range(n):
+            t[i][:, j] = (basis[i] * basis[j]).coords()
+    return t
+
+
+def _loop_right_mult(a):
+    n, basis = a.dim, _basis(a)
+    t = np.zeros((n, n, n), complex)
+    for i in range(n):
+        for j in range(n):
+            t[i][:, j] = (basis[j] * basis[i]).coords()
+    return t
+
+
+def _loop_mult_mat(h):
+    n, basis = h.algebra.dim, _basis(h.algebra)
+    m = np.empty((n, n * n), complex)
+    for i in range(n):
+        for j in range(n):
+            m[:, i * n + j] = (basis[i] * basis[j]).coords()
+    return m[:, h.perm2]
+
+
+def _loop_gram(h):
+    n, basis = h.algebra.dim, _basis(h.algebra)
+    g = np.empty((n, n), complex)
+    for i in range(n):
+        for j in range(n):
+            g[i, j] = h.haar @ (basis[i].adjoint() * basis[j]).coords()
+    return 0.5 * (g + g.conj().T)
+
+
+def _loop_gram_bilinear(h):
+    n, basis = h.algebra.dim, _basis(h.algebra)
+    g = np.empty((n, n), complex)
+    for i in range(n):
+        for j in range(n):
+            g[i, j] = h.haar @ (basis[i] * basis[j]).coords()
+    return g
+
+
+def _loop_star_mat(h):
+    return np.column_stack([b.adjoint().coords() for b in _basis(h.algebra)])
+
+
+def _rel(diff, *refs):
+    return float(np.linalg.norm(diff)) / max([1.0] + [float(np.linalg.norm(r)) for r in refs])
+
+
+def _verify_axioms_oracle(h, tol=ba.DEFAULT_TOL):
+    """The per-basis-element and Kronecker-map certificate."""
+    a = h.algebra
+    n = a.dim
+    res = {}
+    basis = _basis(a)
+    eye = np.eye(n)
+    mult_mat, gram = _loop_mult_mat(h), _loop_gram(h)
+    gram_bilinear = _loop_gram_bilinear(h)
+    unit = a.unit().coords()
+
+    p_l = ba.tensor_perm(h.square, a)
+    p_r = ba.tensor_perm(a, h.square)
+    lhs = ba.tensor_map(h.coproduct, eye, h.perm2, p_l) @ h.coproduct
+    rhs = ba.tensor_map(eye, h.coproduct, h.perm2, p_r) @ h.coproduct
+    res["coassociativity"] = _rel(lhs - rhs, lhs, rhs)
+
+    triv = BlockAlgebra((1,))
+    p_ca = ba.tensor_perm(triv, a)
+    p_ac = ba.tensor_perm(a, triv)
+    left = ba.tensor_map(h.counit.reshape(1, n), eye, h.perm2, p_ca) @ h.coproduct
+    right = ba.tensor_map(eye, h.counit.reshape(1, n), h.perm2, p_ac) @ h.coproduct
+    res["counit_left"] = _rel(left - eye, left, eye)
+    res["counit_right"] = _rel(right - eye, right, eye)
+
+    unit_eps = np.outer(unit, h.counit)
+    lhs = mult_mat @ ba.tensor_map(h.antipode, eye, h.perm2, h.perm2) @ h.coproduct
+    rhs = mult_mat @ ba.tensor_map(eye, h.antipode, h.perm2, h.perm2) @ h.coproduct
+    res["antipode_left"] = _rel(lhs - unit_eps, lhs, unit_eps)
+    res["antipode_right"] = _rel(rhs - unit_eps, rhs, unit_eps)
+
+    res["coproduct_unital"] = float(np.linalg.norm(
+        h.coproduct @ unit - h.square.unit().coords()))
+    worst_m, worst_s = 0.0, 0.0
+    dbasis = [h.delta(b) for b in basis]
+    for i in range(n):
+        ds = h.delta(basis[i].adjoint())
+        worst_s = max(worst_s, (ds - dbasis[i].adjoint()).norm())
+        for j in range(n):
+            dm = h.delta(basis[i] * basis[j])
+            worst_m = max(worst_m, (dm - dbasis[i] * dbasis[j]).norm())
+    res["coproduct_multiplicative"] = worst_m
+    res["coproduct_star"] = worst_s
+
+    res["haar_normalised"] = abs(h.tau(a.unit()) - 1.0)
+    eig = np.linalg.eigvalsh(gram)
+    res["haar_positive"] = max(0.0, -float(eig[0]))
+    res["haar_faithful"] = 1.0 if eig[0] <= tol.inv_tol * max(1.0, eig[-1]) else 0.0
+    left_inv = ba.tensor_map(eye, h.haar.reshape(1, n), h.perm2, p_ac) @ h.coproduct
+    right_inv = ba.tensor_map(h.haar.reshape(1, n), eye, h.perm2, p_ca) @ h.coproduct
+    target = np.outer(unit, h.haar)
+    res["haar_invariance_right"] = _rel(left_inv - target, left_inv, target)
+    res["haar_invariance_left"] = _rel(right_inv - target, right_inv, target)
+    res["haar_tracial"] = float(np.max(np.abs(gram_bilinear - gram_bilinear.T)))
+
+    res["antipode_involutive"] = _rel(h.antipode @ h.antipode - eye, eye)
+    res["antipode_star"] = max((h.kappa(b.adjoint()) - h.kappa(b).adjoint()).norm()
+                               for b in basis)
+    res["haar_kappa_invariant"] = float(np.linalg.norm(h.haar @ h.antipode - h.haar))
+    return AxiomReport(res, tol.eq_tol)
+
+
+def _assert_matches_oracle(h, label):
+    got, want = verify_axioms(h), _verify_axioms_oracle(h)
+    assert list(got.residuals) == list(want.residuals), label
+    for key, val in want.residuals.items():
+        assert abs(got.residuals[key] - val) <= 1e-13, (label, key, got.residuals[key], val)
+    assert got.passed == want.passed and got.failing() == want.failing(), label
+    return got
+
+
+def test_verify_axioms_matches_per_basis_oracle(workbenches):
+    for key, wb in workbenches.items():
+        _assert_matches_oracle(wb.hopf, key)
+        _assert_matches_oracle(wb.dual.hopf, f"dual({key})")
+
+
+def _corrupted(h, **changes):
+    fields = dict(coproduct=h.coproduct, counit=h.counit, antipode=h.antipode,
+                  haar=h.haar)
+    fields.update(changes)
+    return HopfAlgebra(h.algebra, name=f"corrupted {h.name}", **fields)
+
+
+def _seeded_row(h):
+    rng = np.random.default_rng(h.algebra.dim)
+    return rng.standard_normal(h.algebra.dim) + 1j * rng.standard_normal(h.algebra.dim)
+
+
+def _coassociativity_breaker(h):
+    bad = h.coproduct.copy()
+    bad[0, 0] += 0.1
+    return _corrupted(h, coproduct=bad)
+
+
+def _right_counit_breaker(h):
+    # add u (x) 1 to delta(e_0) with eps(u) = 0: (eps (x) id)delta is unchanged
+    unit = h.unit_coords()
+    u = _seeded_row(h)
+    u = u - (h.counit @ u) * unit
+    bad = h.coproduct.copy()
+    bad[:, 0] += 0.1 * np.kron(u, unit)[h.perm2]
+    return _corrupted(h, coproduct=bad)
+
+
+# one targeted corruption per family, and the keys it must push above tol
+CORRUPTIONS = {
+    "non-multiplicative coproduct": (lambda h: _corrupted(h, coproduct=2.0 * h.coproduct),
+                                     ["coproduct_multiplicative"]),
+    "coproduct breaks the star": (lambda h: _corrupted(h, coproduct=1j * h.coproduct),
+                                  ["coproduct_star"]),
+    "antipode breaks the star": (lambda h: _corrupted(h, antipode=1j * h.antipode),
+                                 ["antipode_star"]),
+    "non-coassociative coproduct": (_coassociativity_breaker, ["coassociativity"]),
+    "perturbed counit": (lambda h: _corrupted(h, counit=h.counit + 0.1 * _seeded_row(h)),
+                         ["counit_left", "counit_right"]),
+    "one-sided counit failure": (_right_counit_breaker, ["counit_right"]),
+}
+
+
+@pytest.mark.parametrize("family", list(CORRUPTIONS))
+@pytest.mark.parametrize("key", ["function:S3", "group:S3", "kp"])
+def test_targeted_corruption_fails_its_own_residual(workbenches, family, key):
+    breaker, keys = CORRUPTIONS[family]
+    bad = breaker(workbenches[key].hopf)
+    rep = _assert_matches_oracle(bad, f"{family} on {key}")
+    assert not rep.passed
+    for k in keys:
+        assert rep.residuals[k] > rep.tol, (family, key, k, rep.residuals[k])
+        assert k in rep.failing()
+    if family == "one-sided counit failure":
+        assert rep.residuals["counit_left"] < rep.tol
+
+
+def test_verify_axioms_builds_no_algebra_element(monkeypatch):
+    h = group_algebra(symmetric(3))   # fresh: its cached tensors are built inside
+    built = []
+    init = ba.AlgebraElement.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+    monkeypatch.setattr(ba.AlgebraElement, "__init__", counting_init)
+    assert verify_axioms(h).passed
+    assert not built
+
+
+def test_verify_axioms_memory_on_function_s4():
+    h = function_algebra(symmetric(4))
+    tracemalloc.start()
+    try:
+        rep = verify_axioms(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _structure_oracle_cases(workbenches):
+    cases = [(key, wb.hopf) for key, wb in workbenches.items()]
+    for key in ("kp", "group:S3"):
+        h = workbenches[key].hopf
+        sq = h.square
+        m = sq.dim
+        haar2 = ba.tensor_functional_row(h.haar, h.haar, h.perm2)
+        cases.append((f"{key} (x) {key}",
+                      HopfAlgebra(sq, np.zeros((m * m, m)), np.zeros(m), np.eye(m), haar2)))
+    return cases
+
+
+def test_closed_form_structure_tensors_match_loops(workbenches):
+    for key, h in _structure_oracle_cases(workbenches):
+        a = h.algebra
+        assert np.array_equal(ba.left_mult_tensor(a), _loop_left_mult(a)), key
+        assert np.array_equal(ba.right_mult_tensor(a), _loop_right_mult(a)), key
+        assert np.array_equal(h.mult_mat, _loop_mult_mat(h)), key
+        assert np.array_equal(h.gram, _loop_gram(h)), key
+        assert np.array_equal(h.gram_bilinear, _loop_gram_bilinear(h)), key
+        assert np.array_equal(h.star_mat, _loop_star_mat(h)), key
+        assert np.array_equal(a.unit_coords(), a.unit().coords()), key
 
 
 # -- cocentre ----------------------------------------------------------------

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fqg import wedderburn as wd_module
 from fqg.blockalg import BlockAlgebra
-from fqg.errors import NotCStarAlgebra
+from fqg.errors import NotCStarAlgebra, WedderburnRetry
 from fqg.wedderburn import AbstractStarAlgebra, wedderburn
 
 
@@ -62,3 +63,30 @@ def test_rejects_non_cstar_input():
     unit = np.array([1.0, 0.0], complex)
     with pytest.raises(NotCStarAlgebra):
         wedderburn(AbstractStarAlgebra(left, star, unit))
+
+
+def _failing_idempotents(err, calls):
+    def fail(*args, **kwargs):
+        calls.append(1)
+        raise err
+    return fail
+
+
+def test_programming_error_propagates_without_retry(monkeypatch):
+    alg, _, _ = _scrambled((1, 2), seed=3)
+    calls = []
+    monkeypatch.setattr(wd_module, "_minimal_central_idempotents",
+                        _failing_idempotents(TypeError("bad argument"), calls))
+    with pytest.raises(TypeError, match="bad argument"):
+        wedderburn(alg)
+    assert len(calls) == 1
+
+
+def test_unlucky_draws_are_retried_then_refused(monkeypatch):
+    alg, _, _ = _scrambled((1, 2), seed=3)
+    calls = []
+    monkeypatch.setattr(wd_module, "_minimal_central_idempotents",
+                        _failing_idempotents(WedderburnRetry("unlucky"), calls))
+    with pytest.raises(NotCStarAlgebra, match="unlucky"):
+        wedderburn(alg, max_tries=3)
+    assert len(calls) == 3
