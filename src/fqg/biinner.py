@@ -9,6 +9,11 @@ Two independent routes decide whether a map is bi-inner:
   with the cocentre (computed as the exponential image of its Lie algebra,
   with membership decided by repeated principal square roots).
 
+The group is a product over the antipode's orbits of blocks, so the sign
+of each antipode-fixed block is chosen on its own, from the constraint
+defect of one principal square root: a membership query runs at most one
+square-root descent per attempt instead of one per sign pattern.
+
 The consistency harness samples unitaries, runs both routes and reports the
 confusion matrix, which must be diagonal.
 """
@@ -36,8 +41,10 @@ class BiInnerGroupModel:
     """Lie-algebra model of the unitary group behind the bi-inner maps.
 
     lie_basis spans {X : X* = -X, kappa(X*) = X, [X, c] = 0 for cocentral c}
-    over the reals; sign_patterns enumerates the finite part of the central
-    kappa-symmetric unitary subgroup (one +-1 per antipode-fixed block).
+    over the reals and lie_real holds its realified coordinates as
+    orthonormal columns; sign_patterns enumerates the finite part of the
+    central kappa-symmetric unitary subgroup (one +-1 per antipode-fixed
+    block, bit i of the index flipping the i-th fixed block).
     constant_stack is the realified matrix of the alpha-independent
     constraints (kappa-symmetry and cocentre commutators), reused by every
     membership query.
@@ -45,30 +52,23 @@ class BiInnerGroupModel:
 
     hopf: HopfAlgebra
     lie_basis: list[AlgebraElement]
+    lie_real: np.ndarray
     cocentre: list[AlgebraElement]
     kappa_block_map: list[int]
     sign_patterns: list[AlgebraElement]
-    constant_stack: np.ndarray = None
+    constant_stack: np.ndarray
 
     @property
     def dim(self) -> int:
         return len(self.lie_basis)
 
-    def lie_matrix(self) -> np.ndarray:
-        """Realified coordinates of the Lie basis, as columns."""
-        if not self.lie_basis:
-            return np.zeros((2 * self.hopf.algebra.dim, 0))
-        return np.column_stack([np.concatenate([x.coords().real, x.coords().imag])
-                                for x in self.lie_basis])
-
     def project_defect(self, x: AlgebraElement) -> float:
         """Distance of x from the real span of the Lie basis."""
         vec = np.concatenate([x.coords().real, x.coords().imag])
-        basis = self.lie_matrix()
-        if basis.shape[1] == 0:
+        if self.lie_real.shape[1] == 0:
             return float(np.linalg.norm(vec))
-        coef, *_ = np.linalg.lstsq(basis, vec, rcond=None)
-        return float(np.linalg.norm(basis @ coef - vec))
+        coef, *_ = np.linalg.lstsq(self.lie_real, vec, rcond=None)
+        return float(np.linalg.norm(self.lie_real @ coef - vec))
 
     def random_element(self, rng: np.random.Generator,
                        scale: float = 1.0) -> AlgebraElement:
@@ -79,15 +79,10 @@ class BiInnerGroupModel:
 
 
 def _commutator_stack(a: BlockAlgebra, elements: list[AlgebraElement]) -> np.ndarray:
-    """Complex stack of w -> [w, c] over the given central-ish elements."""
-    left = ba.left_mult_tensor(a)
-    right = ba.right_mult_tensor(a)
-    rows = []
-    for c in elements:
-        lc = np.tensordot(c.coords(), left, axes=(0, 0))
-        rc = np.tensordot(c.coords(), right, axes=(0, 0))
-        rows.append(rc - lc)   # w*c - c*w on coords(w)
-    return np.vstack(rows) if rows else np.zeros((0, a.dim), complex)
+    """Complex stack of w -> [w, c] = w*c - c*w over the given elements."""
+    coords = np.array([c.coords() for c in elements]).reshape(-1, a.dim)
+    comm = ba.right_mult_tensor(a) - ba.left_mult_tensor(a)
+    return np.tensordot(coords, comm, axes=(1, 0)).reshape(-1, a.dim)
 
 
 def build_group_model(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> BiInnerGroupModel:
@@ -106,41 +101,27 @@ def build_group_model(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> BiI
     null = ba.real_null_space(np.vstack([skew_real, constant_stack]))
     lie = [a.from_coords(ba.real_vec_to_coords(null[:, i])) for i in range(null.shape[1])]
 
-    # closure under the commutator bracket
-    for i, x in enumerate(lie):
-        for y in lie[i + 1:]:
-            br = x * y - y * x
-            defect = _project_defect_raw(br, null)
-            if defect > 1e-8 * max(1.0, br.norm()):
-                raise NotInLieAlgebra(f"bracket leaves the constraint space: {defect:.2e}")
-
     # antipode action on the minimal central projections
-    kmap = []
-    projections = a.central_projections()
-    for b, p in enumerate(projections):
-        img = h.kappa(p)
-        hits = [c for c, q in enumerate(projections) if (img - q).norm() < 1e-8]
-        kmap.append(hits[0] if hits else -1)
+    units = a.block_unit_coords()
+    hits = np.linalg.norm((h.antipode @ units)[:, :, None] - units[:, None, :], axis=0) < 1e-8
+    kmap = [int(np.argmax(row)) if row.any() else -1 for row in hits]
 
     fixed_blocks = [b for b, c in enumerate(kmap) if c == b]
     patterns = []
     for bits in range(1 << len(fixed_blocks)):
-        signs = [1.0] * a.nblocks
-        for i, b in enumerate(fixed_blocks):
-            if bits >> i & 1:
-                signs[b] = -1.0
-        el = a.element([s * np.eye(d, dtype=complex)
-                        for s, d in zip(signs, a.block_dims)])
-        patterns.append(el)
-    return BiInnerGroupModel(h, lie, coc, kmap, patterns, constant_stack)
+        flip = {b for i, b in enumerate(fixed_blocks) if bits >> i & 1}
+        patterns.append(a.element([(-1.0 if b in flip else 1.0) * np.eye(d, dtype=complex)
+                                   for b, d in enumerate(a.block_dims)]))
+    model = BiInnerGroupModel(h, lie, null, coc, kmap, patterns, constant_stack)
 
-
-def _project_defect_raw(x: AlgebraElement, null: np.ndarray) -> float:
-    vec = np.concatenate([x.coords().real, x.coords().imag])
-    if null.shape[1] == 0:
-        return float(np.linalg.norm(vec))
-    coef, *_ = np.linalg.lstsq(null, vec, rcond=None)
-    return float(np.linalg.norm(null @ coef - vec))
+    # closure under the commutator bracket
+    for i, x in enumerate(lie):
+        for y in lie[i + 1:]:
+            br = x * y - y * x
+            defect = model.project_defect(br)
+            if defect > 1e-8 * max(1.0, br.norm()):
+                raise NotInLieAlgebra(f"bracket leaves the constraint space: {defect:.2e}")
+    return model
 
 
 def exp_element(x: AlgebraElement) -> AlgebraElement:
@@ -165,23 +146,21 @@ def sample_identity_component(model: BiInnerGroupModel, x: AlgebraElement,
 # identity-component membership
 # ---------------------------------------------------------------------------
 
-def _principal_sqrt_unitary(u: AlgebraElement) -> AlgebraElement:
+def _of_angles(u: AlgebraElement, fn) -> AlgebraElement:
+    """fn of the principal spectral angles of a unitary, block by block."""
     blocks = []
     for b in u.blocks:
         vals, vecs = scipy.linalg.schur(b, output="complex")
-        d = np.diag(vals)
-        half = np.exp(0.5j * np.angle(d))
-        blocks.append((vecs * half) @ vecs.conj().T)
+        blocks.append((vecs * fn(np.angle(np.diag(vals)))) @ vecs.conj().T)
     return AlgebraElement(u.algebra, blocks)
+
+
+def _principal_sqrt_unitary(u: AlgebraElement) -> AlgebraElement:
+    return _of_angles(u, lambda t: np.exp(0.5j * t))
 
 
 def _principal_log_skew(u: AlgebraElement) -> AlgebraElement:
-    blocks = []
-    for b in u.blocks:
-        vals, vecs = scipy.linalg.schur(b, output="complex")
-        d = np.diag(vals)
-        blocks.append((vecs * (1j * np.angle(d))) @ vecs.conj().T)
-    return AlgebraElement(u.algebra, blocks)
+    return _of_angles(u, lambda t: 1j * t)
 
 
 def _in_group(model: BiInnerGroupModel, u: AlgebraElement, tol: float) -> bool:
@@ -209,6 +188,25 @@ def _sqrt_descent(model: BiInnerGroupModel, v: AlgebraElement,
     return None
 
 
+def _sign_choice(model: BiInnerGroupModel, v: AlgebraElement,
+                 tol: float) -> AlgebraElement:
+    """The sign pattern z for which sqrt(v z) meets the group constraints.
+
+    kappa maps blocks to blocks and the cocentre commutators act block by
+    block, so on an antipode-fixed block the constraint defect of the
+    principal root r = sqrt(v) depends on that block alone: z is -1 exactly
+    on the fixed blocks where that defect exceeds tol.
+    """
+    a = model.hopf.algebra
+    r = _principal_sqrt_unitary(v).coords()
+    # each row group of constant_stack @ r has length n, indexed by coordinate
+    defect = model.constant_stack @ np.concatenate([r.real, r.imag])
+    per_block = np.add.reduceat(np.sum(defect.reshape(-1, a.dim) ** 2, axis=0), a.offsets)
+    fixed = [b for b, c in enumerate(model.kappa_block_map) if c == b]
+    bits = sum(1 << i for i, b in enumerate(fixed) if np.sqrt(per_block[b]) > tol)
+    return model.sign_patterns[bits]
+
+
 def in_identity_component(alpha: AlgebraMap, model: BiInnerGroupModel,
                           tol: ToleranceConfig = DEFAULT_TOL,
                           rng: np.random.Generator | None = None):
@@ -223,42 +221,37 @@ def in_identity_component(alpha: AlgebraMap, model: BiInnerGroupModel,
     a = h.algebra
     n = a.dim
 
-    # intertwiner condition alpha(e_a) w - w e_a = 0, stacked over the basis
-    left = ba.left_mult_tensor(a)
-    right = ba.right_mult_tensor(a)
-    rows = np.empty((n * n, n), complex)
-    for k in range(n):
-        l_img = np.tensordot(alpha.matrix[:, k], left, axes=(0, 0))
-        rows[k * n:(k + 1) * n, :] = l_img - right[k]
-    stack = np.vstack([ba.realify_complex_linear(rows), model.constant_stack])
+    # intertwiner condition alpha(e_k) w - w e_k = 0, row block k of the stack
+    rows = np.tensordot(alpha.matrix, ba.left_mult_tensor(a), axes=(0, 0)) \
+        - ba.right_mult_tensor(a)
+    stack = np.vstack([ba.realify_complex_linear(rows.reshape(n * n, n)),
+                       model.constant_stack])
     null = ba.real_null_space(stack)
     if null.shape[1] == 0:
         return False, {"reason": "no kappa-symmetric intertwiner"}
 
-    w_el = None
-    best_sv = 0.0
-    for _ in range(16):
-        coef = rng.standard_normal(null.shape[1])
-        cand = a.from_coords(ba.real_vec_to_coords(null @ coef))
-        sv = cand.smallest_sv() / max(1.0, cand.norm())
-        if sv > best_sv:
-            best_sv, w_el = sv, cand
-    if w_el is None or best_sv <= 1e-6:
+    # the best conditioned of 16 random intertwiners (the first maximum wins)
+    cands = ba.real_vec_to_coords(null @ rng.standard_normal((16, null.shape[1])).T)
+    smallest = np.full(16, np.inf)
+    for idx in a.blocks_by_size().values():
+        sv = np.linalg.svd(np.moveaxis(cands[idx], -1, 0), compute_uv=False)
+        smallest = np.minimum(smallest, sv[..., -1].min(axis=1))
+    ratio = smallest / np.maximum(1.0, np.linalg.norm(cands, axis=0))
+    best = int(np.argmax(ratio))
+    if not ratio[best] > 1e-6:
         return False, {"reason": "no invertible kappa-symmetric intertwiner"}
+    w_el = a.from_coords(cands[:, best])
 
     # unitarise: w*w is central, so the polar part is per-block scaling
     ww = w_el.adjoint() * w_el
-    blocks = []
-    for i, b in enumerate(w_el.blocks):
-        mu = float(np.trace(ww.blocks[i]).real) / ww.blocks[i].shape[0]
-        blocks.append(b / np.sqrt(mu))
-    v = AlgebraElement(a, blocks)
+    v = a.element([b / np.sqrt(np.trace(c).real / len(c))
+                   for b, c in zip(w_el.blocks, ww.blocks)])
 
     for attempt in range(4):
-        for z in model.sign_patterns:
-            cand = v * z
-            if not _in_group(model, cand, 1e-7 * max(1.0, cand.norm())):
-                continue
+        # the sign patterns are central +-1, so v z is in the group iff v is
+        in_tol = 1e-7 * max(1.0, v.norm())
+        if _in_group(model, v, in_tol):
+            cand = v * _sign_choice(model, v, in_tol)
             x = _sqrt_descent(model, cand)
             if x is not None:
                 return True, {"witness": cand, "log_steps": x}

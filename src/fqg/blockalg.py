@@ -92,11 +92,16 @@ class BlockAlgebra:
             groups.setdefault(len(idx), []).append(idx)
         return {n: np.stack(g) for n, g in groups.items()}
 
+    def block_unit_coords(self) -> np.ndarray:
+        """(dim, nblocks) array: column b holds the coordinates of the b-th
+        minimal central projection."""
+        p = np.zeros((self.dim, self.nblocks), complex)
+        for b, idx in enumerate(self.block_coords()):
+            p[np.diagonal(idx), b] = 1.0
+        return p
+
     def unit_coords(self) -> np.ndarray:
-        v = np.zeros(self.dim, complex)
-        for idx in self.block_coords():
-            v[np.diagonal(idx)] = 1.0
-        return v
+        return self.block_unit_coords().sum(axis=1)
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, [np.zeros((n, n), complex) for n in self.block_dims])
@@ -124,9 +129,7 @@ class BlockAlgebra:
 
     def block_unit(self, b: int) -> "AlgebraElement":
         """Identity of a single block: the b-th minimal central projection."""
-        blocks = [np.eye(n, dtype=complex) if i == b else np.zeros((n, n), complex)
-                  for i, n in enumerate(self.block_dims)]
-        return AlgebraElement(self, blocks)
+        return self.from_coords(self.block_unit_coords()[:, b])
 
     def central_projections(self) -> list["AlgebraElement"]:
         return [self.block_unit(b) for b in range(self.nblocks)]
@@ -245,10 +248,6 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement(dims={self.algebra.block_dims})"
-
-
-def rel_residual(diff_norm: float, *scales: float) -> float:
-    return diff_norm / max(1.0, *scales) if scales else diff_norm
 
 
 # ---------------------------------------------------------------------------

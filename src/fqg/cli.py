@@ -1,7 +1,8 @@
 """Command-line surface: build algebras, run verification suites, convolve.
 
 Exit code 0 iff every gating check passes, 1 if one fails, 2 if the input is
-refused or a step runs out of memory (a typed FqgError).  Reports are
+refused or a step runs out of memory (a typed FqgError), 3 if fqg itself
+failed with any other exception (an internal error).  Reports are
 deterministic for a fixed (seed, spec, tolerances, version); the JSON form
 never includes timing.
 """
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 import numpy as np
 
@@ -27,6 +29,13 @@ from .io import (element_from_json, element_to_json, load_hopf_file,
                  load_bundled_kac_paljutkin, report_to_json)
 from .multunitary import build_gns, build_multiplicative_unitary, fixed_and_cofixed
 from .biinner import build_group_model, brute_force_biinner_consistency
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -54,11 +63,11 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the verification suites")
     common(v)
-    v.add_argument("--samples", type=int, default=100)
+    v.add_argument("--samples", type=_positive_int, default=100)
 
     b = sub.add_parser("biinner", help="bi-inner automorphism consistency report")
     common(b)
-    b.add_argument("--samples", type=int, default=200)
+    b.add_argument("--samples", type=_positive_int, default=200)
 
     c = sub.add_parser("convolve", help="convolve two elements")
     common(c)
@@ -305,6 +314,10 @@ def main(argv=None) -> int:
             err = ResourceLimit(str(err) or "out of memory")
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # noqa: BLE001  not a refusal: a fault in fqg
+        traceback.print_exc()
+        print(f"error: InternalError: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
     return 2
 
 

@@ -106,9 +106,6 @@ class HopfAlgebra:
         """Norm of kappa(x*) - x."""
         return (self.kappa(x.adjoint()) - x).norm()
 
-    def is_ksymmetric(self, x: AlgebraElement, tol: float = DEFAULT_TOL.eq_tol) -> bool:
-        return self.ksym_defect(x) <= tol * max(1.0, x.norm())
-
 
 # ---------------------------------------------------------------------------
 # axiom verification

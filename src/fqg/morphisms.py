@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import blockalg as ba
 from .blockalg import (AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig,
@@ -66,18 +67,12 @@ class AlgebraMap:
     def ad(cls, u: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> "AlgebraMap":
         """Conjugation x -> u x u^{-1}."""
         uinv = invert(u, tol)
-        a = u.algebra
-        cols = np.column_stack([(u * a.basis_element(k) * uinv).coords()
-                                for k in range(a.dim)])
-        return cls(a, a, cols)
+        return cls(u.algebra, u.algebra, _sandwich_matrix(u.blocks, uinv.blocks))
 
     @classmethod
     def blockwise_transpose(cls, a: BlockAlgebra) -> "AlgebraMap":
-        cols = np.empty((a.dim, a.dim), complex)
-        for k, (b, r, s) in enumerate(a.basis_labels):
-            x = a.basis_element(k)
-            cols[:, k] = AlgebraElement(a, [m.T for m in x.blocks]).coords()
-        return cls(a, a, cols)
+        # e_{b,r,s} -> e_{b,s,r}, an involution on the coordinates
+        return cls(a, a, np.eye(a.dim)[ba.adjoint_perm(a)])
 
 
 # ---------------------------------------------------------------------------
@@ -335,52 +330,55 @@ def dual_sandwich(c: AlgebraElement, h: HopfAlgebra, d: DualHopfAlgebra,
 # inner implementers
 # ---------------------------------------------------------------------------
 
+def _sandwich_matrix(left, right) -> np.ndarray:
+    """Coordinate matrix of x -> l x r with l, r given block by block:
+    block-diagonal kron(l_b, r_b^T), as vec_row(L X R) = (L (x) R^T) vec_row(X)."""
+    return scipy.linalg.block_diag(*[np.kron(lb, rb.T) for lb, rb in zip(left, right)])
+
+
 def inner_implementer(alpha: AlgebraMap, tol: ToleranceConfig = DEFAULT_TOL):
     """Unitary u with alpha = Ad(u), or None when alpha permutes blocks.
 
-    Solves the intertwiner system alpha(x) u = u x block by block and
-    unitarises; the phase is canonicalised per block (largest entry real
-    positive).
+    Solves the intertwiner system alpha(x) u = u x block by block (batched
+    over blocks of one size) and unitarises; the phase is canonicalised per
+    block (largest entry real positive).
     """
     a = alpha.source
     if alpha.target != a:
         raise DimensionMismatch("inner implementers need an endomorphism")
-    for p in a.central_projections():
-        if (alpha(p) - p).norm() > tol.eq_tol * 1e3:
+    units = a.block_unit_coords()
+    if np.linalg.norm(alpha.matrix @ units - units, axis=0).max() > tol.eq_tol * 1e3:
+        return None
+    blocks = [None] * a.nblocks
+    for nb, idx in a.blocks_by_size().items():
+        flat = idx.reshape(len(idx), -1)
+        # ax[:, k] = alpha(x_k) on each block, x_k the k-th matrix unit
+        ax = alpha.matrix[flat[:, None, :], flat[:, :, None]].reshape(-1, nb * nb, nb, nb)
+        xt = np.eye(nb * nb).reshape(nb * nb, nb, nb).transpose(0, 2, 1)
+        one = np.eye(nb)
+        # alpha(x_k) u - u x_k = 0, unknown u as vec (row-major): row block k is
+        # kron(alpha(x_k), 1) - kron(1, x_k^T), axes [k, i, l, j, m]
+        sys = ax[:, :, :, None, :, None] * one[:, None, :] \
+            - one[:, None, :, None] * xt[:, None, :, None, :]
+        _, sv, vh = np.linalg.svd(sys.reshape(len(idx), nb ** 4, nb * nb),
+                                  full_matrices=False)
+        if np.any(np.sum(sv <= 1e-9 * np.maximum(1.0, sv[:, :1]), axis=1) == 0):
             return None
-    offsets = a.offsets
-    blocks = []
-    for b, nb in enumerate(a.block_dims):
-        sl = slice(offsets[b], offsets[b] + nb * nb)
-        sub = alpha.matrix[sl, sl]
-        mblock = BlockAlgebra((nb,))
-        sub_map = AlgebraMap(mblock, mblock, sub)
-        rows = []
-        for k in range(nb * nb):
-            x = mblock.basis_element(k)
-            ax = sub_map(x).blocks[0]
-            xm = x.blocks[0]
-            # alpha(x) u - u x = 0, unknown u as vec (row-major)
-            rows.append(np.kron(ax, np.eye(nb)) - np.kron(np.eye(nb), xm.T))
-        sys = np.vstack(rows)
-        _, sv, vh = np.linalg.svd(sys, full_matrices=False)
-        null_dim = int(np.sum(sv <= 1e-9 * max(1.0, sv[0])))
-        if null_dim == 0:
-            return None
-        u = vh.conj().T[:, -1].reshape(nb, nb)
+        u = vh[:, -1].conj().reshape(-1, nb, nb)
         # unitarise: for an automorphism the intertwiner is unitary up to scale
-        uu = u.conj().T @ u
-        scale = np.trace(uu).real / nb
-        if scale <= tol.inv_tol or np.linalg.norm(uu - scale * np.eye(nb)) > 1e-7 * scale * nb:
+        uu = u.conj().transpose(0, 2, 1) @ u
+        scale = np.trace(uu, axis1=1, axis2=2).real / nb
+        if np.any(scale <= tol.inv_tol) or np.any(np.linalg.norm(
+                uu - scale[:, None, None] * one, axis=(1, 2)) > 1e-7 * scale * nb):
             return None
-        u = u / np.sqrt(scale)
-        idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-        u = u * (np.abs(u[idx]) / u[idx])
-        blocks.append(u)
+        u = (u / np.sqrt(scale)[:, None, None]).reshape(len(idx), -1)
+        top = u[np.arange(len(u)), np.argmax(np.abs(u), axis=1)]
+        u = (u * (np.abs(top) / top)[:, None]).reshape(-1, nb, nb)
+        for b, ub in zip(np.flatnonzero(np.array(a.block_dims) == nb), u):
+            blocks[b] = ub
     u_el = AlgebraElement(a, blocks)
-    residual = max((alpha(x) - u_el * x * u_el.adjoint()).norm()
-                   for x in (a.basis_element(k) for k in range(a.dim)))
-    if residual > tol.eq_tol * 1e3:
+    resid = alpha.matrix - _sandwich_matrix(u_el.blocks, u_el.adjoint().blocks)
+    if np.linalg.norm(resid, axis=0).max() > tol.eq_tol * 1e3:
         return None
     return u_el
 

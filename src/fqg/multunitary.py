@@ -51,16 +51,13 @@ class GnsSpace:
 
     def rep(self, x: AlgebraElement) -> np.ndarray:
         """Left multiplication by x as an operator on the GNS space."""
-        n = self.dim
-        cols = np.column_stack([(x * self.hopf.algebra.basis_element(k)).coords()
-                                for k in range(n)])
-        return self.onb @ cols @ self.onb_inv
+        left = np.tensordot(x.coords(), ba.left_mult_tensor(self.hopf.algebra), axes=(0, 0))
+        return self.onb @ left @ self.onb_inv
 
     @cached_property
     def rep_basis(self) -> np.ndarray:
         """rep of every basis element, shape (N, N, N)."""
-        return np.array([self.rep(self.hopf.algebra.basis_element(k))
-                         for k in range(self.dim)])
+        return self.onb @ ba.left_mult_tensor(self.hopf.algebra) @ self.onb_inv
 
     def rep_coords(self, v: np.ndarray) -> np.ndarray:
         return np.tensordot(v, self.rep_basis, axes=(0, 0))
@@ -358,8 +355,7 @@ def solve_commutant_partner(u: AlgebraElement, mu: MultiplicativeUnitary,
     v = mu.matrix
     cols = []
     for k in range(n):
-        xk = np.tensordot(mu.dual.from_dual_mat @ mu.dual.hopf.algebra.basis_element(k).coords(),
-                          mu.shat_basis, axes=(0, 0))
+        xk = np.tensordot(mu.dual.from_dual_mat[:, k], mu.shat_basis, axes=(0, 0))
         big = np.kron(xk, t)
         cols.append((v @ big - big @ v).reshape(-1))
     sys = np.array(cols).T

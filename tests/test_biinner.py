@@ -7,7 +7,8 @@ from fqg.biinner import (brute_force_biinner_consistency, build_group_model,
                          classify_biinner, exp_element, in_identity_component,
                          sample_identity_component)
 from fqg.errors import NotInLieAlgebra
-from fqg.hopf import ksymmetric_basis
+from fqg.groups import symmetric
+from fqg.hopf import function_algebra, ksymmetric_basis
 from fqg.morphisms import AlgebraMap
 
 RNG = np.random.default_rng(515)
@@ -222,6 +223,144 @@ def test_planted_exponentials_are_members(workbenches):
         v = exp_element(wb.model.random_element(rng))
         ok, _ = in_identity_component(AlgebraMap.ad(v), wb.model, rng=rng)
         assert ok, key
+
+
+def _scan_in_identity_component(alpha, model, rng):
+    """Oracle: identity-component membership by trying every sign pattern,
+    with the per-basis intertwiner rows and one draw per candidate.
+    Returns the verdict and the witness (None when the verdict is False)."""
+    a = model.hopf.algebra
+    n = a.dim
+    left = ba.left_mult_tensor(a)
+    right = ba.right_mult_tensor(a)
+    rows = np.empty((n * n, n), complex)
+    for k in range(n):
+        rows[k * n:(k + 1) * n, :] = np.tensordot(alpha.matrix[:, k], left,
+                                                  axes=(0, 0)) - right[k]
+    null = ba.real_null_space(np.vstack([ba.realify_complex_linear(rows),
+                                         model.constant_stack]))
+    if null.shape[1] == 0:
+        return False, None
+    w_el, best_sv = None, 0.0
+    for _ in range(16):
+        cand = a.from_coords(ba.real_vec_to_coords(
+            null @ rng.standard_normal(null.shape[1])))
+        sv = cand.smallest_sv() / max(1.0, cand.norm())
+        if sv > best_sv:
+            best_sv, w_el = sv, cand
+    if w_el is None or best_sv <= 1e-6:
+        return False, None
+    ww = w_el.adjoint() * w_el
+    v = a.element([b / np.sqrt(np.trace(c).real / len(c))
+                   for b, c in zip(w_el.blocks, ww.blocks)])
+    for _ in range(4):
+        for z in model.sign_patterns:
+            cand = v * z
+            if not biinner._in_group(model, cand, 1e-7 * max(1.0, cand.norm())):
+                continue
+            if biinner._sqrt_descent(model, cand) is not None:
+                return True, cand
+        if model.dim == 0:
+            break
+        v = biinner.exp_element(model.random_element(rng, scale=0.3)) * v
+    return False, None
+
+
+def _membership_samples(wb, rng):
+    """Seeded random, central and planted unitaries, planted ones also
+    multiplied by a sign pattern."""
+    a, m = wb.hopf.algebra, wb.model
+    out = [ba.random_unitary(a, rng) for _ in range(3)]
+    out += [ba.random_central_unitary(a, rng) for _ in range(3)]
+    for j in range(3):
+        z = m.sign_patterns[int(rng.integers(len(m.sign_patterns)))]
+        out.append(z * exp_element((0.5 + rng.random()) * m.random_element(rng)))
+    return out
+
+
+def _same_as_scan(wb, u, seed, before=lambda: None):
+    """Both routes on Ad(u) from the same seed: same verdict, same draws and,
+    for members, the same witness (same intertwiner, same sign pattern)."""
+    alpha = AlgebraMap.ad(u)
+    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+    before()
+    new, info = in_identity_component(alpha, wb.model, rng=rng_new)
+    before()
+    old, witness = _scan_in_identity_component(alpha, wb.model, rng_old)
+    assert new == old, wb.key
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state, wb.key
+    if new:
+        assert np.abs(info["witness"].coords() - witness.coords()).max() < 1e-12, wb.key
+    return new
+
+
+def test_sign_choice_matches_pattern_scan(workbenches):
+    rng = np.random.default_rng(2024)
+    verdicts = set()
+    for key, wb in workbenches.items():
+        for i, u in enumerate(_membership_samples(wb, rng)):
+            verdicts.add(_same_as_scan(wb, u, seed=100 * i + 7))
+    assert verdicts == {True, False}
+
+
+def test_sign_choice_matches_pattern_scan_after_a_shift(workbenches, monkeypatch):
+    # the first attempt's descents all fail, so both routes must shift once
+    # (one rng draw) and agree on the shifted unitary
+    state = {"shifted": False}
+    real_descent, real_exp = biinner._sqrt_descent, biinner.exp_element
+
+    def descent(model, v, tol=1e-7):
+        return real_descent(model, v, tol) if state["shifted"] else None
+
+    def exp(x):
+        state["shifted"] = True
+        return real_exp(x)
+
+    rng = np.random.default_rng(77)
+    samples = {key: _membership_samples(wb, rng) for key, wb in workbenches.items()}
+    monkeypatch.setattr(biinner, "_sqrt_descent", descent)
+    monkeypatch.setattr(biinner, "exp_element", exp)
+    shifted_members = 0
+    for key, wb in workbenches.items():
+        if wb.model.dim == 0:
+            continue
+        for i, u in enumerate(samples[key]):
+            member = _same_as_scan(wb, u, seed=i,
+                                   before=lambda: state.update(shifted=False))
+            shifted_members += member and state["shifted"]
+    assert shifted_members > 0
+
+
+def test_sign_choice_scales_to_ten_fixed_blocks(monkeypatch):
+    # C(S4) has 10 antipode-fixed blocks: the scan would try up to 1024
+    # patterns per attempt, the sign choice runs one descent per attempt
+    h = function_algebra(symmetric(4))
+    model = build_group_model(h)
+    assert len(model.sign_patterns) == 1024
+    calls, flips = [], []
+    real_descent, real_choice = biinner._sqrt_descent, biinner._sign_choice
+
+    def descent(*args, **kwargs):
+        calls.append(1)
+        return real_descent(*args, **kwargs)
+
+    def choice(*args, **kwargs):
+        z = real_choice(*args, **kwargs)
+        flips.append(int(np.sum(z.coords().real < 0)))
+        return z
+
+    monkeypatch.setattr(biinner, "_sqrt_descent", descent)
+    monkeypatch.setattr(biinner, "_sign_choice", choice)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        z = model.sign_patterns[int(rng.integers(1024))]
+        u = z * exp_element(model.random_element(rng))
+        calls.clear()
+        ok, info = in_identity_component(AlgebraMap.ad(u), model, rng=rng)
+        assert ok
+        assert len(calls) <= 4
+        assert model.project_defect(info["log_steps"]) < 1e-7
+    assert max(flips) > 0
 
 
 # -- classifier -----------------------------------------------------------------------

@@ -125,6 +125,30 @@ def test_cli_memory_error_is_a_typed_refusal(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["verify", "biinner"])
+@pytest.mark.parametrize("samples", ["0", "-3", "two"])
+def test_cli_refuses_non_positive_samples(command, samples, capsys):
+    # a report backed by no samples is refused before any work is done
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--group", "Z2", "--samples", samples])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples" in captured.err
+
+
+def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise TypeError("unsupported operand")
+    monkeypatch.setattr("fqg.cli.build_group_model", broken)
+    rc = main(["biinner", "--group", "Z2", "--samples", "2"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" in err
+    assert err.rstrip().splitlines()[-1] == \
+        "error: InternalError: TypeError: unsupported operand"
+
+
 def test_cli_biinner_z4(capsys):
     rc = main(["biinner", "--group", "Z4", "--algebra", "function",
                "--samples", "30", "--seed", "7", "--json"])

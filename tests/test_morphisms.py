@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fqg import blockalg as ba
-from fqg.blockalg import BlockAlgebra, spectrum
+from fqg.blockalg import DEFAULT_TOL, AlgebraElement, BlockAlgebra, spectrum
 from fqg.errors import (NeitherAutoNorAnti, NotBlockPreserving,
                         PreconditionFailed)
 from fqg.groups import cyclic, symmetric
@@ -253,6 +253,103 @@ def test_inner_implementer_none_for_block_swap():
 def test_inner_implementer_none_for_transpose():
     a = BlockAlgebra((2,))
     assert inner_implementer(AlgebraMap.blockwise_transpose(a)) is None
+
+
+def _ad_loop(u):
+    """Oracle: Ad(u) column by column, u e_k u^-1 for every matrix unit."""
+    a = u.algebra
+    uinv = ba.invert(u)
+    return np.column_stack([(u * a.basis_element(k) * uinv).coords()
+                            for k in range(a.dim)])
+
+
+def _inner_implementer_loop(alpha, tol=DEFAULT_TOL):
+    """Oracle: the intertwiner system built row by row from the matrix units
+    of each block, then the same unitarisation and phase rule."""
+    a = alpha.source
+    for p in a.central_projections():
+        if (alpha(p) - p).norm() > tol.eq_tol * 1e3:
+            return None
+    blocks = []
+    for off, nb in zip(a.offsets, a.block_dims):
+        sl = slice(off, off + nb * nb)
+        mblock = BlockAlgebra((nb,))
+        sub_map = AlgebraMap(mblock, mblock, alpha.matrix[sl, sl])
+        rows = []
+        for k in range(nb * nb):
+            x = mblock.basis_element(k)
+            rows.append(np.kron(sub_map(x).blocks[0], np.eye(nb))
+                        - np.kron(np.eye(nb), x.blocks[0].T))
+        _, sv, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
+        if int(np.sum(sv <= 1e-9 * max(1.0, sv[0]))) == 0:
+            return None
+        u = vh.conj().T[:, -1].reshape(nb, nb)
+        uu = u.conj().T @ u
+        scale = np.trace(uu).real / nb
+        if scale <= tol.inv_tol or np.linalg.norm(uu - scale * np.eye(nb)) > 1e-7 * scale * nb:
+            return None
+        u = u / np.sqrt(scale)
+        idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
+        blocks.append(u * (np.abs(u[idx]) / u[idx]))
+    u_el = AlgebraElement(a, blocks)
+    residual = max((alpha(x) - u_el * x * u_el.adjoint()).norm()
+                   for x in (a.basis_element(k) for k in range(a.dim)))
+    return None if residual > tol.eq_tol * 1e3 else u_el
+
+
+def _algebras(workbenches):
+    out = [BlockAlgebra((2, 3)), BlockAlgebra((1, 3, 1, 2))]
+    for wb in workbenches.values():
+        out += [wb.hopf.algebra, wb.dual.hopf.algebra]
+    return out
+
+
+def test_ad_matches_per_basis_loop(workbenches):
+    rng = np.random.default_rng(41)
+    for a in _algebras(workbenches):
+        for u in (ba.random_unitary(a, rng), ba.random_positive_invertible(a, rng, 0.5)):
+            got = AlgebraMap.ad(u).matrix
+            want = _ad_loop(u)
+            assert np.linalg.norm(got - want) < 1e-13 * max(1.0, np.linalg.norm(want))
+
+
+def _same_implementer(alpha):
+    got, want = inner_implementer(alpha), _inner_implementer_loop(alpha)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert max(np.abs(g - w).max() for g, w in zip(got.blocks, want.blocks)) < 1e-13
+    return got
+
+
+def test_inner_implementer_matches_per_basis_loop(workbenches):
+    rng = np.random.default_rng(42)
+    for a in _algebras(workbenches):
+        assert _same_implementer(AlgebraMap.identity(a)) is not None
+        for _ in range(2):
+            assert _same_implementer(AlgebraMap.ad(ba.random_unitary(a, rng))) is not None
+        _same_implementer(AlgebraMap.blockwise_transpose(a))
+    # the induced dual actions the bi-inner harness asks about: group
+    # conjugations on C[S3] (dual action not inner) and central unitaries
+    gs3 = workbenches["group:S3"]
+    for g in range(6):
+        alpha = AlgebraMap.ad(_lam(gs3, g))
+        _same_implementer(induced_dual_action(alpha, gs3.dual, check=False))
+    for wb in workbenches.values():
+        alpha = AlgebraMap.ad(ba.random_central_unitary(wb.hopf.algebra, rng))
+        assert _same_implementer(induced_dual_action(alpha, wb.dual, check=False)) \
+            is not None
+
+
+def test_inner_implementer_refusals_match_per_basis_loop(gs3):
+    # a block-permuting map and a non-unitary intertwiner both give None
+    a = BlockAlgebra((2, 1, 2))
+    perm = np.arange(a.dim)
+    perm[:4], perm[5:] = np.arange(5, 9), np.arange(4)
+    swap = AlgebraMap(a, a, np.eye(a.dim)[perm])
+    assert inner_implementer(swap) is None and _inner_implementer_loop(swap) is None
+    w = ba.random_positive_invertible(gs3.hopf.algebra, np.random.default_rng(43))
+    ad_w = AlgebraMap.ad(w)
+    assert inner_implementer(ad_w) is None and _inner_implementer_loop(ad_w) is None
 
 
 # -- proposition pipeline ---------------------------------------------------------------

@@ -47,6 +47,22 @@ def test_gns_rep_is_star_homomorphism(workbenches):
         assert np.linalg.norm(g.rep(wb.hopf.algebra.unit()) - np.eye(g.dim)) < 1e-12
 
 
+def test_gns_rep_matches_per_basis_loop(workbenches):
+    # oracle: the columns x e_k of left multiplication, one basis element
+    # at a time, in the orthonormal basis
+    for wb in workbenches.values():
+        g, a = wb.gns, wb.hopf.algebra
+
+        def rep_loop(x):
+            cols = np.column_stack([(x * a.basis_element(k)).coords() for k in range(a.dim)])
+            return g.onb @ cols @ g.onb_inv
+
+        for x in (ba.random_element(a, RNG), a.unit(), ba.random_unitary(a, RNG)):
+            assert np.abs(g.rep(x) - rep_loop(x)).max() < 1e-13
+        want = np.array([rep_loop(a.basis_element(k)) for k in range(a.dim)])
+        assert np.abs(g.rep_basis - want).max() < 1e-13
+
+
 # -- the multiplicative unitary ---------------------------------------------------
 
 def test_v_is_permutation_type_on_function_z2():
