@@ -65,10 +65,7 @@ class BiInnerGroupModel:
     def project_defect(self, x: AlgebraElement) -> float:
         """Distance of x from the real span of the Lie basis."""
         vec = np.concatenate([x.coords().real, x.coords().imag])
-        if self.lie_real.shape[1] == 0:
-            return float(np.linalg.norm(vec))
-        coef, *_ = np.linalg.lstsq(self.lie_real, vec, rcond=None)
-        return float(np.linalg.norm(self.lie_real @ coef - vec))
+        return float(np.linalg.norm(vec - self.lie_real @ (self.lie_real.T @ vec)))
 
     def random_element(self, rng: np.random.Generator,
                        scale: float = 1.0) -> AlgebraElement:
@@ -88,7 +85,7 @@ def _commutator_stack(a: BlockAlgebra, elements: list[AlgebraElement]) -> np.nda
 def build_group_model(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> BiInnerGroupModel:
     a = h.algebra
     n = a.dim
-    coc = cocentre_basis(h, tol)
+    coc = cocentre_basis(h)
 
     # kappa(w*) - w = K S conj(w) - w is real-linear; commutators are complex
     ks = h.antipode @ h.star_mat
@@ -98,7 +95,7 @@ def build_group_model(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> BiI
 
     # the Lie algebra additionally requires skewness: w + w* = 0
     skew_real = ba.realify_antilinear(h.star_mat) + np.eye(2 * n)
-    null = ba.real_null_space(np.vstack([skew_real, constant_stack]))
+    null = ba.null_space(np.vstack([skew_real, constant_stack]))
     lie = [a.from_coords(ba.real_vec_to_coords(null[:, i])) for i in range(null.shape[1])]
 
     # antipode action on the minimal central projections
@@ -226,7 +223,7 @@ def in_identity_component(alpha: AlgebraMap, model: BiInnerGroupModel,
         - ba.right_mult_tensor(a)
     stack = np.vstack([ba.realify_complex_linear(rows.reshape(n * n, n)),
                        model.constant_stack])
-    null = ba.real_null_space(stack)
+    null = ba.null_space(stack)
     if null.shape[1] == 0:
         return False, {"reason": "no kappa-symmetric intertwiner"}
 
@@ -340,7 +337,7 @@ def classify_biinner(alpha: AlgebraMap, h: HopfAlgebra, d: DualHopfAlgebra,
         return BiInnerVerdict(False, "dual action is not inner")
     certs: dict = {}
     if mu is not None:
-        sols = solve_commutant_partner(u, mu, tol)
+        sols = solve_commutant_partner(u, mu)
         partner = _unitary_in_span(sols, rng)
         if partner is None:
             return BiInnerVerdict(False, "no unitary commutant partner",

@@ -225,7 +225,7 @@ def cmd_verify(args) -> int:
                               f"{mu.certificates['leg_dim_second']})"))
     checks.append(_check("pairing_via_multiplicative_unitary",
                          mu.certificates["pairing_via_v"], 1e-8))
-    fx = fixed_and_cofixed(mu, tol)
+    fx = fixed_and_cofixed(mu)
     checks.append(_check("fixed_cofixed_eigenvector_property",
                          fx.eigenvector_residual, tol.eq_tol,
                          info=f"dims ({fx.fixed.shape[1]},{fx.cofixed.shape[1]})"))

@@ -66,8 +66,7 @@ class Functional:
         n = self.hopf.algebra.dim
         basis = [self.hopf.algebra.basis_element(k) for k in range(n)]
         g = np.array([[self(basis[i] * basis[j]) for j in range(n)] for i in range(n)])
-        sv = np.linalg.svd(g, compute_uv=False)
-        return int(np.sum(sv <= 1e-10 * max(1.0, sv[0])))
+        return n - ba.numerical_rank(g)[0]
 
 
 @dataclass(eq=False)

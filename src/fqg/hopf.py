@@ -250,13 +250,10 @@ def compute_haar(algebra: BlockAlgebra, coproduct: np.ndarray,
         target = np.outer(unit, t)
         return np.concatenate([(right - target).reshape(-1), (left - target).reshape(-1)])
 
-    cols = [residual_op(eye[k]) for k in range(n)]
-    sys = np.array(cols).T
-    _, sv, vh = np.linalg.svd(sys, full_matrices=False)
-    null_dim = int(np.sum(sv <= 1e-10 * max(1.0, sv[0])))
-    if null_dim != 1:
-        raise NonUniqueHaar(f"invariance solution space has dimension {null_dim}")
-    t = vh.conj().T[:, -1]
+    null = ba.null_space(np.array([residual_op(eye[k]) for k in range(n)]).T)
+    if null.shape[1] != 1:
+        raise NonUniqueHaar(f"invariance solution space has dimension {null.shape[1]}")
+    t = null[:, 0]
     norm = t @ unit
     if abs(norm) < tol.inv_tol:
         raise NonUniqueHaar("invariant functional is not normalisable")
@@ -267,13 +264,9 @@ def compute_haar(algebra: BlockAlgebra, coproduct: np.ndarray,
 # distinguished subspaces
 # ---------------------------------------------------------------------------
 
-def cocentre_basis(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> list[AlgebraElement]:
+def cocentre_basis(h: HopfAlgebra) -> list[AlgebraElement]:
     """Orthonormal basis (Haar inner product) of the cocommutative elements."""
-    n = h.algebra.dim
-    sigma_delta = h.coproduct[h.flip, :]
-    _, sv, vh = np.linalg.svd(h.coproduct - sigma_delta, full_matrices=False)
-    null_dim = int(np.sum(sv <= 1e-10 * max(1.0, sv[0])))
-    raw = vh.conj().T[:, n - null_dim:]
+    raw = ba.null_space(h.coproduct - h.coproduct[h.flip, :])
     # orthonormalise against <a,b> = tau(a* b) = a^dagger Gram b
     chol = np.linalg.cholesky(h.gram + 0j)
     q, _ = np.linalg.qr(chol.conj().T @ raw)
@@ -281,18 +274,16 @@ def cocentre_basis(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> list[A
     return [h.algebra.from_coords(basis[:, i]) for i in range(basis.shape[1])]
 
 
-def ksymmetric_basis(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> list[AlgebraElement]:
+def ksymmetric_basis(h: HopfAlgebra) -> list[AlgebraElement]:
     """Real basis of the +1 eigenspace of x -> kappa(x*)."""
     n = h.algebra.dim
-
-    def theta(v: np.ndarray) -> np.ndarray:
-        return h.antipode @ (h.star_mat @ np.conj(v))
-
-    theta_mat = ba.real_matrix_of_map(theta, n)
+    # + 0.0 clears the -0.0 entries of -Re(K S): LAPACK's reflectors read the
+    # sign bit, so the basis returned below would depend on them
+    theta_mat = ba.realify_antilinear(h.antipode @ h.star_mat) + 0.0
     ident = np.eye(2 * n)
     if np.linalg.norm(theta_mat @ theta_mat - ident) > 1e-8 * 2 * n:
         raise NotInvolutive("kappa composed with * is not an involution")
-    fixed = ba.real_null_space(theta_mat - ident)
+    fixed = ba.null_space(theta_mat - ident)
     return [h.algebra.from_coords(ba.real_vec_to_coords(fixed[:, i]))
             for i in range(fixed.shape[1])]
 

@@ -162,11 +162,9 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     shat = xmat.reshape(n, n, n)
 
     # leg spans: second legs = rep(A), first legs = span X_k with full rank
-    cert["leg_dim_first"] = int(np.linalg.matrix_rank(shat.reshape(n, -1), tol=1e-8))
-    cert["leg_dim_second"] = int(np.linalg.matrix_rank(
-        _second_legs(v, n).reshape(-1, n * n), tol=1e-8))
-    cert["second_leg_span_distance"] = _span_distance(
-        _second_legs(v, n).reshape(-1, n * n), flat)
+    cert["leg_dim_first"] = _row_span(shat.reshape(n, -1))[0]
+    cert["leg_dim_second"], second = _row_span(_second_legs(v, n).reshape(-1, n * n))
+    cert["second_leg_span_distance"] = _span_distance(second, _row_span(flat)[1])
     if cert["leg_dim_first"] != n or cert["leg_dim_second"] != n:
         raise LegMismatch(f"leg ranks {cert['leg_dim_first']}, {cert['leg_dim_second']} != {n}")
     if cert["second_leg_span_distance"] > 1e-8:
@@ -240,19 +238,22 @@ def _second_legs(v: np.ndarray, n: int) -> np.ndarray:
     return v4.transpose(0, 2, 1, 3).reshape(n * n, n, n)
 
 
-def _span_distance(rows_a: np.ndarray, rows_b: np.ndarray) -> float:
-    """Distance between row spans via orthogonal projectors."""
-    qa = _orth(rows_a.T)
-    qb = _orth(rows_b.T)
-    pa = qa @ qa.conj().T
-    pb = qb @ qb.conj().T
-    return float(np.linalg.norm(pa - pb, 2))
+def _first_legs(v: np.ndarray, n: int) -> np.ndarray:
+    """All slices (id (x) omega)(V): entry (i,j) of every block of V."""
+    v4 = v.reshape(n, n, n, n)
+    return v4.transpose(1, 3, 0, 2).reshape(n * n, n, n)
 
 
-def _orth(cols: np.ndarray) -> np.ndarray:
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0])))
-    return u[:, :rank]
+def _row_span(rows: np.ndarray) -> tuple[int, np.ndarray]:
+    """Numerical rank of the rows and an orthonormal basis (columns) of their
+    transposed span."""
+    rank, u, _ = ba.numerical_rank(rows.T)
+    return rank, u[:, :rank]
+
+
+def _span_distance(qa: np.ndarray, qb: np.ndarray) -> float:
+    """Distance between two spans given by orthonormal bases, via projectors."""
+    return float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,7 @@ class FixedSpaces:
     eigenvector_residual: float
 
 
-def fixed_and_cofixed(mu: MultiplicativeUnitary, tol: ToleranceConfig = DEFAULT_TOL) -> FixedSpaces:
+def fixed_and_cofixed(mu: MultiplicativeUnitary) -> FixedSpaces:
     n = mu.dim
     v = mu.matrix
     # stack conditions over a basis of the other leg: w[:, :, k] is
@@ -274,8 +275,8 @@ def fixed_and_cofixed(mu: MultiplicativeUnitary, tol: ToleranceConfig = DEFAULT_
     w = (v - np.eye(n * n)).reshape(n * n, n, n)
     rows_fixed = w.transpose(2, 0, 1).reshape(n ** 3, n)
     rows_cofixed = w.transpose(1, 0, 2).reshape(n ** 3, n)
-    fixed = _null(rows_fixed)
-    cofixed = _null(rows_cofixed)
+    fixed = ba.null_space(rows_fixed)
+    cofixed = ba.null_space(rows_cofixed)
 
     # quoted eigenvector property: rep(A) maps cofixed vectors to multiples,
     # dual slices map fixed vectors to multiples
@@ -293,12 +294,6 @@ def fixed_and_cofixed(mu: MultiplicativeUnitary, tol: ToleranceConfig = DEFAULT_
     return FixedSpaces(fixed, cofixed, worst)
 
 
-def _null(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    _, sv, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(sv > tol * max(1.0, sv[0])))
-    return vh.conj().T[:, rank:]
-
-
 def _off_ray(img: np.ndarray, vec: np.ndarray) -> float:
     """Norm of the component of img orthogonal to vec."""
     vn = vec / np.linalg.norm(vec)
@@ -308,6 +303,11 @@ def _off_ray(img: np.ndarray, vec: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # commutation with u-hat (x) u
 # ---------------------------------------------------------------------------
+
+def _commutator_residual(v: np.ndarray, op: np.ndarray) -> float:
+    """||V op - op V|| / max(1, ||V||)."""
+    return float(np.linalg.norm(v @ op - op @ v)) / max(1.0, float(np.linalg.norm(v)))
+
 
 def _check_unitary(op: np.ndarray, tol: ToleranceConfig, what: str):
     n = op.shape[0]
@@ -325,26 +325,17 @@ def commutation_test(uhat: AlgebraElement, u: AlgebraElement,
     _check_unitary(t_hat, tol, "uhat")
     _check_unitary(t, tol, "u")
     big = np.kron(t_hat, t)
-    v = mu.matrix
-    resid = float(np.linalg.norm(v @ big - big @ v)) / max(1.0, float(np.linalg.norm(v)))
     n = mu.dim
-    v_conj = big.conj().T @ v @ big
-    first = np.array([x.reshape(-1) for x in _first_legs(v_conj, n)])
-    second = _second_legs(v_conj, n).reshape(-1, n * n)
-    inv_first = _span_distance(first, mu.shat_basis.reshape(n, -1))
-    inv_second = _span_distance(second, mu.sbasis.reshape(n, -1))
-    return {"residual": resid,
-            "leg_invariance_first": inv_first,
-            "leg_invariance_second": inv_second}
+    v_conj = big.conj().T @ mu.matrix @ big
+    report = {"residual": _commutator_residual(mu.matrix, big)}
+    for leg, conj_legs, basis in (("first", _first_legs(v_conj, n), mu.shat_basis),
+                                  ("second", _second_legs(v_conj, n), mu.sbasis)):
+        report[f"leg_invariance_{leg}"] = _span_distance(
+            _row_span(conj_legs.reshape(-1, n * n))[1], _row_span(basis.reshape(n, -1))[1])
+    return report
 
 
-def _first_legs(v: np.ndarray, n: int):
-    v4 = v.reshape(n, n, n, n)
-    return [v4[:, i, :, j] for i in range(n) for j in range(n)]
-
-
-def solve_commutant_partner(u: AlgebraElement, mu: MultiplicativeUnitary,
-                            tol: ToleranceConfig = DEFAULT_TOL):
+def solve_commutant_partner(u: AlgebraElement, mu: MultiplicativeUnitary):
     """All W in the first-leg algebra with V(W (x) rep(u)) = (W (x) rep(u))V.
 
     Returns an orthonormal basis (list of dual-coefficient rows); the linear
@@ -358,10 +349,7 @@ def solve_commutant_partner(u: AlgebraElement, mu: MultiplicativeUnitary,
         xk = np.tensordot(mu.dual.from_dual_mat[:, k], mu.shat_basis, axes=(0, 0))
         big = np.kron(xk, t)
         cols.append((v @ big - big @ v).reshape(-1))
-    sys = np.array(cols).T
-    _, sv, vh = np.linalg.svd(sys, full_matrices=False)
-    rank = int(np.sum(sv > 1e-8 * max(1.0, sv[0])))
-    null = vh.conj().T[:, rank:]
+    null = ba.null_space(np.array(cols).T)
     return [mu.dual.hopf.algebra.from_coords(null[:, i])
             for i in range(null.shape[1])]
 
@@ -397,8 +385,7 @@ def pair_from_commutant(op: np.ndarray, mu: MultiplicativeUnitary,
     and residuals (commutation, pairing invariance).
     """
     n = mu.dim
-    v = mu.matrix
-    resid = float(np.linalg.norm(v @ op - op @ v)) / max(1.0, float(np.linalg.norm(v)))
+    resid = _commutator_residual(mu.matrix, op)
     if resid > tol.eq_tol * 1e3:
         raise CommutantViolation(f"commutation residual {resid:.2e}")
     xop, yop = split_simple_tensor(op, n)
@@ -454,7 +441,4 @@ def path_in_commutant(uhat: AlgebraElement, u: AlgebraElement,
         raise ValueError("r must be in (0, 1]")
     t_hat = unitary_fractional_power(mu.rep_dual(uhat), r)
     t = unitary_fractional_power(mu.rep(u), r)
-    big = np.kron(t_hat, t)
-    v = mu.matrix
-    resid = float(np.linalg.norm(v @ big - big @ v)) / max(1.0, float(np.linalg.norm(v)))
-    return t_hat, t, resid
+    return t_hat, t, _commutator_residual(mu.matrix, np.kron(t_hat, t))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blockalg as ba
 from .blockalg import BlockAlgebra
 from .errors import NotCStarAlgebra, WedderburnRetry
 
@@ -63,7 +64,7 @@ class WedderburnResult:
     residual: float          # worst mult/star/unit defect of the iso
 
 
-def _minimal_central_idempotents(alg, centre, gram_w, rng, tol):
+def _minimal_central_idempotents(alg, centre, gram_w, rng):
     """Joint eigenvectors of multiplication on the centre, scaled to idempotents."""
     k = centre.shape[1]
     # orthonormalise the centre w.r.t. the GNS inner product
@@ -102,18 +103,18 @@ def _minimal_central_idempotents(alg, centre, gram_w, rng, tol):
 
 
 def wedderburn(alg: AbstractStarAlgebra, *, seed: int = _DEFAULT_SEED,
-               tol: float = 1e-9, max_tries: int = 8) -> WedderburnResult:
+               max_tries: int = 8) -> WedderburnResult:
     rng = np.random.default_rng(seed)
     last_err = None
     for _ in range(max_tries):
         try:
-            return _wedderburn_once(alg, rng, tol)
+            return _wedderburn_once(alg, rng)
         except (WedderburnRetry, np.linalg.LinAlgError) as err:
             last_err = err   # retry with fresh randomness
     raise NotCStarAlgebra(f"wedderburn failed: {last_err}")
 
 
-def _wedderburn_once(alg: AbstractStarAlgebra, rng, tol) -> WedderburnResult:
+def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
     n = alg.dim
     tr = alg.trace_row()
 
@@ -148,34 +149,27 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng, tol) -> WedderburnResult:
     for a in range(n):
         right = np.column_stack([alg.left_mult[j][:, a] for j in range(n)])
         rows.append(right - alg.left_mult[a])
-    _, sv, vh = np.linalg.svd(np.vstack(rows), full_matrices=False)
-    k = int(np.sum(sv <= 1e-10 * max(1.0, sv[0])))
-    if k == 0:
+    centre = ba.null_space(np.vstack(rows))
+    if centre.shape[1] == 0:
         raise NotCStarAlgebra("trivial centre: not unital?")
-    centre = vh.conj().T[:, n - k:]
 
-    idems = _minimal_central_idempotents(alg, centre, w, rng, tol)
+    idems = _minimal_central_idempotents(alg, centre, w, rng)
 
-    # block dimensions from corner ranks
+    # block dimensions from corner ranks; the corner is spanned by the
+    # leading left singular vectors of left multiplication by p
     blocks = []
     for p in idems:
-        lp = alg.lmat(p)
-        svp = np.linalg.svd(lp, compute_uv=False)
-        r = int(np.sum(svp > 1e-8 * max(1.0, svp[0])))
+        r, u_corner, _ = ba.numerical_rank(alg.lmat(p))
         d = int(round(np.sqrt(r)))
         if d * d != r:
             raise WedderburnRetry(f"corner rank {r} is not a perfect square")
-        blocks.append((d, p))
+        blocks.append((d, p, u_corner[:, :r]))
     blocks.sort(key=lambda t: (t[0], float(np.real(tr @ t[1]))))
 
-    target = BlockAlgebra(tuple(d for d, _ in blocks))
+    target = BlockAlgebra(tuple(d for d, _, _ in blocks))
     phi = np.zeros((n, n), complex)
     row = 0
-    for d, p in blocks:
-        # corner basis
-        lp = alg.lmat(p)
-        u_corner, svp, _ = np.linalg.svd(lp)
-        corner = u_corner[:, : d * d]
+    for d, p, corner in blocks:
         # minimal projections q_1..q_d from a generic self-adjoint corner element
         for attempt in range(24):
             y = corner @ (rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d))

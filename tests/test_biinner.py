@@ -166,6 +166,21 @@ def test_hopf_flag_along_exponential_paths(workbenches):
             assert hopf_flags_fast(AlgebraMap.ad(v), wb.hopf), key
 
 
+def test_project_defect_matches_least_squares(workbenches):
+    # lie_real has orthonormal columns, so Q Q^T is the orthogonal projector
+    rng = np.random.default_rng(17)
+    for key, wb in workbenches.items():
+        model = wb.model
+        for x in (ba.random_element(wb.hopf.algebra, rng), model.random_element(rng)):
+            vec = np.concatenate([x.coords().real, x.coords().imag])
+            if model.dim:
+                coef, *_ = np.linalg.lstsq(model.lie_real, vec, rcond=None)
+                want = np.linalg.norm(model.lie_real @ coef - vec)
+            else:
+                want = np.linalg.norm(vec)
+            assert abs(model.project_defect(x) - want) < 1e-13 * max(1.0, want), key
+
+
 # -- a+ib decomposition and group closure -------------------------------------------
 
 def test_ksymmetric_doubling_spans_everything(workbenches):
@@ -237,7 +252,7 @@ def _scan_in_identity_component(alpha, model, rng):
     for k in range(n):
         rows[k * n:(k + 1) * n, :] = np.tensordot(alpha.matrix[:, k], left,
                                                   axes=(0, 0)) - right[k]
-    null = ba.real_null_space(np.vstack([ba.realify_complex_linear(rows),
+    null = ba.null_space(np.vstack([ba.realify_complex_linear(rows),
                                          model.constant_stack]))
     if null.shape[1] == 0:
         return False, None

@@ -395,6 +395,33 @@ def test_ksymmetric_dimension_and_closure(fs3):
             assert fs3.hopf.ksym_defect(x * y) < 1e-9
 
 
+def _theta_by_columns(h):
+    """Oracle: the realified matrix of x -> kappa(x*), one call of the map per
+    real basis vector (e_k, then i e_k), stacked [Re; Im]."""
+    n = h.algebra.dim
+    cols = []
+    for scale in (1.0, 1j):
+        for k in range(n):
+            v = np.zeros(n, complex)
+            v[k] = scale
+            w = h.antipode @ (h.star_mat @ np.conj(v))
+            cols.append(np.concatenate([w.real, w.imag]))
+    return np.array(cols).T
+
+
+def test_ksymmetric_basis_matches_column_by_column_realification(workbenches):
+    # same entries and sign bits, so the SVD returns the same basis
+    for key, wb in workbenches.items():
+        for h in (wb.hopf, wb.dual.hopf):
+            theta = _theta_by_columns(h)
+            closed = ba.realify_antilinear(h.antipode @ h.star_mat) + 0.0
+            assert np.array_equal(closed, theta), key
+            assert np.array_equal(np.signbit(closed), np.signbit(theta)), key
+            null = ba.null_space(theta - np.eye(2 * h.algebra.dim))
+            got = np.array([x.coords() for x in ksymmetric_basis(h)])
+            assert np.array_equal(got, ba.real_vec_to_coords(null).T), key
+
+
 # -- counit support -----------------------------------------------------------
 
 def _counit_support_oracle(h):
@@ -407,7 +434,7 @@ def _counit_support_oracle(h):
         x = a.basis_element(k)
         lx = np.column_stack([(x * a.basis_element(m)).coords() for m in range(n)])
         rows.append(lx - h.epsilon(x) * np.eye(n))
-    null = ba.real_null_space(ba.realify_complex_linear(np.vstack(rows)))
+    null = ba.null_space(ba.realify_complex_linear(np.vstack(rows)))
     assert null.shape[1] == 2  # j and i*j
     cand = a.from_coords(ba.real_vec_to_coords(null[:, 0]))
     scale = np.vdot(cand.coords(), (cand * cand).coords()) / \

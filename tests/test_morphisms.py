@@ -23,7 +23,7 @@ def _lam(wb, g):
 def _random_ksym_cocentre_commuting(wb, rng, need_fourier_invertible=True):
     """Seeded invertible kappa-symmetric element commuting with the cocentre,
     drawn from the real solution space of those two linear conditions."""
-    span = ba.real_null_space(wb.model.constant_stack)
+    span = ba.null_space(wb.model.constant_stack)
     for _ in range(200):
         v = wb.hopf.algebra.from_coords(
             ba.real_vec_to_coords(span @ rng.standard_normal(span.shape[1])))

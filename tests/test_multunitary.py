@@ -186,8 +186,16 @@ def test_fixed_cofixed_match_selector_products(workbenches):
         rows_fixed = [(v - np.eye(n * n)) @ np.kron(eye, eye[:, [k]]) for k in range(n)]
         rows_cofixed = [(v - np.eye(n * n)) @ np.kron(eye[:, [k]], eye) for k in range(n)]
         fx = fixed_and_cofixed(wb.mu)
-        assert np.array_equal(fx.fixed, multunitary._null(np.vstack(rows_fixed))), key
-        assert np.array_equal(fx.cofixed, multunitary._null(np.vstack(rows_cofixed))), key
+        assert np.array_equal(fx.fixed, ba.null_space(np.vstack(rows_fixed))), key
+        assert np.array_equal(fx.cofixed, ba.null_space(np.vstack(rows_cofixed))), key
+
+
+def test_first_legs_are_the_per_slice_list(workbenches):
+    for key, wb in workbenches.items():
+        n, v4 = wb.mu.dim, wb.mu.matrix.reshape((wb.mu.dim,) * 4)
+        want = np.array([v4[:, i, :, j].reshape(-1) for i in range(n) for j in range(n)])
+        got = multunitary._first_legs(wb.mu.matrix, n).reshape(-1, n * n)
+        assert np.array_equal(got, want), key
 
 
 def test_fixed_cofixed_function_z2_explicit():
