@@ -33,8 +33,8 @@ class ToleranceConfig:
     psd_tol: float = 1e-9
 
     def __post_init__(self):
-        if min(self.eq_tol, self.inv_tol, self.psd_tol) <= 0:
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0 < t < math.inf for t in (self.eq_tol, self.inv_tol, self.psd_tol)):
+            raise ValueError("tolerances must be strictly positive and finite")
         if self.eq_tol >= 1:
             raise ValueError("eq_tol must be < 1")
 
@@ -166,6 +166,14 @@ def right_mult_tensor(a: BlockAlgebra) -> np.ndarray:
     t = np.zeros((n, n, n), complex)
     t[j, k, i] = 1.0
     return t
+
+
+@lru_cache(maxsize=None)
+def mult_matrix(a: BlockAlgebra) -> np.ndarray:
+    """Multiplication A (x) A -> A on kron coordinates: column i*n + j holds
+    coords(e_i e_j)."""
+    n = a.dim
+    return left_mult_tensor(a).transpose(1, 0, 2).reshape(n, n * n)
 
 
 class AlgebraElement:
@@ -353,6 +361,58 @@ def flip_perm(a: BlockAlgebra) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# *-homomorphism certificate
+# ---------------------------------------------------------------------------
+
+def hom_residuals(m: np.ndarray, source: BlockAlgebra, target: BlockAlgebra) -> dict[str, float]:
+    """How far phi = m: coords(source) -> coords(target) is from a unital
+    (anti-, Jordan) *-homomorphism.
+
+    multiplicative, anti_multiplicative and jordan are the largest Frobenius
+    defects, over all basis pairs (e_i, e_j), of phi(e_i e_j) against
+    phi(e_i) phi(e_j), phi(e_j) phi(e_i) and (for phi(e_i e_j + e_j e_i)) their
+    sum; star_preserving is the largest defect of phi(e_i*) against phi(e_i)*
+    over the basis, and unital the norm of phi(1) - 1.  Per pair the squared
+    defects are summed over the blocks of the target, which are multiplied
+    in one batch per block size.
+    """
+    n = source.dim
+    mult, adj, unit_s, unit_t, target_blocks = _hom_structure(source, target)
+    star = m[:, adj]                                 # phi(e_i*), column i
+    sq = np.zeros((3, n, n))
+    sq_s = np.zeros(n)
+    # one residual array at a time: each is as large as all pairs' images
+    for idx in target_blocks:
+        k, d = idx.shape[:2]
+        blk = m[idx].transpose(0, 3, 1, 2)           # (k, n, d, d): blocks of phi(e_i)
+        pair = blk[:, :, None] @ blk[:, None]        # (k, n, n, d, d): phi(e_i) phi(e_j)
+        # blocks of phi(e_i e_j): these rows of phi times the multiplication matrix
+        want = (m[idx.reshape(-1)] @ mult).reshape(k, d, d, n, n).transpose(0, 3, 4, 1, 2)
+        defect = want - pair
+        sq[0] += (np.abs(defect) ** 2).sum(axis=(0, 3, 4))
+        # the Jordan defect of (i, j) is the sum of the (i, j) and (j, i) ones
+        defect = defect + defect.swapaxes(1, 2)
+        sq[2] += (np.abs(defect) ** 2).sum(axis=(0, 3, 4))
+        defect = want - pair.swapaxes(1, 2)
+        sq[1] += (np.abs(defect) ** 2).sum(axis=(0, 3, 4))
+        want = star[idx].transpose(0, 3, 1, 2)
+        sq_s += (np.abs(want - blk.conj().swapaxes(2, 3)) ** 2).sum(axis=(0, 2, 3))
+    worst = np.sqrt(np.max(sq, axis=(1, 2)))
+    return {"multiplicative": float(worst[0]), "anti_multiplicative": float(worst[1]),
+            "jordan": float(worst[2]), "star_preserving": float(np.sqrt(np.max(sq_s))),
+            "unital": float(np.linalg.norm(m @ unit_s - unit_t))}
+
+
+@lru_cache(maxsize=None)
+def _hom_structure(source: BlockAlgebra, target: BlockAlgebra):
+    """What hom_residuals reads of its two algebras, built once per pair: for
+    small algebras it costs more than the residuals, and the sampling
+    harnesses ask about thousands of maps on one algebra."""
+    return (mult_matrix(source), adjoint_perm(source), source.unit_coords(),
+            target.unit_coords(), list(target.blocks_by_size().values()))
+
+
+# ---------------------------------------------------------------------------
 # numerical rank and null spaces
 # ---------------------------------------------------------------------------
 
@@ -458,8 +518,13 @@ def realify_complex_linear(m: np.ndarray) -> np.ndarray:
 
 
 def realify_antilinear(b: np.ndarray) -> np.ndarray:
-    """Realified matrix of w -> B conj(w)."""
-    return np.block([[b.real, b.imag], [b.imag, -b.real]])
+    """Realified matrix of w -> B conj(w).
+
+    + 0.0 clears the -0.0 entries of -Re(B): LAPACK's reflectors read the
+    sign bit, so null spaces of matrices built from this one would depend on
+    how a zero was reached.
+    """
+    return np.block([[b.real, b.imag], [b.imag, -b.real]]) + 0.0
 
 
 def real_vec_to_coords(v: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ never includes timing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from .errors import FqgError, ParseError, ResourceLimit
 from .groups import by_name, from_cayley_csv, from_permutation_file
 from .hopf import HopfAlgebra, function_algebra, group_algebra, verify_axioms
 from .io import (element_from_json, element_to_json, load_hopf_file,
-                 load_bundled_kac_paljutkin, report_to_json)
+                 load_bundled_kac_paljutkin, read_json_file, report_to_json)
 from .multunitary import build_gns, build_multiplicative_unitary, fixed_and_cofixed
 from .biinner import build_group_model, brute_force_biinner_consistency
 
@@ -112,7 +113,8 @@ def _check(name, residual, threshold, gating=True, info=None, passed=None):
     return row
 
 
-def _emit(report: dict, as_json: bool, started: float) -> int:
+def _emit(report: dict, tol: ToleranceConfig, as_json: bool, started: float) -> int:
+    report["tolerances"] = dataclasses.asdict(tol)
     ok = all(c["passed"] or not c.get("gating", True) for c in report["checks"])
     report["passed"] = ok
     if as_json:
@@ -134,9 +136,8 @@ def _emit(report: dict, as_json: bool, started: float) -> int:
     return 0 if ok else 1
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, tol: ToleranceConfig) -> int:
     started = time.time()
-    tol = ToleranceConfig(args.tol_eq, args.tol_inv, args.tol_psd)
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     checks = []
@@ -231,15 +232,12 @@ def cmd_verify(args) -> int:
                          info=f"dims ({fx.fixed.shape[1]},{fx.cofixed.shape[1]})"))
 
     report = {"command": "verify", "version": __version__, "seed": seed,
-              "tolerances": {"eq_tol": tol.eq_tol, "inv_tol": tol.inv_tol,
-                             "psd_tol": tol.psd_tol},
               "checks": checks, "verdicts": {"algebra": h.name}}
-    return _emit(report, args.json, started)
+    return _emit(report, tol, args.json, started)
 
 
-def cmd_biinner(args) -> int:
+def cmd_biinner(args, tol: ToleranceConfig) -> int:
     started = time.time()
-    tol = ToleranceConfig(args.tol_eq, args.tol_inv, args.tol_psd)
     seed = _resolve_seed(args)
     h = _build_algebra(args, tol)
     d = build_dual(h, tol)
@@ -254,19 +252,16 @@ def cmd_biinner(args) -> int:
         _check("biinner_commutation", rep.worst_commutation, 1e-8),
     ]
     report = {"command": "biinner", "version": __version__, "seed": seed,
-              "tolerances": {"eq_tol": tol.eq_tol, "inv_tol": tol.inv_tol,
-                             "psd_tol": tol.psd_tol},
               "checks": checks,
               "verdicts": {"algebra": h.name, "lie_algebra_dim": rep.lie_dim,
                            "samples": rep.samples,
                            "positives_are_identity": rep.positives_are_identity}}
-    return _emit(report, args.json, started)
+    return _emit(report, tol, args.json, started)
 
 
 def _load_element(spec: str, algebra) -> "ba.AlgebraElement":
     if spec.startswith("@"):
-        with open(spec[1:]) as fh:
-            doc = json.load(fh)
+        doc = read_json_file(spec[1:])
     else:
         try:
             doc = json.loads(spec)
@@ -275,9 +270,8 @@ def _load_element(spec: str, algebra) -> "ba.AlgebraElement":
     return element_from_json(algebra, doc)
 
 
-def cmd_convolve(args) -> int:
+def cmd_convolve(args, tol: ToleranceConfig) -> int:
     started = time.time()
-    tol = ToleranceConfig(args.tol_eq, args.tol_inv, args.tol_psd)
     seed = _resolve_seed(args)
     h = _build_algebra(args, tol)
     d = build_dual(h, tol)
@@ -294,21 +288,24 @@ def cmd_convolve(args) -> int:
         checks.append(_check("unit_law", resid, tol.eq_tol,
                              info=f"tau(a) = {h.tau(x):.6g}"))
     report = {"command": "convolve", "version": __version__, "seed": seed,
-              "tolerances": {"eq_tol": tol.eq_tol, "inv_tol": tol.inv_tol,
-                             "psd_tol": tol.psd_tol},
               "checks": checks, "verdicts": verdicts}
-    return _emit(report, args.json, started)
+    return _emit(report, tol, args.json, started)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    try:
+        tol = ToleranceConfig(args.tol_eq, args.tol_inv, args.tol_psd)
+    except ValueError as err:
+        parser.error(f"--tol-eq/--tol-inv/--tol-psd: {err}")
     try:
         if args.command == "verify":
-            return cmd_verify(args)
+            return cmd_verify(args, tol)
         if args.command == "biinner":
-            return cmd_biinner(args)
+            return cmd_biinner(args, tol)
         if args.command == "convolve":
-            return cmd_convolve(args)
+            return cmd_convolve(args, tol)
     except (FqgError, MemoryError) as err:
         if isinstance(err, MemoryError):
             err = ResourceLimit(str(err) or "out of memory")

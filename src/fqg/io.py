@@ -108,14 +108,19 @@ def hopf_from_json(doc: dict, tol: ToleranceConfig = DEFAULT_TOL,
     return h
 
 
-def load_hopf_file(path: str, tol: ToleranceConfig = DEFAULT_TOL,
-                   validate: bool = True) -> HopfAlgebra:
+def read_json_file(path: str):
+    """The JSON document in a file; a missing, unreadable or malformed file
+    is a ParseError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+            return json.load(fh)
+    except (OSError, ValueError) as err:
         raise ParseError(f"cannot read {path}: {err}") from err
-    return hopf_from_json(doc, tol, validate)
+
+
+def load_hopf_file(path: str, tol: ToleranceConfig = DEFAULT_TOL,
+                   validate: bool = True) -> HopfAlgebra:
+    return hopf_from_json(read_json_file(path), tol, validate)
 
 
 def bundled_kac_paljutkin_path() -> str:

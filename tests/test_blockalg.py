@@ -15,6 +15,9 @@ def test_tolerance_config_validation():
         ToleranceConfig(eq_tol=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(eq_tol=1.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ToleranceConfig(inv_tol=bad)
 
 
 def test_block_shapes_checked():
@@ -237,3 +240,56 @@ def test_positive_spectrum_floor(dims, seed):
     rng = np.random.default_rng(seed)
     p = ba.random_positive_invertible(a, rng)
     assert spectrum(p)[0] >= -1e-9
+
+
+# -- *-homomorphism certificate ------------------------------------------------
+
+def _failing(m, source, target, thresh=1e-9):
+    return {k for k, v in ba.hom_residuals(m, source, target).items() if v > thresh}
+
+
+def test_hom_residuals_isolate_each_property():
+    """Each residual fails on a map that breaks that property and keeps the
+    others it can keep (on M_2 every automorphism is anti-multiplicative only
+    if it is not multiplicative, and a Jordan failure breaks both)."""
+    a = BlockAlgebra((1, 2))
+    ident = np.eye(a.dim)
+    assert _failing(ident, a, a) == {"anti_multiplicative"}
+    transpose = ident[ba.adjoint_perm(a)]
+    assert _failing(transpose, a, a) == {"multiplicative"}
+    g = a.element([np.eye(1), np.array([[1.0, 1.0], [0.0, 1.0]])])
+    ad_g = np.column_stack([(g * a.from_coords(e) * invert(g)).coords() for e in ident])
+    assert _failing(ad_g, a, a) == {"anti_multiplicative", "star_preserving"}
+    # scale the off-diagonal matrix units of M_2 by 2: unital and *-preserving
+    stretch = np.diag([1.0, 1.0, 2.0, 2.0, 1.0])
+    assert _failing(stretch, a, a) == {"multiplicative", "anti_multiplicative", "jordan"}
+    c2 = BlockAlgebra((1, 1))
+    assert _failing(np.diag([1.0, 0.0]), c2, c2) == {"unital"}
+    # between different algebras: x -> x (+) x is a unital *-homomorphism
+    # C^2 -> C^2 (+) C^2 that is not onto
+    c4 = BlockAlgebra((1, 1, 1, 1))
+    assert _failing(np.vstack([np.eye(2), np.eye(2)]), c2, c4) == set()
+
+
+def test_hom_residuals_are_largest_pair_defects():
+    a, b = BlockAlgebra((2, 1)), BlockAlgebra((1, 2, 2))
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((b.dim, a.dim)) + 1j * rng.standard_normal((b.dim, a.dim))
+    img = [b.from_coords(m @ e) for e in np.eye(a.dim)]
+    phi = lambda x: b.from_coords(m @ x.coords())  # noqa: E731
+    basis = [a.from_coords(e) for e in np.eye(a.dim)]
+    want_m = max((phi(x * y) - img[i] * img[j]).norm()
+                 for i, x in enumerate(basis) for j, y in enumerate(basis))
+    want_s = max((phi(x.adjoint()) - img[i].adjoint()).norm() for i, x in enumerate(basis))
+    got = ba.hom_residuals(m, a, b)
+    assert abs(got["multiplicative"] - want_m) < 1e-12 * want_m
+    assert abs(got["star_preserving"] - want_s) < 1e-12 * want_s
+    assert abs(got["unital"] - (phi(a.unit()) - b.unit()).norm()) < 1e-12
+
+
+def test_realify_antilinear_writes_no_negative_zero():
+    b = np.array([[1.0, 0.0], [0.0, -2.0]]) + 1j * np.array([[0.0, 3.0], [-0.0, 0.0]])
+    for mat in (b, np.eye(3, dtype=complex)[[0, 2, 1]].conj()):
+        real = ba.realify_antilinear(mat)
+        zeros = real == 0
+        assert zeros.any() and not np.signbit(real[zeros]).any()

@@ -39,6 +39,34 @@ def test_dual_of_function_s3_blocks(fs3):
     assert sorted(fs3.dual.hopf.algebra.block_dims) == [1, 1, 2]
 
 
+def test_build_dual_structure_constants_match_basis_loops(workbenches, monkeypatch):
+    """The convolution tensor and the star handed to the Wedderburn engine
+    against the former per-basis loops: the tensor bit for bit, the star
+    equal (the loop's matrix-vector products sign its zeros differently)."""
+    from fqg import duality
+    seen = []
+    real = duality.wedderburn
+
+    def capture(abstract, seed):
+        seen.append(abstract)
+        return real(abstract, seed=seed)
+
+    monkeypatch.setattr(duality, "wedderburn", capture)
+    for key, wb in workbenches.items():
+        h = wb.hopf
+        n = h.algebra.dim
+        build_dual(h)
+        left = np.empty((n, n, n), complex)
+        eye = np.eye(n)
+        for a in range(n):
+            for b in range(n):
+                left[a][:, b] = np.kron(eye[a], eye[b])[h.perm2] @ h.coproduct
+        kstar_cols = np.column_stack([h.kappa(h.algebra.basis_element(j)).adjoint().coords()
+                                      for j in range(n)])
+        assert seen[-1].left_mult.tobytes() == left.tobytes(), key
+        assert np.array_equal(seen[-1].star, np.conj(kstar_cols.T)), key
+
+
 def test_dual_multiplication_is_convolution_of_functionals(fs3):
     d = fs3.dual
     h = fs3.hopf
@@ -234,6 +262,21 @@ def test_faithful_iff_invertible_density(kp):
     assert not g.is_faithful() and g.annihilator_rank_defect() > 0
 
 
+def test_annihilator_rank_defect_matches_basis_loop(workbenches):
+    rng = np.random.default_rng(12)
+    for key, wb in workbenches.items():
+        h, a = wb.hopf, wb.hopf.algebra
+        basis = [a.basis_element(k) for k in range(a.dim)]
+        units = a.central_projections()
+        densities = [ba.random_element(a, rng), a.unit(), units[0], units[0] + units[-1],
+                     a.unit() - units[-1]]
+        for v in densities:
+            f = Functional(h, v)
+            g = np.array([[f(x * y) for y in basis] for x in basis])
+            want = a.dim - ba.numerical_rank(g)[0]
+            assert f.annihilator_rank_defect() == want, key
+
+
 def test_pullback_identity(kp):
     h = kp.hopf
     f = Functional(h, ba.random_selfadjoint_invertible(h.algebra, RNG))
@@ -269,6 +312,67 @@ def test_pullback_rejects_non_unital(gz2):
     f = Functional(h1, h1.algebra.unit())
     with pytest.raises(NotStarHom):
         pullback(inc, f, triv)
+
+
+def test_pullback_rejects_non_multiplicative(gs3):
+    h = gs3.hopf
+    f = Functional(h, h.algebra.unit())
+    tr = AlgebraMap.blockwise_transpose(h.algebra)
+    with pytest.raises(NotStarHom, match="not multiplicative"):
+        pullback(tr.matrix, f, h)
+
+
+def test_pullback_rejects_non_star_preserving(gs3):
+    h = gs3.hopf
+    f = Functional(h, h.algebra.unit())
+    g = ba.random_positive_invertible(h.algebra, np.random.default_rng(4))
+    with pytest.raises(NotStarHom, match="does not preserve the involution"):
+        pullback(AlgebraMap.ad(g).matrix, f, h)
+
+
+def _pullback_refusal_loop(hom_matrix, source, target, tol=ba.DEFAULT_TOL):
+    """pullback's former basis-pair loop: the NotStarHom message it raised,
+    or None."""
+    ns = source.algebra.dim
+    sb = [source.algebra.basis_element(k) for k in range(ns)]
+    tgt = target.algebra
+    img = [tgt.from_coords(hom_matrix @ b.coords()) for b in sb]
+    if np.linalg.norm(hom_matrix @ source.algebra.unit().coords()
+                      - tgt.unit().coords()) > tol.eq_tol * 10:
+        return "homomorphism is not unital"
+    for i in range(ns):
+        if (tgt.from_coords(hom_matrix @ sb[i].adjoint().coords())
+                - img[i].adjoint()).norm() > tol.eq_tol * 10:
+            return "homomorphism does not preserve the involution"
+        for j in range(ns):
+            got = tgt.from_coords(hom_matrix @ (sb[i] * sb[j]).coords())
+            if (got - img[i] * img[j]).norm() > tol.eq_tol * 100:
+                return "homomorphism is not multiplicative"
+    return None
+
+
+def test_pullback_refusals_match_the_pair_loop(workbenches):
+    from fqg.hopf import HopfAlgebra
+    rng = np.random.default_rng(8)
+    triv = HopfAlgebra(ba.BlockAlgebra((1,)), np.ones((1, 1)), np.ones(1),
+                       np.ones((1, 1)), np.ones(1), name="C")
+    cases = [(np.array([[1.0], [0.0]]), workbenches["function:Z2"].hopf, triv)]
+    for key in ("group:S3", "kp", "function:D4"):
+        h = workbenches[key].hopf
+        for m in (np.eye(h.algebra.dim),
+                  AlgebraMap.blockwise_transpose(h.algebra).matrix,
+                  AlgebraMap.ad(ba.random_unitary(h.algebra, rng)).matrix,
+                  AlgebraMap.ad(ba.random_positive_invertible(h.algebra, rng)).matrix):
+            cases.append((m, h, h))
+    for m, target, source in cases:
+        f = Functional(target, target.algebra.unit())
+        want = _pullback_refusal_loop(m, source, target)
+        if want is None:
+            pullback(m, f, source)
+            continue
+        with pytest.raises(NotStarHom) as err:
+            pullback(m, f, source)
+        assert str(err.value) == want
 
 
 def test_pullback_rejects_non_injective(fs3):

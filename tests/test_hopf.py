@@ -442,6 +442,34 @@ def _counit_support_oracle(h):
     return (1.0 / scale) * cand
 
 
+def test_counit_support_matches_the_basis_scan(workbenches):
+    """The block found from the counit row is the one the former scan over
+    basis elements x (for x j = eps(x) j) found, on every algebra and dual."""
+    for key, wb in workbenches.items():
+        for h in (wb.hopf, wb.dual.hopf):
+            a = h.algebra
+            basis = [a.basis_element(k) for k in range(a.dim)]
+            want = next(b for b, nb in enumerate(a.block_dims) if nb == 1 and max(
+                ((x * a.block_unit(b)) - h.epsilon(x) * a.block_unit(b)).norm()
+                for x in basis) < 1e-8)
+            got = counit_support(h)
+            assert got.block == want, key
+            assert got.element.coords().tobytes() == a.block_unit(want).coords().tobytes()
+
+
+def test_counit_support_refuses_a_counit_on_no_block(kp):
+    h = function_algebra(cyclic(3))
+    bad = HopfAlgebra(h.algebra, h.coproduct, np.full(3, 1 / 3), h.antipode, h.haar)
+    with pytest.raises(NoCharacterBlock):
+        counit_support(bad)
+    # the unit of a 2x2 block is no character, even where the counit row is it
+    h = kp.hopf
+    bad = HopfAlgebra(h.algebra, h.coproduct, h.algebra.block_unit_coords()[:, 4],
+                      h.antipode, h.haar)
+    with pytest.raises(NoCharacterBlock):
+        counit_support(bad)
+
+
 def test_counit_support_group_z2(gz2):
     j = counit_support(gz2.hopf).element
     oracle = _counit_support_oracle(gz2.hopf)

@@ -137,6 +137,45 @@ def test_cli_refuses_non_positive_samples(command, samples, capsys):
     assert "--samples" in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "biinner", "convolve"])
+@pytest.mark.parametrize("flag, value", [("--tol-eq", "0"), ("--tol-eq", "2"),
+                                         ("--tol-inv", "-1"), ("--tol-psd", "0"),
+                                         ("--tol-eq", "nan"), ("--tol-inv", "inf")])
+def test_cli_refuses_invalid_tolerances(command, flag, value, capsys):
+    # refused before any work is done, with the usage exit code
+    extra = ["--a", "[]", "--b", "[]"] if command == "convolve" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--group", "Z2", flag, value, *extra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol-" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("content", [None, "not json", b"\xff\xfe{"])
+def test_cli_convolve_refuses_an_unreadable_element_file(content, tmp_path, capsys):
+    path = tmp_path / "a.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    rc = main(["convolve", "--group", "Z2", "--algebra", "group",
+               "--a", f"@{path}", "--b", "[[[[1,0]]],[[[1,0]]]]"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: ParseError: cannot read {path}")
+    assert "Traceback" not in err
+
+
+def test_cli_convolve_reads_an_element_file(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text("[[[[1,0]]],[[[0,0]]]]")
+    rc = main(["convolve", "--group", "Z2", "--algebra", "group",
+               "--a", f"@{path}", "--b", "[[[[1,0]]],[[[1,0]]]]"])
+    assert rc == 0
+    assert "unit_law" in capsys.readouterr().out
+
+
 def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise TypeError("unsupported operand")

@@ -71,6 +71,80 @@ def test_classify_flags_backed_by_residuals(gs3):
     assert rep["residuals"]["multiplicative"] > 1e-3
 
 
+def _hom_loop_oracle(phi):
+    """The pair loops classify_map ran before its residuals came from
+    blockalg.hom_residuals, kept as the oracle."""
+    basis = [phi.source.basis_element(k) for k in range(phi.source.dim)]
+    img = [phi(b) for b in basis]
+    wm = wa = wj = 0.0
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            lhs = phi(x * y)
+            wm = max(wm, (lhs - img[i] * img[j]).norm())
+            wa = max(wa, (lhs - img[j] * img[i]).norm())
+            jor = phi(x * y + y * x)
+            wj = max(wj, (jor - (img[i] * img[j] + img[j] * img[i])).norm())
+    star = max((phi(b.adjoint()) - img[k].adjoint()).norm() for k, b in enumerate(basis))
+    return {"multiplicative": wm, "anti_multiplicative": wa, "jordan": wj,
+            "star_preserving": star,
+            "unital": (phi(phi.source.unit()) - phi.target.unit()).norm()}
+
+
+def _oracle_maps(a, rng):
+    perturbed = np.eye(a.dim) + 1e-3 * rng.standard_normal((a.dim, a.dim))
+    return {"identity": AlgebraMap.identity(a),
+            "transpose": AlgebraMap.blockwise_transpose(a),
+            "ad_unitary": AlgebraMap.ad(ba.random_unitary(a, rng)),
+            "perturbed": AlgebraMap(a, a, perturbed)}
+
+
+def _hopf_kron_oracle(phi, h):
+    """classify_map's former Hopf residuals, through the n^2 x n^2 matrix of
+    phi (x) phi."""
+    lhs = h.coproduct @ phi.matrix
+    rhs = ba.tensor_map(phi.matrix, phi.matrix, h.perm2, h.perm2) @ h.coproduct
+    scale = max(1.0, np.linalg.norm(lhs))
+    return {"hopf": float(np.linalg.norm(lhs - rhs)) / scale,
+            "co_anti_hopf": float(np.linalg.norm(lhs - rhs[h.flip, :])) / scale}
+
+
+def test_classify_map_matches_the_pair_loops(workbenches):
+    rng = np.random.default_rng(77)
+    thresh = DEFAULT_TOL.eq_tol * 100
+    for key, wb in workbenches.items():
+        for name, phi in _oracle_maps(wb.hopf.algebra, rng).items():
+            rep = classify_map(phi, wb.hopf, wb.hopf)
+            want = {**_hom_loop_oracle(phi), **_hopf_kron_oracle(phi, wb.hopf)}
+            for k, w in want.items():
+                assert abs(rep["residuals"][k] - w) <= 1e-13, (key, name, k)
+                assert rep["flags"][k] == (w < thresh), (key, name, k)
+
+
+def test_hopf_flags_fast_refuses_each_failed_condition():
+    """On a coproduct every map intertwines (zero), bijectivity and each
+    *-homomorphism condition decide alone (a bijective multiplicative map
+    is unital, so the unit check cannot fail alone)."""
+    from fqg.hopf import HopfAlgebra
+    a = BlockAlgebra((1, 2))
+    h = HopfAlgebra(a, np.zeros((a.dim ** 2, a.dim)), np.zeros(a.dim), np.eye(a.dim),
+                    np.zeros(a.dim))
+    g = a.element([np.eye(1), np.array([[1.0, 1.0], [0.0, 1.0]])])
+    assert hopf_flags_fast(AlgebraMap.identity(a), h)
+    assert not hopf_flags_fast(AlgebraMap.ad(g), h)                  # star only
+    assert not hopf_flags_fast(AlgebraMap.blockwise_transpose(a), h)  # multiplicative only
+    assert not hopf_flags_fast(AlgebraMap(a, a, np.zeros((a.dim, a.dim))), h)  # singular
+
+
+def test_hopf_flags_fast_agrees_with_classify_map(workbenches):
+    rng = np.random.default_rng(78)
+    for key, wb in workbenches.items():
+        for name, phi in _oracle_maps(wb.hopf.algebra, rng).items():
+            f = classify_map(phi, wb.hopf, wb.hopf)["flags"]
+            want = f["bijective"] and f["multiplicative"] and f["star_preserving"] \
+                and f["unital"] and f["hopf"]
+            assert hopf_flags_fast(phi, wb.hopf) == want, (key, name)
+
+
 # -- per-block tagging ------------------------------------------------------------
 
 def test_transpose_tags_anti_on_matrix_blocks(gs3):
@@ -133,6 +207,54 @@ def test_per_block_dichotomy_fails_off_the_unitary_locus(kp):
     sw, _, _ = dual_sandwich(c, kp.hopf, kp.dual)
     with pytest.raises(NeitherAutoNorAnti):
         per_block_jordan_decomposition(sw)
+
+
+def _per_block_loop_oracle(phi):
+    """per_block_jordan_decomposition's former n_b^4 pair loop: per block the
+    tag and residual, or (None, (wm, wa)) where it raised NeitherAutoNorAnti."""
+    a, thresh = phi.source, DEFAULT_TOL.eq_tol * 100
+    out = []
+    for off, nb in zip(a.offsets, a.block_dims):
+        sl = slice(off, off + nb * nb)
+        sub = phi.matrix[sl, sl]
+        leak = float(np.linalg.norm(phi.matrix[:, sl])) ** 2 - float(np.linalg.norm(sub)) ** 2
+        leak = np.sqrt(max(leak, 0.0))
+        mblock = BlockAlgebra((nb,))
+        sub_map = AlgebraMap(mblock, mblock, sub)
+        basis = [mblock.basis_element(k) for k in range(nb * nb)]
+        img = [sub_map(x) for x in basis]
+        wm = wa = 0.0
+        for i in range(nb * nb):
+            for j in range(nb * nb):
+                lhs = sub_map(basis[i] * basis[j])
+                wm = max(wm, (lhs - img[i] * img[j]).norm())
+                wa = max(wa, (lhs - img[j] * img[i]).norm())
+        wm, wa = max(wm, leak), max(wa, leak)
+        out.append(("auto", wm) if wm < thresh else ("anti", wa) if wa < thresh
+                   else (None, (wm, wa)))
+    return out
+
+
+def test_per_block_tags_match_the_pair_loop(workbenches):
+    rng = np.random.default_rng(79)
+    from fqg.kacpaljutkin import _generators
+    kp = workbenches["kp"]
+    maps = [dual_sandwich(_generators(kp.hopf.algebra)[0], kp.hopf, kp.dual)[0],
+            dual_sandwich(kp.hopf.algebra.element([np.eye(1)] * 4 + [np.diag([2.0, 1.0])]),
+                          kp.hopf, kp.dual)[0],
+            AlgebraMap(BlockAlgebra((2,)), BlockAlgebra((2,)), np.diag([1.0, 2.0, 2.0, 1.0]))]
+    for wb in workbenches.values():
+        for a in (wb.hopf.algebra, wb.dual.hopf.algebra):
+            maps += [m for name, m in _oracle_maps(a, rng).items() if name != "perturbed"]
+    for phi in maps:
+        want = _per_block_loop_oracle(phi)
+        if any(tag is None for tag, _ in want):
+            with pytest.raises(NeitherAutoNorAnti):
+                per_block_jordan_decomposition(phi)
+            continue
+        tags, residuals = per_block_jordan_decomposition(phi)
+        assert tags == [tag for tag, _ in want]
+        assert np.abs(np.array(residuals) - [r for _, r in want]).max() <= 1e-13
 
 
 # -- induced dual action -----------------------------------------------------------

@@ -118,6 +118,38 @@ def test_dual_leg_representation(workbenches):
                               - mu.rep_dual(xh).conj().T) < 1e-9
 
 
+def test_dual_rep_and_pairing_certificates_match_basis_loops(workbenches):
+    """The exact slice-map certificate against the pair loop over dual basis
+    elements, and the pairing certificate bit for bit against its former
+    per-basis construction of the slices and of beta."""
+    for key, wb in workbenches.items():
+        mu, d, n = wb.mu, wb.dual, wb.mu.dim
+        dual_alg = d.hopf.algebra
+        basis = [dual_alg.basis_element(i) for i in range(n)]
+        reps = [mu.rep_dual(x) for x in basis]
+        worst_m = max(float(np.linalg.norm(mu.rep_dual(x * y) - reps[i] @ reps[j]))
+                      for i, x in enumerate(basis) for j, y in enumerate(basis))
+        worst_s = max(float(np.linalg.norm(mu.rep_dual(x.adjoint()) - reps[i].conj().T))
+                      for i, x in enumerate(basis))
+        c = mu.certificates
+        assert abs(c["dual_rep_multiplicative"] - worst_m) <= 1e-13, key
+        assert abs(c["dual_rep_star"] - worst_s) <= 1e-13, key
+        flat_hat = np.array(reps).reshape(n, n * n)
+        q = np.linalg.lstsq(flat_hat.T, mu.shat_basis.reshape(n, n * n).T, rcond=None)[0]
+        beta = np.array([[d.pairing(wb.hopf.algebra.basis_element(j), x) for j in range(n)]
+                         for x in basis])
+        assert c["pairing_via_v"] == float(np.linalg.norm(beta.T @ q - np.eye(n))) / n, key
+
+
+def test_gns_certificate_refuses_a_broken_representation(gs3, monkeypatch):
+    from fqg.errors import HaarNotFaithful
+    broken = gs3.gns.rep_basis.copy()
+    broken[1] += 1e-6 * np.eye(gs3.gns.dim)
+    monkeypatch.setattr(multunitary.GnsSpace, "rep_basis", property(lambda self: broken))
+    with pytest.raises(HaarNotFaithful):
+        build_gns(gs3.hopf)
+
+
 def _dense_pentagon_residual(v, n):
     """Oracle: the pentagon residual from dense n^3 x n^3 leg matrices."""
     eye = np.eye(n)
