@@ -104,11 +104,12 @@ def build_group_model(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> BiI
     kmap = [int(np.argmax(row)) if row.any() else -1 for row in hits]
 
     fixed_blocks = [b for b, c in enumerate(kmap) if c == b]
+    unit = a.unit_coords()
     patterns = []
     for bits in range(1 << len(fixed_blocks)):
-        flip = {b for i, b in enumerate(fixed_blocks) if bits >> i & 1}
-        patterns.append(a.element([(-1.0 if b in flip else 1.0) * np.eye(d, dtype=complex)
-                                   for b, d in enumerate(a.block_dims)]))
+        sign = np.ones(a.nblocks)
+        sign[[b for i, b in enumerate(fixed_blocks) if bits >> i & 1]] = -1.0
+        patterns.append(a.from_coords(sign[a.layout.block_of] * unit))
     model = BiInnerGroupModel(h, lie, null, coc, kmap, patterns, constant_stack)
 
     # closure under the commutator bracket
@@ -122,7 +123,7 @@ def build_group_model(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> BiI
 
 
 def exp_element(x: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(x.algebra, [scipy.linalg.expm(b) for b in x.blocks])
+    return x.blockwise(scipy.linalg.expm)
 
 
 def sample_identity_component(model: BiInnerGroupModel, x: AlgebraElement,
@@ -144,12 +145,15 @@ def sample_identity_component(model: BiInnerGroupModel, x: AlgebraElement,
 # ---------------------------------------------------------------------------
 
 def _of_angles(u: AlgebraElement, fn) -> AlgebraElement:
-    """fn of the principal spectral angles of a unitary, block by block."""
-    blocks = []
-    for b in u.blocks:
-        vals, vecs = scipy.linalg.schur(b, output="complex")
-        blocks.append((vecs * fn(np.angle(np.diag(vals)))) @ vecs.conj().T)
-    return AlgebraElement(u.algebra, blocks)
+    """fn of the principal spectral angles of a unitary, one stacked Schur
+    form per block size (a 1x1 block is its own eigenvalue)."""
+    def calculus(s):
+        if s.shape[-1] == 1:
+            return fn(np.angle(s))
+        vals, vecs = scipy.linalg.schur(s, output="complex")
+        angles = np.angle(np.diagonal(vals, axis1=-2, axis2=-1))
+        return (vecs * fn(angles)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return u.blockwise(calculus)
 
 
 def _principal_sqrt_unitary(u: AlgebraElement) -> AlgebraElement:
@@ -240,9 +244,10 @@ def in_identity_component(alpha: AlgebraMap, model: BiInnerGroupModel,
     w_el = a.from_coords(cands[:, best])
 
     # unitarise: w*w is central, so the polar part is per-block scaling
-    ww = w_el.adjoint() * w_el
-    v = a.element([b / np.sqrt(np.trace(c).real / len(c))
-                   for b, c in zip(w_el.blocks, ww.blocks)])
+    def unitarise(w):
+        trace = np.trace(w.conj().swapaxes(-1, -2) @ w, axis1=-2, axis2=-1).real
+        return w / np.sqrt(trace / w.shape[-1])[:, None, None]
+    v = w_el.blockwise(unitarise)
 
     for attempt in range(4):
         # the sign patterns are central +-1, so v z is in the group iff v is
@@ -301,16 +306,18 @@ def _unitary_in_span(sols: list[AlgebraElement], rng: np.random.Generator,
         w = a.from_coords(span @ coef)
         if not w.is_invertible(1e-6):
             continue
-        u_bl = []
-        for b in w.blocks:
-            uu, _, vvh = np.linalg.svd(b)
-            u_bl.append(uu @ vvh)
-        u = AlgebraElement(a, u_bl)
+        u = w.blockwise(_polar_unitary)
         # the polar part must stay inside the solution space
         resid, *_ = np.linalg.lstsq(span, u.coords(), rcond=None)
         if np.linalg.norm(span @ resid - u.coords()) < tol * max(1.0, u.norm()):
             return u
     return None
+
+
+def _polar_unitary(w: np.ndarray) -> np.ndarray:
+    """Unitary polar factor of each matrix in a stack."""
+    uu, _, vvh = np.linalg.svd(w)
+    return uu @ vvh
 
 
 def classify_biinner(alpha: AlgebraMap, h: HopfAlgebra, d: DualHopfAlgebra,

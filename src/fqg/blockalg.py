@@ -1,18 +1,25 @@
 """Block-diagonal complex matrix algebras.
 
 A finite-dimensional C*-algebra is stored as a direct sum of full matrix
-blocks; elements are tuples of dense complex matrices.  Everything downstream
-(Hopf structure, duality, automorphism classification) works in the
-"matrix-unit coordinates" defined here: an element is flattened block by
-block, row-major, into a vector of length sum(n_i**2), and linear maps
-between algebras are plain matrices acting on those coordinates.
+blocks.  Everything downstream (Hopf structure, duality, automorphism
+classification) works in the "matrix-unit coordinates" defined here: an
+element is flattened block by block, row-major, into a vector of length
+sum(n_i**2), and linear maps between algebras are plain matrices acting on
+those coordinates.
+
+An element is stored as that coordinate vector, read-only.  Its arithmetic
+runs once per block size, not once per block: each BlockAlgebra caches a
+BlockLayout that says where the blocks of each size sit in the vector, so
+products, inverses and spectra are one stacked (k, n, n) numpy or LAPACK
+call per size, and sums, scalar multiples, adjoints and norms act on the
+whole vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,7 +60,7 @@ class BlockAlgebra:
             raise ValueError("block_dims must be a nonempty tuple of positive ints")
         object.__setattr__(self, "block_dims", tuple(int(n) for n in self.block_dims))
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Complex dimension sum(n_i**2)."""
         return sum(n * n for n in self.block_dims)
@@ -62,7 +69,7 @@ class BlockAlgebra:
     def nblocks(self) -> int:
         return len(self.block_dims)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         off, acc = [], 0
         for n in self.block_dims:
@@ -85,26 +92,29 @@ class BlockAlgebra:
         return [off + np.arange(n * n).reshape(n, n)
                 for off, n in zip(self.offsets, self.block_dims)]
 
+    @cached_property
+    def layout(self) -> "BlockLayout":
+        return BlockLayout(self)
+
     def blocks_by_size(self) -> dict[int, np.ndarray]:
         """{n: idx} with idx[k] the coordinates of the k-th n x n block."""
-        groups: dict[int, list[np.ndarray]] = {}
-        for idx in self.block_coords():
-            groups.setdefault(len(idx), []).append(idx)
-        return {n: np.stack(g) for n, g in groups.items()}
+        return dict(self.layout.by_size)
 
     def block_unit_coords(self) -> np.ndarray:
         """(dim, nblocks) array: column b holds the coordinates of the b-th
         minimal central projection."""
+        lay = self.layout
         p = np.zeros((self.dim, self.nblocks), complex)
-        for b, idx in enumerate(self.block_coords()):
-            p[np.diagonal(idx), b] = 1.0
+        p[lay.diagonal, lay.block_of[lay.diagonal]] = 1.0
         return p
 
     def unit_coords(self) -> np.ndarray:
-        return self.block_unit_coords().sum(axis=1)
+        u = np.zeros(self.dim, complex)
+        u[self.layout.diagonal] = 1.0
+        return u
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, [np.zeros((n, n), complex) for n in self.block_dims])
+        return self.from_coords(np.zeros(self.dim, complex))
 
     def unit(self) -> "AlgebraElement":
         return self.from_coords(self.unit_coords())
@@ -118,14 +128,7 @@ class BlockAlgebra:
         return self.from_coords(v)
 
     def from_coords(self, v: np.ndarray) -> "AlgebraElement":
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        if v.shape[0] != self.dim:
-            raise ShapeMismatch(f"expected {self.dim} coordinates, got {v.shape[0]}")
-        blocks, pos = [], 0
-        for n in self.block_dims:
-            blocks.append(v[pos:pos + n * n].reshape(n, n))
-            pos += n * n
-        return AlgebraElement(self, blocks)
+        return AlgebraElement(self, coords=v)
 
     def block_unit(self, b: int) -> "AlgebraElement":
         """Identity of a single block: the b-th minimal central projection."""
@@ -133,6 +136,73 @@ class BlockAlgebra:
 
     def central_projections(self) -> list["AlgebraElement"]:
         return [self.block_unit(b) for b in range(self.nblocks)]
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class BlockLayout:
+    """Where the blocks of each size sit in the coordinate vector of a
+    BlockAlgebra; built once per algebra (BlockAlgebra.layout).
+
+    groups holds one (n, k, sel) per block size, in order of first
+    appearance: the k blocks of size n are v[sel], block after block, each
+    row-major, so v[sel].reshape(k, n, n) stacks them.  sel is a slice when
+    those blocks are adjacent and an index array otherwise.  adjoint is the
+    permutation with coords(x*) = conj(coords(x)[adjoint]); draw_real and
+    draw_imag say where random_element finds the real and imaginary part of
+    each coordinate in its draw of 2 * dim normals (block after block, the
+    real parts of a block before its imaginary parts).
+    """
+
+    def __init__(self, a: BlockAlgebra):
+        self.dim = a.dim
+        coords = a.block_coords()
+        by_size: dict[int, list[np.ndarray]] = {}
+        for idx in coords:
+            by_size.setdefault(len(idx), []).append(idx)
+        self.by_size = {n: _readonly(np.stack(g)) for n, g in by_size.items()}
+        self.groups = tuple((n, len(idx), _selector(idx.reshape(-1)))
+                            for n, idx in self.by_size.items())
+        self.adjoint = _readonly(np.concatenate([idx.T.reshape(-1) for idx in coords]))
+        sq = np.array([n * n for n in a.block_dims])
+        self.block_of = _readonly(np.repeat(np.arange(a.nblocks), sq))
+        self.diagonal = _readonly(np.concatenate([np.diagonal(idx) for idx in coords]))
+        self.draw_real = _readonly(np.arange(self.dim) + np.repeat(np.array(a.offsets), sq))
+        self.draw_imag = _readonly(self.draw_real + np.repeat(sq, sq))
+
+    def stacks(self, v: np.ndarray) -> list[np.ndarray]:
+        """The (..., k, n, n) stack of each block size of coordinates v (..., dim)."""
+        lead = v.shape[:-1]
+        return [v[..., sel].reshape(lead + (k, n, n)) for n, k, sel in self.groups]
+
+    def join(self, stacks: list[np.ndarray]) -> np.ndarray:
+        """Coordinates (..., dim) from one (..., k, n, n) stack per block size."""
+        lead = stacks[0].shape[:-3]
+        if len(self.groups) == 1:
+            return stacks[0].reshape(lead + (self.dim,))
+        out = np.empty(lead + (self.dim,), np.result_type(*stacks))
+        for (_, _, sel), s in zip(self.groups, stacks):
+            out[..., sel] = s.reshape(lead + (-1,))
+        return out
+
+    def apply(self, v: np.ndarray, fn) -> np.ndarray:
+        """Coordinates of fn applied to the stack of each block size of v."""
+        return self.join([fn(s) for s in self.stacks(v)])
+
+
+def _selector(flat: np.ndarray):
+    """A slice for a run of consecutive coordinates, else the index array."""
+    if np.array_equal(flat, np.arange(flat[0], flat[0] + len(flat))):
+        return slice(int(flat[0]), int(flat[0]) + len(flat))
+    return _readonly(flat)
+
+
+def hermitian_part(s: np.ndarray) -> np.ndarray:
+    """Hermitian part (s + s*) / 2 of a stack of matrices."""
+    return (s + s.conj().swapaxes(-1, -2)) / 2
 
 
 def unit_products(a: BlockAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,7 +215,7 @@ def unit_products(a: BlockAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def adjoint_perm(a: BlockAlgebra) -> np.ndarray:
     """P with e_k* = e_{P[k]}: (b, r, s) -> (b, s, r)."""
-    return np.concatenate([idx.T.reshape(-1) for idx in a.block_coords()])
+    return a.layout.adjoint.copy()
 
 
 @lru_cache(maxsize=None)
@@ -177,85 +247,116 @@ def mult_matrix(a: BlockAlgebra) -> np.ndarray:
 
 
 class AlgebraElement:
-    """Immutable element of a BlockAlgebra."""
+    """Immutable element of a BlockAlgebra, stored as its read-only
+    coordinate vector.
 
-    __slots__ = ("algebra", "blocks")
+    Built from a list of blocks, or with coords= from a coordinate vector
+    (copied either way).
+    """
 
-    def __init__(self, algebra: BlockAlgebra, blocks):
-        if len(blocks) != algebra.nblocks:
-            raise ShapeMismatch("wrong number of blocks")
-        mats = []
-        for n, blk in zip(algebra.block_dims, blocks):
-            m = np.array(blk, dtype=complex)
-            if m.shape != (n, n):
-                raise ShapeMismatch(f"block shape {m.shape} != ({n},{n})")
-            m.setflags(write=False)
-            mats.append(m)
+    __slots__ = ("algebra", "_v")
+
+    def __init__(self, algebra: BlockAlgebra, blocks=None, *, coords=None):
+        if coords is None:
+            if len(blocks) != algebra.nblocks:
+                raise ShapeMismatch("wrong number of blocks")
+            mats = [np.asarray(blk, dtype=complex) for blk in blocks]
+            for n, m in zip(algebra.block_dims, mats):
+                if m.shape != (n, n):
+                    raise ShapeMismatch(f"block shape {m.shape} != ({n},{n})")
+            v = np.concatenate([m.reshape(-1) for m in mats])
+        else:
+            v = np.array(coords, dtype=complex).reshape(-1)
+            if v.shape[0] != algebra.dim:
+                raise ShapeMismatch(f"expected {algebra.dim} coordinates, got {v.shape[0]}")
+        v.setflags(write=False)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "blocks", tuple(mats))
+        object.__setattr__(self, "_v", v)
 
     def __setattr__(self, *a):
         raise AttributeError("AlgebraElement is immutable")
 
+    def _new(self, v: np.ndarray) -> "AlgebraElement":
+        return AlgebraElement(self.algebra, coords=v)
+
     # -- arithmetic ---------------------------------------------------------
     def _check_same(self, other):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise ShapeMismatch("elements live in different algebras")
 
     def __add__(self, other):
         self._check_same(other)
-        return AlgebraElement(self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)])
+        return self._new(self._v + other._v)
 
     def __sub__(self, other):
         self._check_same(other)
-        return AlgebraElement(self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)])
+        return self._new(self._v - other._v)
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, [-a for a in self.blocks])
+        return self._new(-self._v)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_same(other)
-            return AlgebraElement(self.algebra, [a @ b for a, b in zip(self.blocks, other.blocks)])
-        return AlgebraElement(self.algebra, [complex(other) * a for a in self.blocks])
+            lay = self.algebra.layout
+            return self._new(lay.join([x @ y for x, y in
+                                       zip(lay.stacks(self._v), lay.stacks(other._v))]))
+        return self._new(complex(other) * self._v)
 
     def __rmul__(self, scalar):
-        return AlgebraElement(self.algebra, [complex(scalar) * a for a in self.blocks])
+        return self._new(complex(scalar) * self._v)
 
     def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, [a.conj().T for a in self.blocks])
+        return self._new(self._v[self.algebra.layout.adjoint].conj())
 
+    # -- blocks -------------------------------------------------------------
     @property
-    def h(self) -> "AlgebraElement":
-        return self.adjoint()
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Read-only (n, n) views of the blocks, in block order."""
+        a, v = self.algebra, self._v
+        return tuple(v[off:off + n * n].reshape(n, n) for off, n in zip(a.offsets, a.block_dims))
+
+    def stacks(self) -> list[np.ndarray]:
+        """The (k, n, n) stack of the blocks of each size (BlockLayout.groups)."""
+        return self.algebra.layout.stacks(self._v)
+
+    def blockwise(self, fn) -> "AlgebraElement":
+        """The element whose blocks of each size are fn of their (k, n, n) stack."""
+        return self._new(self.algebra.layout.apply(self._v, fn))
 
     # -- coordinates and norms ----------------------------------------------
     def coords(self) -> np.ndarray:
-        return np.concatenate([b.reshape(-1) for b in self.blocks])
+        """The read-only coordinate vector."""
+        return self._v
 
     def norm(self) -> float:
         """Global Frobenius norm (used for residuals)."""
-        return math.sqrt(sum(float(np.sum(np.abs(b) ** 2)) for b in self.blocks))
+        return _norm(self._v)
 
     def opnorm(self) -> float:
         """C*-norm: max over blocks of the spectral norm."""
-        return max(float(np.linalg.norm(b, 2)) for b in self.blocks)
+        return max(float(np.linalg.svd(s, compute_uv=False)[..., 0].max()) for s in self.stacks())
 
     def smallest_sv(self) -> float:
-        return min(float(np.linalg.svd(b, compute_uv=False)[-1]) for b in self.blocks)
+        return min(float(np.linalg.svd(s, compute_uv=False)[..., -1].min()) for s in self.stacks())
 
     def is_selfadjoint(self, tol: float = DEFAULT_TOL.eq_tol) -> bool:
-        return (self - self.adjoint()).norm() <= tol * max(1.0, self.norm())
+        v = self._v
+        return _norm(v - v[self.algebra.layout.adjoint].conj()) <= tol * max(1.0, _norm(v))
 
     def is_invertible(self, inv_tol: float = DEFAULT_TOL.inv_tol) -> bool:
         return self.smallest_sv() > inv_tol
 
     def allclose(self, other, tol: float = DEFAULT_TOL.eq_tol) -> bool:
         self._check_same(other)
-        return (self - other).norm() <= tol * max(1.0, self.norm(), other.norm())
+        return _norm(self._v - other._v) <= tol * max(1.0, self.norm(), other.norm())
 
     def __repr__(self):
         return f"AlgebraElement(dims={self.algebra.block_dims})"
+
+
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.vdot(v, v).real)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +365,14 @@ class AlgebraElement:
 
 def _require_selfadjoint(x: AlgebraElement, tol: float):
     if not x.is_selfadjoint(tol):
-        raise NotSelfAdjoint(f"residual {(x - x.h).norm():.3e}")
+        raise NotSelfAdjoint(f"residual {(x - x.adjoint()).norm():.3e}")
 
 
 def spectrum(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Sorted eigenvalue multiset of a self-adjoint element, across all blocks."""
     _require_selfadjoint(x, tol.eq_tol)
-    vals = np.concatenate([np.linalg.eigvalsh((b + b.conj().T) / 2) for b in x.blocks])
-    return np.sort(vals)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(hermitian_part(s)).reshape(-1)
+                                   for s in x.stacks()]))
 
 
 def is_positive(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -279,9 +380,10 @@ def is_positive(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def invert(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraElement:
-    if x.smallest_sv() <= tol.inv_tol:
-        raise NotInvertible(f"smallest singular value {x.smallest_sv():.3e}")
-    return AlgebraElement(x.algebra, [np.linalg.inv(b) for b in x.blocks])
+    sv = x.smallest_sv()
+    if sv <= tol.inv_tol:
+        raise NotInvertible(f"smallest singular value {sv:.3e}")
+    return x.blockwise(np.linalg.inv)
 
 
 def polar_symmetry(v: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL):
@@ -293,12 +395,13 @@ def polar_symmetry(v: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL):
     _require_selfadjoint(v, tol.eq_tol)
     if v.smallest_sv() <= tol.inv_tol:
         raise NotInvertible("polar symmetry requires an invertible element")
-    abs_blocks, sym_blocks = [], []
-    for b in v.blocks:
-        lam, q = np.linalg.eigh((b + b.conj().T) / 2)
-        abs_blocks.append((q * np.abs(lam)) @ q.conj().T)
-        sym_blocks.append((q * np.sign(lam)) @ q.conj().T)
-    return AlgebraElement(v.algebra, abs_blocks), AlgebraElement(v.algebra, sym_blocks)
+    eig = [np.linalg.eigh(hermitian_part(s)) for s in v.stacks()]
+    lay = v.algebra.layout
+
+    def calculus(fn):
+        return v._new(lay.join([(q * fn(lam)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+                                for lam, q in eig]))
+    return calculus(np.abs), calculus(np.sign)
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +432,9 @@ def inverse_perm(p: np.ndarray) -> np.ndarray:
 
 
 def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Kronecker product, block pair by block pair."""
+    """x (x) y, read off kron(coords x, coords y) by tensor_perm."""
     ab = tensor_algebra(x.algebra, y.algebra)
-    blocks = [np.kron(bx, by) for bx in x.blocks for by in y.blocks]
-    return AlgebraElement(ab, blocks)
+    return ab.from_coords(np.kron(x.coords(), y.coords())[tensor_perm(x.algebra, y.algebra)])
 
 
 def tensor_map(m1: np.ndarray, m2: np.ndarray, p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
@@ -465,10 +567,18 @@ def centre_basis(a: BlockAlgebra) -> list[AlgebraElement]:
 # seeded random elements (shared source for all property tests)
 # ---------------------------------------------------------------------------
 
+def random_coords(a: BlockAlgebra, rng: np.random.Generator,
+                  count: int | None = None) -> np.ndarray:
+    """Coordinates of random_element, or (count, dim) of count of them, from
+    one draw that takes the same numbers from rng as the per-block draws
+    (real parts of a block, then its imaginary parts, block after block)."""
+    lay = a.layout
+    z = rng.standard_normal((2 * a.dim,) if count is None else (count, 2 * a.dim))
+    return (z[..., lay.draw_real] + 1j * z[..., lay.draw_imag]) / math.sqrt(2)
+
+
 def random_element(a: BlockAlgebra, rng: np.random.Generator) -> AlgebraElement:
-    blocks = [(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-              for n in a.block_dims]
-    return AlgebraElement(a, blocks)
+    return a.from_coords(random_coords(a, rng))
 
 
 def random_selfadjoint(a: BlockAlgebra, rng: np.random.Generator) -> AlgebraElement:
@@ -491,21 +601,21 @@ def random_positive_invertible(a: BlockAlgebra, rng: np.random.Generator,
     return x * x.adjoint() + floor * a.unit()
 
 
+def _unitary_factor(z: np.ndarray) -> np.ndarray:
+    """Q of z = QR with the phases of diag(R) moved into Q (Haar for Gaussian z)."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def random_unitary(a: BlockAlgebra, rng: np.random.Generator) -> AlgebraElement:
     """Haar-random unitary, independently per block."""
-    blocks = []
-    for n in a.block_dims:
-        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-        q, r = np.linalg.qr(z)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        blocks.append(q)
-    return AlgebraElement(a, blocks)
+    return a.from_coords(a.layout.apply(random_coords(a, rng), _unitary_factor))
 
 
 def random_central_unitary(a: BlockAlgebra, rng: np.random.Generator) -> AlgebraElement:
     phases = np.exp(2j * np.pi * rng.random(a.nblocks))
-    blocks = [ph * np.eye(n, dtype=complex) for ph, n in zip(phases, a.block_dims)]
-    return AlgebraElement(a, blocks)
+    return a.from_coords(phases[a.layout.block_of] * a.unit_coords())
 
 
 # ---------------------------------------------------------------------------

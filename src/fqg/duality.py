@@ -15,11 +15,11 @@ from functools import cached_property
 import numpy as np
 
 from . import blockalg as ba
-from .blockalg import (AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig,
-                       invert, polar_symmetry, tensor_perm, tensor_map)
+from .blockalg import (AlgebraElement, DEFAULT_TOL, ToleranceConfig, polar_symmetry,
+                       tensor_perm, tensor_map)
 from .errors import (NotFaithful, NotInjective, NotInvertible, NotSelfAdjoint,
                      NotStarHom)
-from .hopf import HopfAlgebra, compute_haar, verify_axioms, AxiomReport
+from .hopf import HopfAlgebra, compute_haar, verify_axioms
 from .wedderburn import AbstractStarAlgebra, wedderburn
 
 

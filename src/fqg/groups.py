@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import NotAGroup, ParseError
 

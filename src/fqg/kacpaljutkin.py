@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockalg import BlockAlgebra, inverse_perm, tensor_element, tensor_perm
+from .blockalg import (BlockAlgebra, inverse_perm, right_mult_tensor, tensor_element,
+                       tensor_perm)
 from .hopf import HopfAlgebra, compute_haar, verify_axioms
 from .errors import NotCStarAlgebra
 
@@ -56,27 +57,13 @@ def build_kac_paljutkin() -> HopfAlgebra:
 
     counit = np.ones(n) @ winv  # every generator has counit 1
 
-    # antipode: solve m(kappa (x) id)delta = eps(.)1 as a linear system in kappa
-    iperm = inverse_perm(tensor_perm(alg, alg))
-    basis = [alg.basis_element(k) for k in range(n)]
-    unit_coords = one.coords()
-    rows, rhs = [], []
-    for j in range(n):
-        gamma = coproduct[iperm, j].reshape(n, n)
-        # sum_ab gamma[a,b] kappa(e_a) e_b ; unknown kappa as N x N matrix
-        block_rows = np.zeros((n, n * n), complex)
-        for a in range(n):
-            for b in range(n):
-                if abs(gamma[a, b]) < 1e-15:
-                    continue
-                right = basis[b]
-                lm = np.column_stack([(alg.basis_element(k) * right).coords()
-                                      for k in range(n)])
-                block_rows += gamma[a, b] * np.kron(lm, _unit_row(n, a))
-        rows.append(block_rows)
-        rhs.append(counit[j] * unit_coords)
-    sys = np.vstack(rows)
-    target = np.concatenate(rhs)
+    # antipode: solve m(kappa (x) id)delta = eps(.)1 as a linear system in
+    # kappa, unknown as an N x N matrix (row-major): the rows of e_j read
+    # sum_ab gamma[a, b, j] kappa(e_a) e_b, with gamma the kron coefficients of
+    # delta and right_mult_tensor[b] the right multiplication by e_b
+    gamma = coproduct[inverse_perm(tensor_perm(alg, alg))].reshape(n, n, n)
+    sys = np.einsum('abj,brk->jrka', gamma, right_mult_tensor(alg)).reshape(n * n, n * n)
+    target = np.outer(counit, one.coords()).reshape(-1)
     sol, *_ = np.linalg.lstsq(sys, target, rcond=None)
     antipode = sol.reshape(n, n)
     if np.linalg.norm(sys @ sol - target) > 1e-9:
@@ -90,8 +77,3 @@ def build_kac_paljutkin() -> HopfAlgebra:
         raise NotCStarAlgebra(f"presentation fails axioms: {report.failing()}")
     return h
 
-
-def _unit_row(n: int, a: int) -> np.ndarray:
-    row = np.zeros((1, n))
-    row[0, a] = 1.0
-    return row

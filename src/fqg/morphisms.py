@@ -13,15 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import blockalg as ba
-from .blockalg import (AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig,
-                       invert, spectrum)
+from .blockalg import AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig, invert
 from .duality import DualHopfAlgebra
 from .errors import (ClassificationUnstable, ConventionMismatch, DimensionMismatch,
-                     NeitherAutoNorAnti, NotBlockPreserving, NotInvertible,
-                     PreconditionFailed)
+                     NeitherAutoNorAnti, NotBlockPreserving, PreconditionFailed)
 from .hopf import HopfAlgebra, cocentre_basis, counit_support
 
 
@@ -67,7 +64,7 @@ class AlgebraMap:
     def ad(cls, u: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> "AlgebraMap":
         """Conjugation x -> u x u^{-1}."""
         uinv = invert(u, tol)
-        return cls(u.algebra, u.algebra, _sandwich_matrix(u.blocks, uinv.blocks))
+        return cls(u.algebra, u.algebra, _sandwich_matrix(u, uinv))
 
     @classmethod
     def blockwise_transpose(cls, a: BlockAlgebra) -> "AlgebraMap":
@@ -124,19 +121,15 @@ def _hopf_residuals(m: np.ndarray, h_source: HopfAlgebra,
             float(np.linalg.norm(lhs - qp)) / scale)
 
 
-def _positivity_family(a: BlockAlgebra, rng: np.random.Generator):
-    """Squares b*b of a spanning family plus seeded random elements."""
-    fam = []
-    basis = [a.basis_element(k) for k in range(a.dim)]
-    for i, x in enumerate(basis):
-        fam.append(x.adjoint() * x)
-        y = basis[(i + 1) % a.dim]
-        fam.append((x + y).adjoint() * (x + y))
-        fam.append((x + 1j * y).adjoint() * (x + 1j * y))
-    for _ in range(_POSITIVITY_SAMPLES):
-        b = ba.random_element(a, rng)
-        fam.append(b.adjoint() * b)
-    return fam
+def _positivity_family(a: BlockAlgebra, rng: np.random.Generator) -> np.ndarray:
+    """Coordinates (one row each) of the squares b*b of a spanning family,
+    b = e_k, e_k + e_{k+1} and e_k + i e_{k+1} (indices mod dim), followed by
+    those of _POSITIVITY_SAMPLES seeded random elements."""
+    eye = np.eye(a.dim, dtype=complex)
+    nxt = np.roll(eye, -1, axis=0)                   # row k: e_{k+1}
+    fam = np.concatenate([np.stack([eye, eye + nxt, eye + 1j * nxt], axis=1).reshape(-1, a.dim),
+                          ba.random_coords(a, rng, _POSITIVITY_SAMPLES)])
+    return a.layout.apply(fam, lambda s: s.conj().swapaxes(-1, -2) @ s)
 
 
 def classify_map(phi: AlgebraMap, h_source: HopfAlgebra, h_target: HopfAlgebra,
@@ -160,13 +153,11 @@ def classify_map(phi: AlgebraMap, h_source: HopfAlgebra, h_target: HopfAlgebra,
         res["bijective"] = 0.0
     res.update(ba.hom_residuals(phi.matrix, phi.source, phi.target))
 
-    pos = 0.0
-    for p in _positivity_family(phi.source, rng):
-        fp = phi(p)
-        herm_defect = (fp - fp.adjoint()).norm()
-        low = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) for b in fp.blocks)
-        pos = max(pos, herm_defect, max(0.0, -low))
-    res["positive"] = pos
+    img = _positivity_family(phi.source, rng) @ phi.matrix.T     # phi(b*b), one row each
+    lay = phi.target.layout
+    herm_defect = np.linalg.norm(img - img[:, lay.adjoint].conj(), axis=1).max()
+    low = min(np.linalg.eigvalsh(ba.hermitian_part(s))[..., 0].min() for s in lay.stacks(img))
+    res["positive"] = max(0.0, float(herm_defect), -float(low))
 
     # Hopf and co-anti-Hopf conditions
     if bij and n_s == n_t:
@@ -298,10 +289,33 @@ def dual_sandwich(c: AlgebraElement, h: HopfAlgebra, d: DualHopfAlgebra,
 # inner implementers
 # ---------------------------------------------------------------------------
 
-def _sandwich_matrix(left, right) -> np.ndarray:
-    """Coordinate matrix of x -> l x r with l, r given block by block:
-    block-diagonal kron(l_b, r_b^T), as vec_row(L X R) = (L (x) R^T) vec_row(X)."""
-    return scipy.linalg.block_diag(*[np.kron(lb, rb.T) for lb, rb in zip(left, right)])
+def _sandwich_matrix(left: AlgebraElement, right: AlgebraElement) -> np.ndarray:
+    """Coordinate matrix of x -> l x r: block-diagonal kron(l_b, r_b^T), as
+    vec_row(L X R) = (L (x) R^T) vec_row(X), scattered once per block size."""
+    a = left.algebra
+    out = np.zeros((a.dim, a.dim), complex)
+    for idx, lb, rb in zip(a.layout.by_size.values(), left.stacks(), right.stacks()):
+        k, n = idx.shape[:2]
+        flat = idx.reshape(k, n * n)
+        # kron(l, r^T)[(i, j), (p, q)] = l[i, p] r[q, j]
+        kr = lb[:, :, None, :, None] * rb.swapaxes(1, 2)[:, None, :, None, :]
+        out[flat[:, :, None], flat[:, None, :]] = kr.reshape(k, n * n, n * n)
+    return out
+
+
+def _unitary_intertwiners(u: np.ndarray, tol: ToleranceConfig) -> np.ndarray | None:
+    """The (k, n, n) intertwiners u scaled to unitaries, each with its largest
+    entry real positive; None when one is not unitary up to scale (for an
+    automorphism every intertwiner is)."""
+    k, nb = u.shape[:2]
+    uu = u.conj().transpose(0, 2, 1) @ u
+    scale = np.trace(uu, axis1=1, axis2=2).real / nb
+    if np.any(scale <= tol.inv_tol) or np.any(np.linalg.norm(
+            uu - scale[:, None, None] * np.eye(nb), axis=(1, 2)) > 1e-7 * scale * nb):
+        return None
+    u = (u / np.sqrt(scale)[:, None, None]).reshape(k, -1)
+    top = u[np.arange(k), np.argmax(np.abs(u), axis=1)]
+    return u * (np.abs(top) / top)[:, None]
 
 
 def inner_implementer(alpha: AlgebraMap, tol: ToleranceConfig = DEFAULT_TOL):
@@ -317,7 +331,7 @@ def inner_implementer(alpha: AlgebraMap, tol: ToleranceConfig = DEFAULT_TOL):
     units = a.block_unit_coords()
     if np.linalg.norm(alpha.matrix @ units - units, axis=0).max() > tol.eq_tol * 1e3:
         return None
-    blocks = [None] * a.nblocks
+    coords = np.empty(a.dim, complex)
     for nb, idx in a.blocks_by_size().items():
         flat = idx.reshape(len(idx), -1)
         # ax[:, k] = alpha(x_k) on each block, x_k the k-th matrix unit
@@ -329,22 +343,15 @@ def inner_implementer(alpha: AlgebraMap, tol: ToleranceConfig = DEFAULT_TOL):
         sys = ax[:, :, :, None, :, None] * one[:, None, :] \
             - one[:, None, :, None] * xt[:, None, :, None, :]
         rank, _, vh = ba.numerical_rank(sys.reshape(len(idx), nb ** 4, nb * nb))
+        # a block without an intertwiner: alpha is not inner there
         if np.any(rank == nb * nb):
             return None
-        u = vh[:, -1].conj().reshape(-1, nb, nb)
-        # unitarise: for an automorphism the intertwiner is unitary up to scale
-        uu = u.conj().transpose(0, 2, 1) @ u
-        scale = np.trace(uu, axis1=1, axis2=2).real / nb
-        if np.any(scale <= tol.inv_tol) or np.any(np.linalg.norm(
-                uu - scale[:, None, None] * one, axis=(1, 2)) > 1e-7 * scale * nb):
+        u = _unitary_intertwiners(vh[:, -1].conj().reshape(-1, nb, nb), tol)
+        if u is None:
             return None
-        u = (u / np.sqrt(scale)[:, None, None]).reshape(len(idx), -1)
-        top = u[np.arange(len(u)), np.argmax(np.abs(u), axis=1)]
-        u = (u * (np.abs(top) / top)[:, None]).reshape(-1, nb, nb)
-        for b, ub in zip(np.flatnonzero(np.array(a.block_dims) == nb), u):
-            blocks[b] = ub
-    u_el = AlgebraElement(a, blocks)
-    resid = alpha.matrix - _sandwich_matrix(u_el.blocks, u_el.adjoint().blocks)
+        coords[idx.reshape(-1)] = u.reshape(-1)
+    u_el = a.from_coords(coords)
+    resid = alpha.matrix - _sandwich_matrix(u_el, u_el.adjoint())
     if np.linalg.norm(resid, axis=0).max() > tol.eq_tol * 1e3:
         return None
     return u_el

@@ -113,6 +113,16 @@ class MultiplicativeUnitary:
         row = self.dual.from_dual_mat @ xhat.coords()
         return np.tensordot(row, self.shat_basis, axes=(0, 0))
 
+    @cached_property
+    def first_leg_span(self) -> np.ndarray:
+        """Orthonormal basis (columns) of the span of the first-leg slices X_k."""
+        return _row_span(self.shat_basis.reshape(self.dim, -1))[1]
+
+    @cached_property
+    def second_leg_span(self) -> np.ndarray:
+        """Orthonormal basis (columns) of the span of rep(A)."""
+        return _row_span(self.sbasis.reshape(self.dim, -1))[1]
+
     def rep_dual_inverse(self, op: np.ndarray, tol: float = 1e-8):
         flat = self.shat_basis.reshape(self.dim, -1).T
         row, *_ = np.linalg.lstsq(flat, op.reshape(-1), rcond=None)
@@ -311,10 +321,10 @@ def commutation_test(uhat: AlgebraElement, u: AlgebraElement,
     n = mu.dim
     v_conj = big.conj().T @ mu.matrix @ big
     report = {"residual": _commutator_residual(mu.matrix, big)}
-    for leg, conj_legs, basis in (("first", _first_legs(v_conj, n), mu.shat_basis),
-                                  ("second", _second_legs(v_conj, n), mu.sbasis)):
+    for leg, conj_legs, span in (("first", _first_legs(v_conj, n), mu.first_leg_span),
+                                 ("second", _second_legs(v_conj, n), mu.second_leg_span)):
         report[f"leg_invariance_{leg}"] = _span_distance(
-            _row_span(conj_legs.reshape(-1, n * n))[1], _row_span(basis.reshape(n, -1))[1])
+            _row_span(conj_legs.reshape(-1, n * n))[1], span)
     return report
 
 
@@ -326,13 +336,14 @@ def solve_commutant_partner(u: AlgebraElement, mu: MultiplicativeUnitary):
     """
     n = mu.dim
     t = mu.rep(u)
-    v = mu.matrix
-    cols = []
-    for k in range(n):
-        xk = np.tensordot(mu.dual.from_dual_mat[:, k], mu.shat_basis, axes=(0, 0))
-        big = np.kron(xk, t)
-        cols.append((v @ big - big @ v).reshape(-1))
-    null = ba.null_space(np.array(cols).T)
+    v4 = mu.matrix.reshape(n, n, n, n)          # axes (row1, row2, col1, col2)
+    # X_k, the first-leg slice of the k-th dual basis element: xs[k, c, e]
+    xs = np.tensordot(mu.dual.from_dual_mat, mu.shat_basis, axes=(0, 0))
+    # V (X_k (x) T) at [k, a, b, e, f] = sum_cd V[a, b, c, d] X_k[c, e] T[d, f]
+    left = np.tensordot(xs, v4 @ t, axes=(1, 2)).transpose(0, 2, 3, 1, 4)
+    # (X_k (x) T) V at [k, a, b, e, f] = sum_cd X_k[a, c] T[b, d] V[c, d, e, f]
+    right = np.tensordot(xs, np.tensordot(t, v4, axes=(1, 1)).swapaxes(0, 1), axes=(2, 0))
+    null = ba.null_space((left - right).reshape(n, -1).T)
     return [mu.dual.hopf.algebra.from_coords(null[:, i])
             for i in range(null.shape[1])]
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fqg import blockalg as ba
 from fqg import biinner
@@ -279,6 +280,27 @@ def _scan_in_identity_component(alpha, model, rng):
             break
         v = biinner.exp_element(model.random_element(rng, scale=0.3)) * v
     return False, None
+
+
+def _of_angles_loop(u, fn):
+    """Oracle: fn of the spectral angles from one Schur form per block."""
+    blocks = []
+    for b in u.blocks:
+        vals, vecs = scipy.linalg.schur(b, output="complex")
+        blocks.append((vecs * fn(np.angle(np.diag(vals)))) @ vecs.conj().T)
+    return np.concatenate([b.reshape(-1) for b in blocks])
+
+
+def test_principal_root_and_log_match_per_block_schur(workbenches):
+    """On random unitaries, whose blocks are not scalar, of every workbench
+    and its dual."""
+    rng = np.random.default_rng(516)
+    for wb in workbenches.values():
+        for a in (wb.hopf.algebra, wb.dual.hopf.algebra):
+            u = ba.random_unitary(a, rng)
+            for got, fn in ((biinner._principal_sqrt_unitary(u), lambda t: np.exp(0.5j * t)),
+                            (biinner._principal_log_skew(u), lambda t: 1j * t)):
+                assert np.abs(got.coords() - _of_angles_loop(u, fn)).max() < 1e-13, wb.key
 
 
 def _membership_samples(wb, rng):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from fqg import blockalg as ba
+from fqg.biinner import exp_element
 from fqg.blockalg import (BlockAlgebra, ToleranceConfig, centre_basis, invert,
                           polar_symmetry, spectrum, tensor_algebra, tensor_element)
 from fqg.errors import NotInvertible, NotSelfAdjoint, ShapeMismatch
+from fqg.groups import by_name
+from fqg.hopf import function_algebra
 
 RNG = np.random.default_rng(1234)
 
@@ -293,3 +297,157 @@ def test_realify_antilinear_writes_no_negative_zero():
         real = ba.realify_antilinear(mat)
         zeros = real == 0
         assert zeros.any() and not np.signbit(real[zeros]).any()
+
+
+# -- coordinate-vector storage against the per-block formulas ----------------
+
+def _storage_algebras(workbenches):
+    """The 11 workbenches and their duals, kp (x) kp (blocks of one size that
+    are not adjacent) and C(S4) (24 blocks of size 1)."""
+    out = []
+    for wb in workbenches.values():
+        out += [wb.hopf.algebra, wb.dual.hopf.algebra]
+    kp = workbenches["kp"].hopf.algebra
+    return out + [tensor_algebra(kp, kp), function_algebra(by_name("S4")).algebra]
+
+
+def _cat(blocks) -> np.ndarray:
+    return np.concatenate([np.asarray(b).reshape(-1) for b in blocks])
+
+
+def _bitwise(x, blocks):
+    assert x.coords().tobytes() == _cat(blocks).tobytes()
+
+
+def _close(got, want, tol=1e-13):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol * max(1.0, np.abs(want).max())
+
+
+def test_element_ops_match_per_block_formulas(workbenches):
+    rng = np.random.default_rng(71)
+    for a in _storage_algebras(workbenches):
+        bx = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in a.block_dims]
+        by = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in a.block_dims]
+        x, y = a.element(bx), a.element(by)
+        _bitwise(x, bx)
+        assert all(np.array_equal(g, w) for g, w in zip(x.blocks, bx))
+        _bitwise(x + y, [p + q for p, q in zip(bx, by)])
+        _bitwise(x - y, [p - q for p, q in zip(bx, by)])
+        _bitwise(-x, [-p for p in bx])
+        _bitwise((0.5 - 2j) * x, [complex(0.5 - 2j) * p for p in bx])
+        _bitwise(x * 3.0, [complex(3.0) * p for p in bx])
+        _bitwise(x.adjoint(), [p.conj().T for p in bx])
+        prod = x * y
+        want = [p @ q for p, q in zip(bx, by)]
+        for got_b, want_b in zip(prod.blocks, want):
+            if len(want_b) == 1:
+                assert got_b.tobytes() == want_b.tobytes()
+        _close(prod.coords(), _cat(want))
+        _close(x.norm(), np.sqrt(sum(np.sum(np.abs(p) ** 2) for p in bx)))
+        _close(x.opnorm(), max(np.linalg.norm(p, 2) for p in bx))
+        _close(x.smallest_sv(), min(np.linalg.svd(p, compute_uv=False)[-1] for p in bx))
+        _close(invert(x).coords(), _cat([np.linalg.inv(p) for p in bx]))
+        _close(exp_element(0.3 * x).coords(), _cat([scipy.linalg.expm(0.3 * p) for p in bx]))
+
+        bs = [(p + p.conj().T) / 2 for p in bx]
+        s = a.element(bs)
+        _close(spectrum(s), np.sort(np.concatenate([np.linalg.eigvalsh(p) for p in bs])))
+        absval, sym = polar_symmetry(s)
+        eig = [np.linalg.eigh((p + p.conj().T) / 2) for p in bs]
+        _close(absval.coords(), _cat([(q * np.abs(lam)) @ q.conj().T for lam, q in eig]))
+        _close(sym.coords(), _cat([(q * np.sign(lam)) @ q.conj().T for lam, q in eig]))
+
+
+def _old_draw(rng, n):
+    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+
+
+def _old_random_element(a, rng):
+    return [_old_draw(rng, n) for n in a.block_dims]
+
+
+def _old_random_selfadjoint(a, rng):
+    return [0.5 * (b + b.conj().T) for b in _old_random_element(a, rng)]
+
+
+def _old_random_selfadjoint_invertible(a, rng):
+    for _ in range(64):
+        blocks = _old_random_selfadjoint(a, rng)
+        if min(np.linalg.svd(b, compute_uv=False)[-1] for b in blocks) > 1e-3:
+            return blocks
+    raise AssertionError("no draw")
+
+
+def _old_random_positive_invertible(a, rng):
+    return [b @ b.conj().T + 0.1 * np.eye(len(b)) for b in _old_random_element(a, rng)]
+
+
+def _old_random_unitary(a, rng):
+    out = []
+    for n in a.block_dims:
+        q, r = np.linalg.qr(_old_draw(rng, n))
+        out.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    return out
+
+
+def _old_random_central_unitary(a, rng):
+    phases = np.exp(2j * np.pi * rng.random(a.nblocks))
+    return [ph * np.eye(n, dtype=complex) for ph, n in zip(phases, a.block_dims)]
+
+
+@pytest.mark.parametrize("new, old", [
+    (ba.random_element, _old_random_element),
+    (ba.random_selfadjoint, _old_random_selfadjoint),
+    (ba.random_selfadjoint_invertible, _old_random_selfadjoint_invertible),
+    (ba.random_positive_invertible, _old_random_positive_invertible),
+    (ba.random_unitary, _old_random_unitary),
+    (ba.random_central_unitary, _old_random_central_unitary),
+])
+def test_random_draws_match_per_block_draws(workbenches, new, old):
+    """Same numbers from the same seed, and the rng left in the same state,
+    so every seeded report keeps its samples."""
+    for seed, a in enumerate(_storage_algebras(workbenches)):
+        r_new, r_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            _bitwise(new(a, r_new), old(a, r_old))
+        assert r_new.bit_generator.state == r_old.bit_generator.state
+
+
+def test_random_coords_batch_is_consecutive_draws():
+    a = BlockAlgebra((2, 1, 3, 1))
+    r_batch, r_seq = np.random.default_rng(8), np.random.default_rng(8)
+    batch = ba.random_coords(a, r_batch, 5)
+    seq = np.array([ba.random_element(a, r_seq).coords() for _ in range(5)])
+    assert batch.tobytes() == seq.tobytes()
+    assert r_batch.bit_generator.state == r_seq.bit_generator.state
+
+
+def test_element_storage_is_read_only():
+    a = BlockAlgebra((1, 2))
+    source = np.arange(a.dim, dtype=complex)
+    x = a.from_coords(source)
+    source[0] = 99.0                       # the element keeps its own copy
+    assert x.coords()[0] == 0
+    with pytest.raises(ValueError):
+        x.coords()[0] = 1.0
+    with pytest.raises(ValueError):
+        x.blocks[1][0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        x.algebra = a
+    assert x.coords()[0] == 0 and x.blocks[1][0, 0] == 1
+
+
+def test_layout_stacks_and_joins_every_block_size():
+    a = BlockAlgebra((2, 1, 3, 2, 1))
+    lay = a.layout
+    assert [g[:2] for g in lay.groups] == [(2, 2), (1, 2), (3, 1)]
+    v = np.arange(a.dim) + 0j
+    stacks = lay.stacks(v)
+    assert np.array_equal(stacks[0][1], np.arange(14, 18).reshape(2, 2))
+    assert np.array_equal(stacks[1].reshape(-1), [4, 18])
+    assert np.array_equal(lay.join(stacks), v)
+    assert np.array_equal(lay.adjoint, ba.adjoint_perm(a))
+    batch = np.stack([v, 2 * v])
+    assert np.array_equal(lay.join(lay.stacks(batch)), batch)

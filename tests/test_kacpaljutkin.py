@@ -56,3 +56,29 @@ def test_bundled_file_matches_fresh_build():
 
 def test_self_dual_block_structure(kp):
     assert kp.dual.hopf.algebra.block_dims == (1, 1, 1, 1, 2)
+
+
+def _antipode_loop(h):
+    """Oracle: the antipode system m(kappa (x) id)delta = eps(.)1 assembled one
+    pair of matrix units at a time, right multiplication by element products."""
+    alg, n = h.algebra, h.algebra.dim
+    basis = [alg.basis_element(k) for k in range(n)]
+    rows, rhs = [], []
+    for j in range(n):
+        gamma = h.coproduct[h.iperm2, j].reshape(n, n)
+        block_rows = np.zeros((n, n * n), complex)
+        for a in range(n):
+            for b in range(n):
+                if abs(gamma[a, b]) < 1e-15:
+                    continue
+                lm = np.column_stack([(basis[k] * basis[b]).coords() for k in range(n)])
+                block_rows += gamma[a, b] * np.kron(lm, np.eye(n)[a:a + 1])
+        rows.append(block_rows)
+        rhs.append(h.counit[j] * alg.unit().coords())
+    sol, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs), rcond=None)
+    return sol.reshape(n, n)
+
+
+def test_antipode_matches_the_basis_loop():
+    h = build_kac_paljutkin()
+    assert np.abs(h.antipode - _antipode_loop(h)).max() < 1e-14

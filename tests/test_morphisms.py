@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fqg import blockalg as ba
+from fqg import morphisms
 from fqg.blockalg import DEFAULT_TOL, AlgebraElement, BlockAlgebra, spectrum
 from fqg.errors import (NeitherAutoNorAnti, NotBlockPreserving,
                         PreconditionFailed)
-from fqg.groups import cyclic, symmetric
-from fqg.hopf import cocentre_basis, ksymmetric_basis
+from fqg.groups import by_name, cyclic, symmetric
+from fqg.hopf import cocentre_basis, group_algebra, ksymmetric_basis
 from fqg.morphisms import (AlgebraMap, classify_map, dual_sandwich,
                            hopf_flags_fast, induced_dual_action,
                            inner_implementer, per_block_jordan_decomposition,
@@ -90,6 +92,29 @@ def _hom_loop_oracle(phi):
             "unital": (phi(phi.source.unit()) - phi.target.unit()).norm()}
 
 
+def _positivity_family_loop(a, rng):
+    """classify_map's former positivity family: b*b for b = e_k, e_k + e_{k+1}
+    and e_k + i e_{k+1}, then 24 seeded random elements, one product at a time."""
+    basis = [a.basis_element(k) for k in range(a.dim)]
+    fam = []
+    for i, x in enumerate(basis):
+        y = basis[(i + 1) % a.dim]
+        fam += [x.adjoint() * x, (x + y).adjoint() * (x + y),
+                (x + 1j * y).adjoint() * (x + 1j * y)]
+    return fam + [b.adjoint() * b for b in (ba.random_element(a, rng) for _ in range(24))]
+
+
+def _positivity_loop_oracle(phi, seed=0xC1A):
+    """classify_map's former positivity residual: one map application and one
+    eigenvalue solve per block at a time."""
+    pos = 0.0
+    for p in _positivity_family_loop(phi.source, np.random.default_rng(seed)):
+        fp = phi(p)
+        low = min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) for b in fp.blocks)
+        pos = max(pos, (fp - fp.adjoint()).norm(), max(0.0, -low))
+    return pos
+
+
 def _oracle_maps(a, rng):
     perturbed = np.eye(a.dim) + 1e-3 * rng.standard_normal((a.dim, a.dim))
     return {"identity": AlgebraMap.identity(a),
@@ -112,12 +137,26 @@ def test_classify_map_matches_the_pair_loops(workbenches):
     rng = np.random.default_rng(77)
     thresh = DEFAULT_TOL.eq_tol * 100
     for key, wb in workbenches.items():
-        for name, phi in _oracle_maps(wb.hopf.algebra, rng).items():
+        a = wb.hopf.algebra
+        # x -> -x is *-preserving and far from positive: its positivity
+        # residual is the largest eigenvalue over the whole family
+        maps = {**_oracle_maps(a, rng), "negated": AlgebraMap(a, a, -np.eye(a.dim))}
+        for name, phi in maps.items():
             rep = classify_map(phi, wb.hopf, wb.hopf)
-            want = {**_hom_loop_oracle(phi), **_hopf_kron_oracle(phi, wb.hopf)}
+            want = {**_hom_loop_oracle(phi), **_hopf_kron_oracle(phi, wb.hopf),
+                    "positive": _positivity_loop_oracle(phi)}
             for k, w in want.items():
                 assert abs(rep["residuals"][k] - w) <= 1e-13, (key, name, k)
                 assert rep["flags"][k] == (w < thresh), (key, name, k)
+
+
+def test_positivity_family_matches_the_element_loop(workbenches):
+    for seed, wb in enumerate(workbenches.values()):
+        a = wb.hopf.algebra
+        got = morphisms._positivity_family(a, np.random.default_rng(seed))
+        want = np.array([p.coords() for p in _positivity_family_loop(a, np.random.default_rng(seed))])
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_hopf_flags_fast_refuses_each_failed_condition():
@@ -472,6 +511,40 @@ def test_inner_implementer_refusals_match_per_basis_loop(gs3):
     w = ba.random_positive_invertible(gs3.hopf.algebra, np.random.default_rng(43))
     ad_w = AlgebraMap.ad(w)
     assert inner_implementer(ad_w) is None and _inner_implementer_loop(ad_w) is None
+
+
+def test_sandwich_matrix_matches_block_diag(workbenches, kp):
+    """The per-size scatter equals scipy's block_diag of the per-block
+    Kronecker products, entry for entry; kp (x) kp has blocks of one size
+    that are not adjacent."""
+    rng = np.random.default_rng(44)
+    algebras = _algebras(workbenches) + [ba.tensor_algebra(kp.hopf.algebra, kp.hopf.algebra)]
+    for a in algebras:
+        left, right = ba.random_element(a, rng), ba.random_unitary(a, rng)
+        want = scipy.linalg.block_diag(*[np.kron(lb, rb.T)
+                                         for lb, rb in zip(left.blocks, right.blocks)])
+        got = morphisms._sandwich_matrix(left, right)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_inner_implementer_refuses_a_block_without_intertwiner(monkeypatch):
+    """C[D8] has three 2x2 blocks; a map that is the identity on two of them
+    and the transpose on the third has no intertwiner on the third, so the
+    implementer refuses there, before any 2x2 intertwiner is unitarised or a
+    residual is formed."""
+    a = group_algebra(by_name("dihedral:8")).algebra
+    assert a.block_dims.count(2) == 3
+    m = np.eye(a.dim, dtype=complex)
+    third = a.blocks_by_size()[2][2]
+    m[np.ix_(third.reshape(-1), third.reshape(-1))] = np.eye(4)[[0, 2, 1, 3]]
+    seen = []
+    unitarise, sandwich = morphisms._unitary_intertwiners, morphisms._sandwich_matrix
+    monkeypatch.setattr(morphisms, "_unitary_intertwiners",
+                        lambda u, tol: seen.append(u.shape[-1]) or unitarise(u, tol))
+    monkeypatch.setattr(morphisms, "_sandwich_matrix",
+                        lambda *args: seen.append("residual") or sandwich(*args))
+    assert inner_implementer(AlgebraMap(a, a, m)) is None
+    assert seen == [1]
 
 
 # -- proposition pipeline ---------------------------------------------------------------

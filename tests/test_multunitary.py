@@ -297,6 +297,56 @@ def test_commutation_rejects_nonunitary(kp):
                          2.0 * kp.hopf.algebra.unit(), kp.mu)
 
 
+def _commutant_partner_loop(u, mu):
+    """Oracle: one Kronecker matrix X_k (x) rep(u) per dual basis element and
+    two dense products with V, one column of the system each."""
+    n = mu.dim
+    t = mu.rep(u)
+    cols = []
+    for k in range(n):
+        xk = np.tensordot(mu.dual.from_dual_mat[:, k], mu.shat_basis, axes=(0, 0))
+        big = np.kron(xk, t)
+        cols.append((mu.matrix @ big - big @ mu.matrix).reshape(-1))
+    return ba.null_space(np.array(cols).T)
+
+
+def test_commutant_partner_matches_kron_loop(workbenches):
+    rng = np.random.default_rng(12)
+    for key, wb in workbenches.items():
+        a = wb.hopf.algebra
+        for u in (a.unit(), ba.random_central_unitary(a, rng), ba.random_unitary(a, rng)):
+            want = _commutant_partner_loop(u, wb.mu)
+            sols = solve_commutant_partner(u, wb.mu)
+            assert len(sols) == want.shape[1], key
+            if sols:
+                got = np.column_stack([s.coords() for s in sols])
+                assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) < 1e-10, key
+
+
+def test_commutation_test_reads_cached_leg_spans(workbenches):
+    """The leg spans of V are computed once per unitary and give the report
+    the per-call row spans gave."""
+    rng = np.random.default_rng(13)
+    for wb in workbenches.values():
+        mu, n = wb.mu, wb.mu.dim
+        assert mu.first_leg_span is mu.first_leg_span
+        assert np.array_equal(mu.first_leg_span,
+                              multunitary._row_span(mu.shat_basis.reshape(n, -1))[1])
+        assert np.array_equal(mu.second_leg_span,
+                              multunitary._row_span(mu.sbasis.reshape(n, -1))[1])
+        u = ba.random_central_unitary(wb.hopf.algebra, rng)
+        partner = _aligned_pair(wb, u, rng)
+        rep = commutation_test(partner, u, mu)
+        big = np.kron(mu.rep_dual(partner), mu.rep(u))
+        v_conj = big.conj().T @ mu.matrix @ big
+        for leg, slices, basis in (("first", multunitary._first_legs(v_conj, n), mu.shat_basis),
+                                   ("second", multunitary._second_legs(v_conj, n), mu.sbasis)):
+            want = multunitary._span_distance(
+                multunitary._row_span(slices.reshape(-1, n * n))[1],
+                multunitary._row_span(basis.reshape(n, -1))[1])
+            assert rep[f"leg_invariance_{leg}"] == want
+
+
 def _aligned_pair(wb, u, rng):
     sols = solve_commutant_partner(u, wb.mu)
     span = np.column_stack([s.coords() for s in sols]) if sols else None
