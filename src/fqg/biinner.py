@@ -145,12 +145,13 @@ def sample_identity_component(model: BiInnerGroupModel, x: AlgebraElement,
 # ---------------------------------------------------------------------------
 
 def _of_angles(u: AlgebraElement, fn) -> AlgebraElement:
-    """fn of the principal spectral angles of a unitary, one stacked Schur
-    form per block size (a 1x1 block is its own eigenvalue)."""
+    """fn of the principal spectral angles of a unitary, one Schur form per
+    block (a 1x1 block is its own eigenvalue), applied per block size."""
     def calculus(s):
         if s.shape[-1] == 1:
             return fn(np.angle(s))
-        vals, vecs = scipy.linalg.schur(s, output="complex")
+        # schur takes one matrix at a time on older SciPy
+        vals, vecs = map(np.stack, zip(*(scipy.linalg.schur(b, output="complex") for b in s)))
         angles = np.angle(np.diagonal(vals, axis1=-2, axis2=-1))
         return (vecs * fn(angles)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     return u.blockwise(calculus)
@@ -234,7 +235,7 @@ def in_identity_component(alpha: AlgebraMap, model: BiInnerGroupModel,
     # the best conditioned of 16 random intertwiners (the first maximum wins)
     cands = ba.real_vec_to_coords(null @ rng.standard_normal((16, null.shape[1])).T)
     smallest = np.full(16, np.inf)
-    for idx in a.blocks_by_size().values():
+    for idx in a.layout.by_size.values():
         sv = np.linalg.svd(np.moveaxis(cands[idx], -1, 0), compute_uv=False)
         smallest = np.minimum(smallest, sv[..., -1].min(axis=1))
     ratio = smallest / np.maximum(1.0, np.linalg.norm(cands, axis=0))

@@ -10,9 +10,9 @@ those coordinates.
 An element is stored as that coordinate vector, read-only.  Its arithmetic
 runs once per block size, not once per block: each BlockAlgebra caches a
 BlockLayout that says where the blocks of each size sit in the vector, so
-products, inverses and spectra are one stacked (k, n, n) numpy or LAPACK
-call per size, and sums, scalar multiples, adjoints and norms act on the
-whole vector.
+products, inverses and spectra are one numpy call on the (k, n, n) stack of
+each size, and sums, scalar multiples, adjoints and norms act on the whole
+vector.
 """
 
 from __future__ import annotations
@@ -96,10 +96,6 @@ class BlockAlgebra:
     def layout(self) -> "BlockLayout":
         return BlockLayout(self)
 
-    def blocks_by_size(self) -> dict[int, np.ndarray]:
-        """{n: idx} with idx[k] the coordinates of the k-th n x n block."""
-        return dict(self.layout.by_size)
-
     def block_unit_coords(self) -> np.ndarray:
         """(dim, nblocks) array: column b holds the coordinates of the b-th
         minimal central projection."""
@@ -147,11 +143,10 @@ class BlockLayout:
     """Where the blocks of each size sit in the coordinate vector of a
     BlockAlgebra; built once per algebra (BlockAlgebra.layout).
 
-    groups holds one (n, k, sel) per block size, in order of first
-    appearance: the k blocks of size n are v[sel], block after block, each
-    row-major, so v[sel].reshape(k, n, n) stacks them.  sel is a slice when
-    those blocks are adjacent and an index array otherwise.  adjoint is the
-    permutation with coords(x*) = conj(coords(x)[adjoint]); draw_real and
+    by_size maps each block size n, in order of first appearance, to the
+    (k, n, n) array idx of the coordinates of its k blocks, each row-major,
+    so v[idx] stacks them.  adjoint is the permutation with
+    coords(x*) = conj(coords(x)[adjoint]), i.e. e_(b,r,s)* = e_(b,s,r); draw_real and
     draw_imag say where random_element finds the real and imaginary part of
     each coordinate in its draw of 2 * dim normals (block after block, the
     real parts of a block before its imaginary parts).
@@ -164,8 +159,6 @@ class BlockLayout:
         for idx in coords:
             by_size.setdefault(len(idx), []).append(idx)
         self.by_size = {n: _readonly(np.stack(g)) for n, g in by_size.items()}
-        self.groups = tuple((n, len(idx), _selector(idx.reshape(-1)))
-                            for n, idx in self.by_size.items())
         self.adjoint = _readonly(np.concatenate([idx.T.reshape(-1) for idx in coords]))
         sq = np.array([n * n for n in a.block_dims])
         self.block_of = _readonly(np.repeat(np.arange(a.nblocks), sq))
@@ -175,29 +168,18 @@ class BlockLayout:
 
     def stacks(self, v: np.ndarray) -> list[np.ndarray]:
         """The (..., k, n, n) stack of each block size of coordinates v (..., dim)."""
-        lead = v.shape[:-1]
-        return [v[..., sel].reshape(lead + (k, n, n)) for n, k, sel in self.groups]
+        return [v[..., idx] for idx in self.by_size.values()]
 
     def join(self, stacks: list[np.ndarray]) -> np.ndarray:
         """Coordinates (..., dim) from one (..., k, n, n) stack per block size."""
-        lead = stacks[0].shape[:-3]
-        if len(self.groups) == 1:
-            return stacks[0].reshape(lead + (self.dim,))
-        out = np.empty(lead + (self.dim,), np.result_type(*stacks))
-        for (_, _, sel), s in zip(self.groups, stacks):
-            out[..., sel] = s.reshape(lead + (-1,))
+        out = np.empty(stacks[0].shape[:-3] + (self.dim,), np.result_type(*stacks))
+        for idx, s in zip(self.by_size.values(), stacks):
+            out[..., idx] = s
         return out
 
     def apply(self, v: np.ndarray, fn) -> np.ndarray:
         """Coordinates of fn applied to the stack of each block size of v."""
         return self.join([fn(s) for s in self.stacks(v)])
-
-
-def _selector(flat: np.ndarray):
-    """A slice for a run of consecutive coordinates, else the index array."""
-    if np.array_equal(flat, np.arange(flat[0], flat[0] + len(flat))):
-        return slice(int(flat[0]), int(flat[0]) + len(flat))
-    return _readonly(flat)
 
 
 def hermitian_part(s: np.ndarray) -> np.ndarray:
@@ -211,11 +193,6 @@ def unit_products(a: BlockAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     trip = [np.broadcast_arrays(idx[:, :, None], idx[None, :, :], idx[:, None, :])
             for idx in a.block_coords()]
     return tuple(np.concatenate([t[m].reshape(-1) for t in trip]) for m in range(3))
-
-
-def adjoint_perm(a: BlockAlgebra) -> np.ndarray:
-    """P with e_k* = e_{P[k]}: (b, r, s) -> (b, s, r)."""
-    return a.layout.adjoint.copy()
 
 
 @lru_cache(maxsize=None)
@@ -317,7 +294,7 @@ class AlgebraElement:
         return tuple(v[off:off + n * n].reshape(n, n) for off, n in zip(a.offsets, a.block_dims))
 
     def stacks(self) -> list[np.ndarray]:
-        """The (k, n, n) stack of the blocks of each size (BlockLayout.groups)."""
+        """The (k, n, n) stack of the blocks of each size (BlockLayout.by_size)."""
         return self.algebra.layout.stacks(self._v)
 
     def blockwise(self, fn) -> "AlgebraElement":
@@ -510,8 +487,8 @@ def _hom_structure(source: BlockAlgebra, target: BlockAlgebra):
     """What hom_residuals reads of its two algebras, built once per pair: for
     small algebras it costs more than the residuals, and the sampling
     harnesses ask about thousands of maps on one algebra."""
-    return (mult_matrix(source), adjoint_perm(source), source.unit_coords(),
-            target.unit_coords(), list(target.blocks_by_size().values()))
+    return (mult_matrix(source), source.layout.adjoint, source.unit_coords(),
+            target.unit_coords(), list(target.layout.by_size.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ class HopfAlgebra:
     @cached_property
     def gram(self) -> np.ndarray:
         """Hermitian Gram matrix tau(e_i* e_j)."""
-        g = self.gram_bilinear[ba.adjoint_perm(self.algebra)]
+        g = self.gram_bilinear[self.algebra.layout.adjoint]
         return 0.5 * (g + g.conj().T)
 
     @cached_property
@@ -81,7 +81,7 @@ class HopfAlgebra:
         """Matrix S with coords(x*) = S @ conj(coords(x))."""
         n = self.algebra.dim
         # column j is coords(e_j*); conj() gives the signed zeros of adjoint()
-        return np.eye(n, dtype=complex)[:, ba.adjoint_perm(self.algebra)].conj()
+        return np.eye(n, dtype=complex)[:, self.algebra.layout.adjoint].conj()
 
     # -- structure map application -------------------------------------------
     def delta(self, x: AlgebraElement) -> AlgebraElement:

@@ -69,7 +69,7 @@ class AlgebraMap:
     @classmethod
     def blockwise_transpose(cls, a: BlockAlgebra) -> "AlgebraMap":
         # e_{b,r,s} -> e_{b,s,r}, an involution on the coordinates
-        return cls(a, a, np.eye(a.dim)[ba.adjoint_perm(a)])
+        return cls(a, a, np.eye(a.dim)[a.layout.adjoint])
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,7 @@ def inner_implementer(alpha: AlgebraMap, tol: ToleranceConfig = DEFAULT_TOL):
     if np.linalg.norm(alpha.matrix @ units - units, axis=0).max() > tol.eq_tol * 1e3:
         return None
     coords = np.empty(a.dim, complex)
-    for nb, idx in a.blocks_by_size().items():
+    for nb, idx in a.layout.by_size.items():
         flat = idx.reshape(len(idx), -1)
         # ax[:, k] = alpha(x_k) on each block, x_k the k-th matrix unit
         ax = alpha.matrix[flat[:, None, :], flat[:, :, None]].reshape(-1, nb * nb, nb, nb)

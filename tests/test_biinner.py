@@ -291,9 +291,16 @@ def _of_angles_loop(u, fn):
     return np.concatenate([b.reshape(-1) for b in blocks])
 
 
-def test_principal_root_and_log_match_per_block_schur(workbenches):
+def test_principal_root_and_log_match_per_block_schur(workbenches, monkeypatch):
     """On random unitaries, whose blocks are not scalar, of every workbench
-    and its dual."""
+    and its dual; schur is handed one matrix at a time, as SciPy releases
+    before batched linalg require."""
+    schur = scipy.linalg.schur
+
+    def one_matrix(m, **kw):
+        assert np.ndim(m) == 2
+        return schur(m, **kw)
+    monkeypatch.setattr(scipy.linalg, "schur", one_matrix)
     rng = np.random.default_rng(516)
     for wb in workbenches.values():
         for a in (wb.hopf.algebra, wb.dual.hopf.algebra):

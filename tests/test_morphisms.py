@@ -535,7 +535,7 @@ def test_inner_implementer_refuses_a_block_without_intertwiner(monkeypatch):
     a = group_algebra(by_name("dihedral:8")).algebra
     assert a.block_dims.count(2) == 3
     m = np.eye(a.dim, dtype=complex)
-    third = a.blocks_by_size()[2][2]
+    third = a.layout.by_size[2][2]
     m[np.ix_(third.reshape(-1), third.reshape(-1))] = np.eye(4)[[0, 2, 1, 3]]
     seen = []
     unitarise, sandwich = morphisms._unitary_intertwiners, morphisms._sandwich_matrix
