@@ -356,9 +356,9 @@ def classify_biinner(alpha: AlgebraMap, h: HopfAlgebra, d: DualHopfAlgebra,
             float(np.linalg.norm(AlgebraMap.ad(partner, tol).matrix - alpha_hat.matrix)),
             float(np.linalg.norm(AlgebraMap.ad(partner.adjoint(), tol).matrix
                                  - alpha_hat.matrix)))
-        certs["path_residuals"] = {
-            r: path_in_commutant(partner, u, mu, r, tol)[2]
-            for r in (0.25, 0.5, 0.75, 1.0)}
+        radii = (0.25, 0.5, 0.75, 1.0)
+        certs["path_residuals"] = dict(zip(
+            radii, path_in_commutant(partner, u, mu, radii, tol)[2].tolist()))
         uhat = partner
     if model is not None:
         member, info = in_identity_component(alpha, model, tol, rng)

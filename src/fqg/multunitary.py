@@ -4,6 +4,12 @@ The unitary is built on the vector model V(La (x) Lb) = (L (x) L)(delta(a)(1 (x)
 and certified by unitarity, the pentagon equation and the leg-algebra spans.
 The convention is fixed here, in one place; if a certificate fails the
 construction aborts instead of silently flipping to another variant.
+
+In the matrix-unit GNS basis rep(A) is block-diagonal over the column
+classes (the coordinates of one column of one block), so the second leg of
+V maps each class into itself.  The stored V is projected on that pattern,
+with the discarded round-off certified, and the pentagon certificate sums
+its residual class by class: O(N^6 sum_b d_b^3) instead of O(N^8).
 """
 
 from __future__ import annotations
@@ -104,6 +110,11 @@ class MultiplicativeUnitary:
     def dim(self) -> int:
         return self.gns.dim
 
+    @cached_property
+    def norm(self) -> float:
+        """Frobenius norm of V."""
+        return float(np.linalg.norm(self.matrix))
+
     # -- representations of both legs -----------------------------------------
     def rep(self, x: AlgebraElement) -> np.ndarray:
         return self.gns.rep(x)
@@ -146,9 +157,18 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     v_el = np.einsum('pqi,jrq->prij', dk.reshape(n, n, n),
                      ba.right_mult_tensor(h.algebra)).reshape(n * n, n * n)
     w2 = np.kron(gns.onb, gns.onb)
-    v = w2 @ v_el @ np.linalg.inv(w2)
+    v_full = w2 @ v_el @ np.linalg.inv(w2)
 
+    # the second leg lies in rep(A), which preserves every column class;
+    # what V has outside that pattern is round-off, and is dropped so that
+    # every certificate below, the pentagon's split included, reads Pi(V)
+    v = project_on_column_classes(v_full, h.algebra)
     cert = {}
+    cert["column_class_defect"] = (float(np.linalg.norm(v_full - v))
+                                   / max(1.0, float(np.linalg.norm(v_full))))
+    if cert["column_class_defect"] > 1e-8:
+        raise LegMismatch(f"V leaves the column classes of rep(A): "
+                          f"{cert['column_class_defect']:.2e}")
     cert["unitarity"] = float(np.linalg.norm(v.conj().T @ v - np.eye(n * n))) / n
     if cert["unitarity"] > tol.eq_tol * 100:
         raise NotUnitary(f"V fails unitarity: {cert['unitarity']:.2e}")
@@ -200,27 +220,81 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     return MultiplicativeUnitary(gns, dual, v, sbasis, shat, cert)
 
 
+def column_classes(a: BlockAlgebra) -> np.ndarray:
+    """Column class of every coordinate of a: the coordinates of column q
+    of block b share one label, the coordinate of their top entry.
+    rep(A) maps each class into itself."""
+    label = np.empty(a.dim, int)
+    for idx in a.layout.by_size.values():
+        label[idx] = idx[:, :1, :]
+    return label
+
+
+def project_on_column_classes(v: np.ndarray, a: BlockAlgebra) -> np.ndarray:
+    """Pi(V): V on H (x) H with every entry whose leg-2 row and column lie
+    in different column classes of a set to zero."""
+    n = a.dim
+    label = column_classes(a)
+    keep = (label[:, None] == label[None, :])[None, :, None, :]
+    return np.where(keep, v.reshape(n, n, n, n), 0).reshape(n * n, n * n)
+
+
+def leg2_classes(v: np.ndarray, n: int) -> list[np.ndarray]:
+    """The classes of leg-2 indices that v couples, stacked by size.
+
+    Leg-2 index r is coupled to j when some V[(a, r), (i, j)] is nonzero;
+    the classes are the connected components of that relation, read from
+    the exact zeros of v.  Returns one (count, size) index array per class
+    size, in order of first appearance."""
+    coupled = (v.reshape(n, n, n, n) != 0).any(axis=(0, 2))
+    reach = coupled | coupled.T | np.eye(n, dtype=bool)
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    by_size: dict[int, list[np.ndarray]] = {}
+    for root in dict.fromkeys(reach.argmax(axis=1)):
+        members = np.flatnonzero(reach[root])
+        by_size.setdefault(len(members), []).append(members)
+    return [np.stack(g) for g in by_size.values()]
+
+
 def pentagon_residual(v: np.ndarray, n: int) -> float:
     """Frobenius norm of V12 V13 V23 - V23 V12 on H (x) H (x) H, divided by
     max(1, ||V12||_F) = max(1, sqrt(n) ||V||_F).
 
-    Exact, but never forms an n^3 x n^3 matrix: both sides are applied to
-    e_i (x) I, one first-leg column index i at a time (O(n^8) time, O(n^5)
-    memory), and the squared norms of the slices are summed.
+    Exact, but never forms an n^3 x n^3 matrix.  V13 and V23 map leg 3
+    within the classes of leg2_classes(v), and V12 does not touch it, so
+    the pentagon operator is block-diagonal over those classes and its
+    squared norm is the sum over them.  Both sides are applied to
+    e_i (x) I (x) I_K, one first-leg index i at a time with the classes K of
+    one size m stacked, and the squared norms are summed: O(n^6 sum_K m^2)
+    time and O(n^3 sum_K m^2) memory.  For an unpartitioned v this is the
+    single class K = {0..n-1} (O(n^8) time, O(n^5) memory); for a
+    multiplicative unitary of A, Pi(V) has one class per column of each
+    block b of size d_b, so sum_K m^2 = sum_b d_b^3.
     """
     v4 = v.reshape(n, n, n, n)                 # axes (row1, row2, col1, col2)
-    v_rows = v4.reshape(n, n, n * n)           # (row1, row2, cols)
+    vt = v4.transpose(1, 3, 0, 2)              # axes (row2, col2, row1, col1)
     total = 0.0
-    for i in range(n):
-        w = v4[:, :, i, :]                     # w[a, b, j] = <e_a e_b|V|e_i e_j>
-        # V23 (e_i (x) I) = e_i (x) V; V13 then contracts leg 3 against w:
-        # left[a, b, c, (j, l)] = sum_k w[a, c, k] V[(b, k), (j, l)]
-        left = np.matmul(w[:, None], v_rows[None])
-        left = (v @ left.reshape(n * n, n ** 3)).reshape(n, n, n, n, n)
-        # V23 V12 (e_i (x) I): right[a, j, b, c, l] = sum_k w[a, k, j] V[(b, c), (k, l)]
-        right = np.tensordot(w, v4, axes=(1, 2))
-        left -= right.transpose(0, 2, 3, 1, 4)
-        total += float(np.vdot(left, left).real)
+    for cls in leg2_classes(v, n):
+        g, m = cls.shape
+        # sub[g, c, l, b, k] = <e_b e_(K c)|V|e_k e_(K l)>
+        sub = vt[cls[:, :, None], cls[:, None, :]]
+        # V23 on leg 3 in K: v23[g, k, (b, j, l)] = <e_b e_(K k)|V|e_j e_(K l)>
+        v23 = sub.transpose(0, 1, 3, 4, 2).reshape(g, m, n * n * m)
+        for i in range(n):
+            # V13 on e_i, leg 3 in K: w13[g, (a, c), k] = <e_a e_(K c)|V|e_i e_(K k)>
+            w13 = sub[..., i].transpose(0, 3, 1, 2).reshape(g, n * m, m)
+            # V13 V23 at [g, a, c, b, j, l], then V12 on (a, b)
+            left = (w13 @ v23).reshape(g, n, m, n, n, m)
+            left = v @ left.transpose(1, 3, 0, 2, 4, 5).reshape(n * n, -1)
+            # V23 V12: sum_k <e_a e_k|V|e_i e_j> <e_b e_(K c)|V|e_k e_(K l)>
+            # at [a, j, g, c, l, b]
+            right = np.tensordot(v4[:, :, i], sub, axes=(1, 4))
+            left -= right.transpose(0, 5, 2, 3, 1, 4).reshape(n * n, -1)
+            total += float(np.vdot(left, left).real)
     norm = max(1.0, float(np.sqrt(n) * np.linalg.norm(v)))
     return float(np.sqrt(total)) / norm
 
@@ -297,9 +371,25 @@ def _off_ray(img: np.ndarray, vec: np.ndarray) -> float:
 # commutation with u-hat (x) u
 # ---------------------------------------------------------------------------
 
-def _commutator_residual(v: np.ndarray, op: np.ndarray) -> float:
+def _commutator_residual(mu: MultiplicativeUnitary, op: np.ndarray) -> float:
     """||V op - op V|| / max(1, ||V||)."""
-    return float(np.linalg.norm(v @ op - op @ v)) / max(1.0, float(np.linalg.norm(v)))
+    return float(np.linalg.norm(mu.matrix @ op - op @ mu.matrix)) / max(1.0, mu.norm)
+
+
+def _tensor_commutator_residual(mu: MultiplicativeUnitary, x: np.ndarray,
+                                t: np.ndarray) -> float:
+    """||V (X (x) T) - (X (x) T) V|| / max(1, ||V||) by leg contractions of
+    V as (n, n, n, n): O(n^5), no n^2 x n^2 Kronecker matrix."""
+    n = mu.dim
+    v4 = mu.matrix.reshape(n, n, n, n)          # axes (row1, row2, col1, col2)
+    # V (X (x) T) at [e, a, b, f] = sum_c X[c, e] (sum_d V[a, b, c, d] T[d, f])
+    vt = (mu.matrix.reshape(n ** 3, n) @ t).reshape(n * n, n, n)
+    left = x.T @ vt.transpose(1, 0, 2).reshape(n, n ** 3)
+    # (X (x) T) V at [a, b, e, f] = sum_c X[a, c] (sum_d T[b, d] V[c, d, e, f])
+    tv = (t @ v4.transpose(1, 0, 2, 3).reshape(n, n ** 3)).reshape(n, n, n * n)
+    right = (x @ tv.transpose(1, 0, 2).reshape(n, n ** 3)).reshape(n, n, n, n)
+    diff = left.reshape(n, n, n, n) - right.transpose(2, 0, 1, 3)
+    return float(np.linalg.norm(diff)) / max(1.0, mu.norm)
 
 
 def _check_unitary(op: np.ndarray, tol: ToleranceConfig, what: str):
@@ -320,7 +410,7 @@ def commutation_test(uhat: AlgebraElement, u: AlgebraElement,
     big = np.kron(t_hat, t)
     n = mu.dim
     v_conj = big.conj().T @ mu.matrix @ big
-    report = {"residual": _commutator_residual(mu.matrix, big)}
+    report = {"residual": _commutator_residual(mu, big)}
     for leg, conj_legs, span in (("first", _first_legs(v_conj, n), mu.first_leg_span),
                                  ("second", _second_legs(v_conj, n), mu.second_leg_span)):
         report[f"leg_invariance_{leg}"] = _span_distance(
@@ -379,7 +469,7 @@ def pair_from_commutant(op: np.ndarray, mu: MultiplicativeUnitary,
     and residuals (commutation, pairing invariance).
     """
     n = mu.dim
-    resid = _commutator_residual(mu.matrix, op)
+    resid = _commutator_residual(mu, op)
     if resid > tol.eq_tol * 1e3:
         raise CommutantViolation(f"commutation residual {resid:.2e}")
     xop, yop = split_simple_tensor(op, n)
@@ -406,10 +496,11 @@ def pair_from_commutant(op: np.ndarray, mu: MultiplicativeUnitary,
             "commutation_residual": resid, "pairing_invariance": worst}
 
 
-def unitary_fractional_power(op: np.ndarray, r: float,
+def unitary_fractional_power(op: np.ndarray, r: float | np.ndarray,
                              min_gap: float = 1e-6) -> np.ndarray:
     """op^r by functional calculus with the branch cut in the largest
-    spectral gap on the unit circle."""
+    spectral gap on the unit circle.  r may be an array of exponents: the
+    powers are stacked along its shape, all from one Schur form."""
     vals, vecs = scipy.linalg.schur(op, output="complex")
     d = np.diag(vals)
     angles = np.angle(d)
@@ -422,17 +513,26 @@ def unitary_fractional_power(op: np.ndarray, r: float,
     cut = sorted_ang[imax] + gaps[imax] / 2
     shifted = np.where(angles > cut, angles - 2 * np.pi, angles)
     shifted = np.where(shifted <= cut - 2 * np.pi, shifted + 2 * np.pi, shifted)
-    powered = np.exp(1j * r * shifted)
-    return (vecs * powered) @ vecs.conj().T
+    powered = np.exp(1j * np.multiply.outer(r, shifted))
+    return (vecs * powered[..., None, :]) @ vecs.conj().T
 
 
 def path_in_commutant(uhat: AlgebraElement, u: AlgebraElement,
-                      mu: MultiplicativeUnitary, r: float,
+                      mu: MultiplicativeUnitary, r: float | tuple | np.ndarray,
                       tol: ToleranceConfig = DEFAULT_TOL):
     """The simple tensor uhat^r (x) u^r (principal powers); returns the pair
-    of operators and the commutation residual at this r."""
-    if not (0 < r <= 1):
+    of operators and the commutation residual at this r.
+
+    r may also be a sequence of radii: then both factors are (k, n, n)
+    stacks from one Schur form each, and the residuals a length-k array.
+    The commutators are taken one radius at a time, which keeps the
+    temporaries at n^4 entries."""
+    rs = np.asarray(r, float)
+    if not np.all((0 < rs) & (rs <= 1)):
         raise ValueError("r must be in (0, 1]")
-    t_hat = unitary_fractional_power(mu.rep_dual(uhat), r)
-    t = unitary_fractional_power(mu.rep(u), r)
-    return t_hat, t, _commutator_residual(mu.matrix, np.kron(t_hat, t))
+    n = mu.dim
+    t_hat = unitary_fractional_power(mu.rep_dual(uhat), rs)
+    t = unitary_fractional_power(mu.rep(u), rs)
+    resids = [_tensor_commutator_residual(mu, a, b)
+              for a, b in zip(t_hat.reshape(-1, n, n), t.reshape(-1, n, n))]
+    return t_hat, t, resids[0] if rs.ndim == 0 else np.array(resids)

@@ -5,14 +5,15 @@ import pytest
 
 from fqg import blockalg as ba
 from fqg import multunitary
-from fqg.errors import (NotSimpleTensor, NotUnitary, PentagonFailed,
+from fqg.cli import main
+from fqg.errors import (LegMismatch, NotSimpleTensor, NotUnitary, PentagonFailed,
                         SpectrumFullCircle)
 from fqg.groups import by_name, cyclic
 from fqg.hopf import function_algebra, group_algebra
 from fqg.duality import build_dual
-from fqg.multunitary import (build_gns, build_multiplicative_unitary,
-                             commutation_test, fixed_and_cofixed,
-                             pair_from_commutant, path_in_commutant,
+from fqg.multunitary import (GnsSpace, build_gns, build_multiplicative_unitary,
+                             column_classes, commutation_test, fixed_and_cofixed,
+                             leg2_classes, pair_from_commutant, path_in_commutant,
                              pentagon_residual,
                              solve_commutant_partner, split_simple_tensor,
                              unitary_fractional_power)
@@ -92,7 +93,12 @@ def test_closed_form_v_matches_elementwise_products(workbenches):
             for j in range(n):
                 v_el[h.perm2, i * n + j] = (di * ba.tensor_element(one, basis[j])).coords()
         w2 = np.kron(wb.gns.onb, wb.gns.onb)
-        assert np.array_equal(w2 @ v_el @ np.linalg.inv(w2), wb.mu.matrix), key
+        oracle = w2 @ v_el @ np.linalg.inv(w2)
+        # the stored V is the oracle projected on the column classes, and
+        # what the projection drops is round-off
+        projected = multunitary.project_on_column_classes(oracle, h.algebra)
+        assert np.array_equal(projected, wb.mu.matrix), key
+        assert np.linalg.norm(oracle - projected) <= 1e-28, key
 
 
 def test_unitarity_pentagon_legs_everywhere(workbenches):
@@ -168,6 +174,42 @@ def test_pentagon_residual_matches_dense_oracle(workbenches):
         assert got == wb.mu.certificates["pentagon"], key
 
 
+def test_pentagon_split_keeps_an_off_pattern_coupling(kp):
+    """One entry of V coupling two column classes on leg 2 merges them, and
+    the split residual still equals the dense one."""
+    n = kp.mu.dim
+    label = column_classes(kp.hopf.algebra)
+    r, j = 0, int(np.flatnonzero(label != label[0])[-1])
+    bad = kp.mu.matrix.copy()
+    bad.reshape(n, n, n, n)[3, r, 5, j] = 0.3
+    merged = leg2_classes(bad, n)
+    assert sum(len(c) for c in merged) < sum(len(c) for c in leg2_classes(kp.mu.matrix, n))
+    assert any(r in c and j in c for g in merged for c in g)
+    got, want = pentagon_residual(bad, n), _dense_pentagon_residual(bad, n)
+    assert want > 1e-3
+    assert abs(got - want) < 1e-13 * max(1.0, want)
+
+
+@pytest.fixture(scope="module")
+def mu_d8():
+    h = group_algebra(by_name("dihedral:8"))
+    return build_multiplicative_unitary(build_gns(h), build_dual(h))
+
+
+def test_pentagon_split_finds_every_column_class(workbenches, mu_d8):
+    """The split of Pi(V) has exactly one class per column of each block:
+    sum_b d_b classes, each a column class of rep(A), none merged."""
+    mus = {key: wb.mu for key, wb in workbenches.items()}
+    mus["group:dihedral:8"] = mu_d8
+    for key, mu in mus.items():
+        a = mu.gns.hopf.algebra
+        label = column_classes(a)
+        found = [frozenset(c.tolist()) for g in leg2_classes(mu.matrix, mu.dim) for c in g]
+        assert len(found) == sum(a.block_dims), key
+        assert set(found) == {frozenset(np.flatnonzero(label == x).tolist())
+                              for x in np.unique(label)}, key
+
+
 @pytest.mark.parametrize("key", ["kp", "group:S3", "function:D4"])
 def test_pentagon_residual_detects_non_pentagonal_unitary(workbenches, key):
     mu = workbenches[key].mu
@@ -194,6 +236,43 @@ def test_pentagon_gate_threshold(monkeypatch, residual, fails):
         assert build_multiplicative_unitary(gns, d).certificates["pentagon"] == residual
 
 
+def _rotated_gns(gns, angle, seed=31):
+    """The GNS space in another orthonormal basis, exp(i angle H) onb for a
+    random Hermitian H: rep(A) no longer respects the column classes."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(gns.dim,) * 2) + 1j * rng.normal(size=(gns.dim,) * 2)
+    vals, vecs = np.linalg.eigh(z + z.conj().T)
+    q = (vecs * np.exp(1j * angle * vals)) @ vecs.conj().T
+    onb = q @ gns.onb
+    return GnsSpace(gns.hopf, gns.gram, onb, np.linalg.inv(onb))
+
+
+@pytest.mark.parametrize("angle, fails", [(1e-5, True), (1e-11, False)])
+def test_column_class_gate(gs3, angle, fails):
+    gns = _rotated_gns(gs3.gns, angle)
+    if fails:
+        with pytest.raises(LegMismatch, match="column classes"):
+            build_multiplicative_unitary(gns, gs3.dual)
+    else:
+        c = build_multiplicative_unitary(gns, gs3.dual).certificates
+        assert 1e-14 < c["column_class_defect"] < 1e-8
+        assert c["pentagon"] < 1e-8
+
+
+def test_cli_refuses_v_off_the_column_classes(monkeypatch, capsys):
+    monkeypatch.setattr("fqg.cli.build_gns",
+                        lambda h, tol: _rotated_gns(build_gns(h, tol), 1e-3))
+    rc = main(["verify", "--group", "S3", "--samples", "2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: LegMismatch: V leaves the column classes")
+
+
+def test_column_class_defect_is_round_off(workbenches):
+    for key, wb in workbenches.items():
+        assert wb.mu.certificates["column_class_defect"] <= 1e-28, key
+
+
 def test_multiplicative_unitary_memory_at_dim_16():
     # n^3 x n^3 leg matrices alone would take ~1.3 GB at N = 16
     h = group_algebra(by_name("dihedral:8"))
@@ -206,6 +285,22 @@ def test_multiplicative_unitary_memory_at_dim_16():
         tracemalloc.stop()
     assert mu.certificates["pentagon"] < 1e-10
     assert peak < 256 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
+
+
+def test_multiplicative_unitary_at_dim_24():
+    # the split pentagon makes N = 24 a Tier-1 rung: the former O(N^8)
+    # slices took ~14 s and a 385 MiB peak (2-core machine), the split ~2 s
+    # and 67 MiB
+    h = group_algebra(by_name("S4"))
+    d, gns = build_dual(h), build_gns(h)
+    tracemalloc.start()
+    try:
+        mu = build_multiplicative_unitary(gns, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mu.certificates["pentagon"] < 1e-10
+    assert peak < 128 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
 
 
 # -- fixed and cofixed vectors -----------------------------------------------------
@@ -458,3 +553,39 @@ def test_path_commutes_at_sampled_r(workbenches):
         for r in (0.25, 0.5, 0.75, 1.0):
             _, _, resid = path_in_commutant(partner, u, wb.mu, r)
             assert resid < 1e-8, (key, r)
+
+
+def test_path_radii_share_one_schur_form_per_factor(workbenches, monkeypatch):
+    """All radii from one call: one Schur form per factor, and each residual
+    within round-off of the per-radius Kronecker commutator."""
+    rng = np.random.default_rng(22)
+    radii = (0.25, 0.5, 0.75, 1.0)
+    schur = multunitary.scipy.linalg.schur
+    calls = []
+    monkeypatch.setattr(multunitary.scipy.linalg, "schur",
+                        lambda *a, **k: calls.append(1) or schur(*a, **k))
+    for key, wb in workbenches.items():
+        mu = wb.mu
+        u = ba.random_central_unitary(wb.hopf.algebra, rng)
+        pairs = [(_aligned_pair(wb, u, rng), u),
+                 (ba.random_unitary(wb.dual.hopf.algebra, rng),
+                  ba.random_unitary(wb.hopf.algebra, rng))]
+        for uhat, v in pairs:
+            calls.clear()
+            t_hats, ts, resids = path_in_commutant(uhat, v, mu, radii)
+            assert len(calls) == 2, key
+            assert t_hats.shape == ts.shape == (4, mu.dim, mu.dim)
+            for k, r in enumerate(radii):
+                t_hat, t, resid = path_in_commutant(uhat, v, mu, r)
+                assert isinstance(resid, float)
+                assert np.array_equal(t_hat, t_hats[k]) and np.array_equal(t, ts[k]), key
+                big = np.kron(t_hat, t)
+                want = (np.linalg.norm(mu.matrix @ big - big @ mu.matrix)
+                        / max(1.0, np.linalg.norm(mu.matrix)))
+                assert abs(resids[k] - want) <= 1e-15 * max(1.0, want), (key, r)
+                assert abs(resid - resids[k]) <= 1e-15 * max(1.0, want), (key, r)
+
+
+def test_norm_of_v_is_cached(kp):
+    assert kp.mu.norm is kp.mu.norm
+    assert kp.mu.norm == float(np.linalg.norm(kp.mu.matrix))
