@@ -305,12 +305,6 @@ def _second_legs(v: np.ndarray, n: int) -> np.ndarray:
     return v4.transpose(0, 2, 1, 3).reshape(n * n, n, n)
 
 
-def _first_legs(v: np.ndarray, n: int) -> np.ndarray:
-    """All slices (id (x) omega)(V): entry (i,j) of every block of V."""
-    v4 = v.reshape(n, n, n, n)
-    return v4.transpose(1, 3, 0, 2).reshape(n * n, n, n)
-
-
 def _row_span(rows: np.ndarray) -> tuple[int, np.ndarray]:
     """Numerical rank of the rows and an orthonormal basis (columns) of their
     transposed span."""
@@ -319,8 +313,15 @@ def _row_span(rows: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def _span_distance(qa: np.ndarray, qb: np.ndarray) -> float:
-    """Distance between two spans given by orthonormal bases, via projectors."""
-    return float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))
+    """||P_a - P_b||_2 for two spans given by orthonormal bases (columns).
+
+    Unequal dimensions give exactly 1.  Equal dimensions give the sine of
+    the largest principal angle, ||qa - qb (qb* qa)||_2, from an SVD with as
+    many columns as the spans have dimensions; sqrt(1 - sigma_min(qb* qa)^2)
+    would lose everything below ~1e-8 to cancellation."""
+    if qa.shape[1] != qb.shape[1]:
+        return 1.0
+    return float(np.linalg.norm(qa - qb @ (qb.conj().T @ qa), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -402,19 +403,27 @@ def commutation_test(uhat: AlgebraElement, u: AlgebraElement,
                      mu: MultiplicativeUnitary,
                      tol: ToleranceConfig = DEFAULT_TOL) -> dict:
     """Residual of [V, uhat (x) u] plus invariance of both leg algebras under
-    conjugation of V by the pair."""
+    conjugation of V by the pair.
+
+    With That = rep_dual(uhat), T = rep(u) and V = sum_k X_k (x) S_k, the
+    conjugate (That (x) T)* V (That (x) T) is sum_k That* X_k That (x)
+    T* S_k T, so its leg spans are the cached spans of V conjugated by That
+    and by T.  Each leg costs n conjugations of n x n matrices and one thin
+    n^2 x n QR (the factors are unitary only to tolerance, so the conjugated
+    basis is orthonormalised again); the residual is the O(n^5) leg
+    contraction of _tensor_commutator_residual.
+    """
     t_hat = mu.rep_dual(uhat)
     t = mu.rep(u)
     _check_unitary(t_hat, tol, "uhat")
     _check_unitary(t, tol, "u")
-    big = np.kron(t_hat, t)
     n = mu.dim
-    v_conj = big.conj().T @ mu.matrix @ big
-    report = {"residual": _commutator_residual(mu, big)}
-    for leg, conj_legs, span in (("first", _first_legs(v_conj, n), mu.first_leg_span),
-                                 ("second", _second_legs(v_conj, n), mu.second_leg_span)):
-        report[f"leg_invariance_{leg}"] = _span_distance(
-            _row_span(conj_legs.reshape(-1, n * n))[1], span)
+    report = {"residual": _tensor_commutator_residual(mu, t_hat, t)}
+    for leg, op, span in (("first", t_hat, mu.first_leg_span),
+                          ("second", t, mu.second_leg_span)):
+        # the basis columns are n x n matrices in row-major order
+        moved = (op.conj().T @ span.T.reshape(-1, n, n) @ op).reshape(-1, n * n).T
+        report[f"leg_invariance_{leg}"] = _span_distance(np.linalg.qr(moved)[0], span)
     return report
 
 
@@ -423,17 +432,32 @@ def solve_commutant_partner(u: AlgebraElement, mu: MultiplicativeUnitary):
 
     Returns an orthonormal basis (list of dual-coefficient rows); the linear
     system is solved over span{X_k} so central scalar mismatches cannot hide.
+
+    V = sum_k X_k (x) S_k with S_k = rep(e_k) linearly independent.  With
+    T = rep(u), S_k T = sum_j (e_k u)_j S_j and T S_k = sum_j (u e_k)_j S_j,
+    so V(W (x) T) = sum_j Y_j W (x) S_j and (W (x) T)V = sum_j W Z_j (x) S_j
+    where Y_j = sum_k (e_k u)_j X_k and Z_j = sum_k (u e_k)_j X_k: the
+    equation holds exactly when Y_j W = W Z_j for every j.  Over
+    W = sum_c w_c Xhat_c, Xhat_c the first-leg slice of the c-th dual basis
+    element, that is an n^3 x n system in w.  One thin QR reduces it to its
+    n x n triangular factor, which has the same singular values and null
+    space, and no inverse of u is needed.
     """
     n = mu.dim
-    t = mu.rep(u)
-    v4 = mu.matrix.reshape(n, n, n, n)          # axes (row1, row2, col1, col2)
-    # X_k, the first-leg slice of the k-th dual basis element: xs[k, c, e]
-    xs = np.tensordot(mu.dual.from_dual_mat, mu.shat_basis, axes=(0, 0))
-    # V (X_k (x) T) at [k, a, b, e, f] = sum_cd V[a, b, c, d] X_k[c, e] T[d, f]
-    left = np.tensordot(xs, v4 @ t, axes=(1, 2)).transpose(0, 2, 3, 1, 4)
-    # (X_k (x) T) V at [k, a, b, e, f] = sum_cd X_k[a, c] T[b, d] V[c, d, e, f]
-    right = np.tensordot(xs, np.tensordot(t, v4, axes=(1, 1)).swapaxes(0, 1), axes=(2, 0))
-    null = ba.null_space((left - right).reshape(n, -1).T)
+    a = mu.gns.hopf.algebra
+    # Xhat_c at [c, p, q]; Y_j and Z_j at [j, p, q], from the coefficients
+    # (e_k u)_j = R_u[j, k] and (u e_k)_j = L_u[j, k] of right and left
+    # multiplication by u
+    xhat = np.tensordot(mu.dual.from_dual_mat, mu.shat_basis, axes=(0, 0))
+    ys = np.tensordot(np.tensordot(u.coords(), ba.right_mult_tensor(a), axes=(0, 0)),
+                      mu.shat_basis, axes=(1, 0))
+    zs = np.tensordot(np.tensordot(u.coords(), ba.left_mult_tensor(a), axes=(0, 0)),
+                      mu.shat_basis, axes=(1, 0))
+    # Y_j Xhat_c at [j, p, c, q] and Xhat_c Z_j at [c, p, j, q]
+    yx = (ys.reshape(n * n, n) @ xhat.transpose(1, 0, 2).reshape(n, n * n)).reshape((n,) * 4)
+    xz = (xhat.reshape(n * n, n) @ zs.transpose(1, 0, 2).reshape(n, n * n)).reshape((n,) * 4)
+    system = yx.transpose(0, 1, 3, 2) - xz.transpose(2, 1, 3, 0)
+    null = ba.null_space(np.linalg.qr(system.reshape(n ** 3, n), mode="r"))
     return [mu.dual.hopf.algebra.from_coords(null[:, i])
             for i in range(null.shape[1])]
 

@@ -317,11 +317,17 @@ def test_fixed_cofixed_match_selector_products(workbenches):
         assert np.array_equal(fx.cofixed, ba.null_space(np.vstack(rows_cofixed))), key
 
 
+def _first_legs(v, n):
+    """Oracle: all slices (id (x) omega)(V), entry (i,j) of every block of V."""
+    v4 = v.reshape(n, n, n, n)
+    return v4.transpose(1, 3, 0, 2).reshape(n * n, n, n)
+
+
 def test_first_legs_are_the_per_slice_list(workbenches):
     for key, wb in workbenches.items():
         n, v4 = wb.mu.dim, wb.mu.matrix.reshape((wb.mu.dim,) * 4)
         want = np.array([v4[:, i, :, j].reshape(-1) for i in range(n) for j in range(n)])
-        got = multunitary._first_legs(wb.mu.matrix, n).reshape(-1, n * n)
+        got = _first_legs(wb.mu.matrix, n).reshape(-1, n * n)
         assert np.array_equal(got, want), key
 
 
@@ -405,24 +411,55 @@ def _commutant_partner_loop(u, mu):
     return ba.null_space(np.array(cols).T)
 
 
-def test_commutant_partner_matches_kron_loop(workbenches):
+def test_commutant_partner_matches_kron_loop(workbenches, mu_d8):
+    """The reduced n^3 x n system has the null space of the n^4 x n one, for
+    unitary and for non-unitary u (no inverse of u is taken)."""
     rng = np.random.default_rng(12)
-    for key, wb in workbenches.items():
-        a = wb.hopf.algebra
-        for u in (a.unit(), ba.random_central_unitary(a, rng), ba.random_unitary(a, rng)):
-            want = _commutant_partner_loop(u, wb.mu)
-            sols = solve_commutant_partner(u, wb.mu)
+    mus = {key: wb.mu for key, wb in workbenches.items()}
+    mus["group:dihedral:8"] = mu_d8
+    for key, mu in mus.items():
+        a = mu.gns.hopf.algebra
+        for u in (a.unit(), ba.random_central_unitary(a, rng), ba.random_unitary(a, rng),
+                  ba.random_element(a, rng)):
+            want = _commutant_partner_loop(u, mu)
+            sols = solve_commutant_partner(u, mu)
             assert len(sols) == want.shape[1], key
             if sols:
                 got = np.column_stack([s.coords() for s in sols])
                 assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) < 1e-10, key
 
 
-def test_commutation_test_reads_cached_leg_spans(workbenches):
-    """The leg spans of V are computed once per unitary and give the report
-    the per-call row spans gave."""
+def _commutation_dense(uhat, u, mu):
+    """Oracle: kron(That, T), the dense conjugate big* V big, the row spans
+    of its legs and the 2-norm of the projector differences."""
+    n = mu.dim
+    big = np.kron(mu.rep_dual(uhat), mu.rep(u))
+    v_conj = big.conj().T @ mu.matrix @ big
+    rep = {"residual": float(np.linalg.norm(mu.matrix @ big - big @ mu.matrix))
+           / max(1.0, float(np.linalg.norm(mu.matrix)))}
+    for leg, slices, basis in (("first", _first_legs(v_conj, n), mu.shat_basis),
+                               ("second", multunitary._second_legs(v_conj, n), mu.sbasis)):
+        qa = multunitary._row_span(slices.reshape(-1, n * n))[1]
+        qb = multunitary._row_span(basis.reshape(n, -1))[1]
+        rep[f"leg_invariance_{leg}"] = float(np.linalg.norm(qa @ qa.conj().T
+                                                            - qb @ qb.conj().T, 2))
+    return rep
+
+
+def _haar_operator(n, rng):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_commutation_test_reads_cached_leg_spans(workbenches, monkeypatch):
+    """The leg spans of V are computed once per unitary, and the report
+    matches the dense formula within 1e-14: for a commuting pair, for a
+    Haar pair of the two algebras (which does not commute, but conjugation
+    by unitaries of the leg algebras leaves both legs in place), and for
+    Haar unitaries of the whole space, which move both leg spans."""
     rng = np.random.default_rng(13)
-    for wb in workbenches.values():
+    moved = []
+    for key, wb in workbenches.items():
         mu, n = wb.mu, wb.mu.dim
         assert mu.first_leg_span is mu.first_leg_span
         assert np.array_equal(mu.first_leg_span,
@@ -430,16 +467,80 @@ def test_commutation_test_reads_cached_leg_spans(workbenches):
         assert np.array_equal(mu.second_leg_span,
                               multunitary._row_span(mu.sbasis.reshape(n, -1))[1])
         u = ba.random_central_unitary(wb.hopf.algebra, rng)
-        partner = _aligned_pair(wb, u, rng)
-        rep = commutation_test(partner, u, mu)
-        big = np.kron(mu.rep_dual(partner), mu.rep(u))
-        v_conj = big.conj().T @ mu.matrix @ big
-        for leg, slices, basis in (("first", multunitary._first_legs(v_conj, n), mu.shat_basis),
-                                   ("second", multunitary._second_legs(v_conj, n), mu.sbasis)):
-            want = multunitary._span_distance(
-                multunitary._row_span(slices.reshape(-1, n * n))[1],
-                multunitary._row_span(basis.reshape(n, -1))[1])
-            assert rep[f"leg_invariance_{leg}"] == want
+        pairs = [(_aligned_pair(wb, u, rng), u),
+                 (ba.random_unitary(wb.dual.hopf.algebra, rng),
+                  ba.random_unitary(wb.hopf.algebra, rng))]
+        reports = [(commutation_test(x, y, mu), _commutation_dense(x, y, mu)) for x, y in pairs]
+        with monkeypatch.context() as m:
+            m.setattr(mu, "rep_dual", lambda x, w=_haar_operator(n, rng): w)
+            m.setattr(mu, "rep", lambda x, w=_haar_operator(n, rng): w)
+            reports.append((commutation_test(*pairs[1], mu), _commutation_dense(*pairs[1], mu)))
+        moved.append(reports[-1][1]["leg_invariance_first"])
+        for got, want in reports:
+            assert got.keys() == want.keys(), key
+            for entry in want:
+                assert abs(got[entry] - want[entry]) < 1e-14, (key, entry, got, want)
+        assert reports[0][1]["residual"] < 1e-12, key
+    # the noncommutative duals give invariances far from round-off
+    assert max(moved) > 1e-2
+
+
+def test_span_distance_of_unequal_dimensions_is_one():
+    q, _ = np.linalg.qr(RNG.normal(size=(9, 4)) + 1j * RNG.normal(size=(9, 4)))
+    assert multunitary._span_distance(q, q[:, :3]) == 1.0
+    assert multunitary._span_distance(q[:, :2], q) == 1.0
+
+
+def test_span_distance_resolves_a_small_rotation():
+    # sqrt(1 - cos^2) would give ~1e-8 or 0 here, not 1e-12
+    q, _ = np.linalg.qr(RNG.normal(size=(16, 6)) + 1j * RNG.normal(size=(16, 6)))
+    angle = 1e-12
+    turned = q[:, :4].copy()
+    turned[:, 0] = np.cos(angle) * q[:, 0] + np.sin(angle) * q[:, 5]
+    mix, _ = np.linalg.qr(RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)))
+    got = multunitary._span_distance(q[:, :4], turned @ mix)
+    assert abs(got - angle) < 1e-14
+
+
+def test_span_distance_matches_projector_norm():
+    for dim, k in ((4, 2), (9, 3), (16, 4), (25, 10)):
+        qa, _ = np.linalg.qr(RNG.normal(size=(dim, k)) + 1j * RNG.normal(size=(dim, k)))
+        qb, _ = np.linalg.qr(qa + 0.3 * (RNG.normal(size=(dim, k))
+                                         + 1j * RNG.normal(size=(dim, k))))
+        want = np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2)
+        assert abs(multunitary._span_distance(qa, qb) - want) < 1e-14
+
+
+def test_commutant_factorises_nothing_above_n_cubed_rows(workbenches, monkeypatch):
+    """Neither commutant solver factorises a matrix with more than n^3 rows
+    or an SVD input wider than n: the n^2 x n^2 and n^4 x n paths are gone."""
+    h = group_algebra(by_name("dihedral:6"))
+    d6 = build_multiplicative_unitary(build_gns(h), build_dual(h))
+    shapes = {"svd": [], "qr": []}
+
+    def recording(name, fn):
+        def wrapped(mat, *args, **kwargs):
+            shapes[name].append(np.shape(mat))
+            return fn(mat, *args, **kwargs)
+        return wrapped
+
+    linalg = getattr(np.linalg, "_linalg", None) or np.linalg.linalg   # numpy 2 / numpy 1
+    for mod in (np.linalg, linalg):
+        monkeypatch.setattr(mod, "svd", recording("svd", linalg.svd))
+        monkeypatch.setattr(mod, "qr", recording("qr", linalg.qr))
+    rng = np.random.default_rng(14)
+    for mu in (workbenches["kp"].mu, d6):
+        n = mu.dim
+        a, dual = mu.gns.hopf.algebra, mu.dual.hopf.algebra
+        shapes["svd"].clear()
+        shapes["qr"].clear()
+        for u in (a.unit(), ba.random_unitary(a, rng), ba.random_element(a, rng)):
+            solve_commutant_partner(u, mu)
+        commutation_test(dual.unit(), a.unit(), mu)
+        commutation_test(ba.random_unitary(dual, rng), ba.random_unitary(a, rng), mu)
+        assert shapes["svd"] and shapes["qr"], n
+        assert max(min(s[-2:]) for s in shapes["svd"]) <= n, shapes["svd"]
+        assert max(s[-2] for s in shapes["svd"] + shapes["qr"]) <= n ** 3, shapes
 
 
 def _aligned_pair(wb, u, rng):
