@@ -12,7 +12,9 @@ runs once per block size, not once per block: each BlockAlgebra caches a
 BlockLayout that says where the blocks of each size sit in the vector, so
 products, inverses and spectra are one numpy call on the (k, n, n) stack of
 each size, and sums, scalar multiples, adjoints and norms act on the whole
-vector.
+vector.  The products, adjoints, norms, singular values, spectra and polar
+symmetries are kernels on coordinates of shape (..., dim), so a stack of
+elements goes through the same calls as one element.
 """
 
 from __future__ import annotations
@@ -275,16 +277,14 @@ class AlgebraElement:
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_same(other)
-            lay = self.algebra.layout
-            return self._new(lay.join([x @ y for x, y in
-                                       zip(lay.stacks(self._v), lay.stacks(other._v))]))
+            return self._new(products(self.algebra, self._v, other._v))
         return self._new(complex(other) * self._v)
 
     def __rmul__(self, scalar):
         return self._new(complex(scalar) * self._v)
 
     def adjoint(self) -> "AlgebraElement":
-        return self._new(self._v[self.algebra.layout.adjoint].conj())
+        return self._new(adjoints(self.algebra, self._v))
 
     # -- blocks -------------------------------------------------------------
     @property
@@ -308,48 +308,121 @@ class AlgebraElement:
 
     def norm(self) -> float:
         """Global Frobenius norm (used for residuals)."""
-        return _norm(self._v)
+        return float(norms(self._v))
 
     def opnorm(self) -> float:
         """C*-norm: max over blocks of the spectral norm."""
         return max(float(np.linalg.svd(s, compute_uv=False)[..., 0].max()) for s in self.stacks())
 
     def smallest_sv(self) -> float:
-        return min(float(np.linalg.svd(s, compute_uv=False)[..., -1].min()) for s in self.stacks())
+        return float(smallest_svs(self.algebra, self._v))
 
     def is_selfadjoint(self, tol: float = DEFAULT_TOL.eq_tol) -> bool:
-        v = self._v
-        return _norm(v - v[self.algebra.layout.adjoint].conj()) <= tol * max(1.0, _norm(v))
+        return bool(_selfadjoint_defects(self.algebra, self._v, tol)[1])
 
     def is_invertible(self, inv_tol: float = DEFAULT_TOL.inv_tol) -> bool:
         return self.smallest_sv() > inv_tol
 
     def allclose(self, other, tol: float = DEFAULT_TOL.eq_tol) -> bool:
         self._check_same(other)
-        return _norm(self._v - other._v) <= tol * max(1.0, self.norm(), other.norm())
+        return float(norms(self._v - other._v)) <= tol * max(1.0, self.norm(), other.norm())
 
     def __repr__(self):
         return f"AlgebraElement(dims={self.algebra.block_dims})"
 
 
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(np.vdot(v, v).real)
+# ---------------------------------------------------------------------------
+# kernels on coordinate stacks
+# ---------------------------------------------------------------------------
+# Each kernel takes coordinates of shape (..., dim): one element, or a stack
+# of them evaluated at once (the sampling checks of `fqg verify` pass one
+# stack per check).  The AlgebraElement methods and the functions on
+# elements below are wrappers over these, so one element and one row of a
+# stack go through the same arithmetic.
+
+def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v for every vector v of a stack (..., n), one matrix-vector product
+    per vector as for a single vector (a stack times m.T is one matrix
+    product, which sums in another order); a 1-d m gives the dot products."""
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def norms(v: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each coordinate vector of v (..., dim)."""
+    return np.sqrt(np.matmul(v.conj()[..., None, :], v[..., None])[..., 0, 0].real)
+
+
+def products(a: BlockAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coordinates of the products x y (stacks broadcast against each other),
+    one batched matmul per block size."""
+    lay = a.layout
+    return lay.join([s @ t for s, t in zip(lay.stacks(x), lay.stacks(y))])
+
+
+def adjoints(a: BlockAlgebra, x: np.ndarray) -> np.ndarray:
+    """Coordinates of the adjoints x*."""
+    return x[..., a.layout.adjoint].conj()
+
+
+def selfadjoint_parts(a: BlockAlgebra, x: np.ndarray) -> np.ndarray:
+    """Coordinates of (x + x*) / 2."""
+    return 0.5 * (x + adjoints(a, x))
+
+
+def smallest_svs(a: BlockAlgebra, x: np.ndarray) -> np.ndarray:
+    """Smallest singular value over all blocks of each element of x."""
+    return np.min([np.linalg.svd(s, compute_uv=False)[..., -1].min(axis=-1)
+                   for s in a.layout.stacks(x)], axis=0)
+
+
+def _selfadjoint_defects(a: BlockAlgebra, x: np.ndarray, tol: float):
+    """||x - x*|| of each element, and whether it is at most tol * max(1, ||x||)."""
+    defect = norms(x - adjoints(a, x))
+    return defect, defect <= tol * np.maximum(1.0, norms(x))
+
+
+def _require_selfadjoint(a: BlockAlgebra, x: np.ndarray, tol: float):
+    """NotSelfAdjoint, with the defect of the first offending element, unless
+    every element of x is self-adjoint."""
+    defect, ok = _selfadjoint_defects(a, x, tol)
+    if not np.all(ok):
+        raise NotSelfAdjoint(f"residual {defect[~ok].flat[0]:.3e}")
+
+
+def spectra(a: BlockAlgebra, x: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Sorted eigenvalue multiset of each self-adjoint element of x across all
+    its blocks, shape (..., sum of the block sizes); NotSelfAdjoint if any
+    element is not self-adjoint."""
+    _require_selfadjoint(a, x, tol.eq_tol)
+    lam = [np.linalg.eigvalsh(hermitian_part(s)) for s in a.layout.stacks(x)]
+    flat = [m.reshape(m.shape[:-2] + (math.prod(m.shape[-2:]),)) for m in lam]
+    return np.sort(np.concatenate(flat, axis=-1), axis=-1)
+
+
+def polar_symmetries(a: BlockAlgebra, v: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+    """Coordinates (absval, sym) of the polar splits v = absval * sym of the
+    self-adjoint invertible elements of v: absval positive, sym a self-adjoint
+    unitary commuting with it.  NotSelfAdjoint or NotInvertible if any element
+    is not self-adjoint or not invertible."""
+    _require_selfadjoint(a, v, tol.eq_tol)
+    if not np.all(smallest_svs(a, v) > tol.inv_tol):
+        raise NotInvertible("polar symmetry requires an invertible element")
+    lay = a.layout
+    eig = [np.linalg.eigh(hermitian_part(s)) for s in lay.stacks(v)]
+
+    def calculus(fn):
+        return lay.join([(q * fn(lam)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+                         for lam, q in eig])
+    return calculus(np.abs), calculus(np.sign)
 
 
 # ---------------------------------------------------------------------------
-# spectral operations
+# spectral operations on elements
 # ---------------------------------------------------------------------------
-
-def _require_selfadjoint(x: AlgebraElement, tol: float):
-    if not x.is_selfadjoint(tol):
-        raise NotSelfAdjoint(f"residual {(x - x.adjoint()).norm():.3e}")
-
 
 def spectrum(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Sorted eigenvalue multiset of a self-adjoint element, across all blocks."""
-    _require_selfadjoint(x, tol.eq_tol)
-    return np.sort(np.concatenate([np.linalg.eigvalsh(hermitian_part(s)).reshape(-1)
-                                   for s in x.stacks()]))
+    return spectra(x.algebra, x.coords(), tol)
 
 
 def is_positive(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -364,21 +437,9 @@ def invert(x: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraElem
 
 
 def polar_symmetry(v: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL):
-    """Split a self-adjoint invertible v as |v| * U with U a symmetry.
-
-    Returns (absval, sym) with absval positive, sym self-adjoint unitary,
-    v = absval*sym and [absval, sym] = 0.
-    """
-    _require_selfadjoint(v, tol.eq_tol)
-    if v.smallest_sv() <= tol.inv_tol:
-        raise NotInvertible("polar symmetry requires an invertible element")
-    eig = [np.linalg.eigh(hermitian_part(s)) for s in v.stacks()]
-    lay = v.algebra.layout
-
-    def calculus(fn):
-        return v._new(lay.join([(q * fn(lam)[..., None, :]) @ q.conj().swapaxes(-1, -2)
-                                for lam, q in eig]))
-    return calculus(np.abs), calculus(np.sign)
+    """Split a self-adjoint invertible v as |v| * U with U a symmetry
+    (polar_symmetries on one element): returns (absval, sym)."""
+    return tuple(v.algebra.from_coords(c) for c in polar_symmetries(v.algebra, v.coords(), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -554,22 +615,82 @@ def random_coords(a: BlockAlgebra, rng: np.random.Generator,
     return (z[..., lay.draw_real] + 1j * z[..., lay.draw_imag]) / math.sqrt(2)
 
 
+# random_selfadjoint_invertible gives up after this many consecutive draws
+# with smallest singular value at most min_sv
+MAX_DRAWS = 64
+
+
+def random_stacks(a: BlockAlgebra, rng: np.random.Generator, plan: str, count: int,
+                  min_sv: float = 1e-3, gate=None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Coordinates of count repetitions of the draws named by plan, bitwise as
+    the per-sample helpers would take them from rng one after another:
+    'e' random_element, 's' random_selfadjoint, 'i'
+    random_selfadjoint_invertible(min_sv).  With gate, a predicate on an
+    (m, dim) stack of first-role coordinates, a repetition whose first draw
+    fails it ends there (the later roles are not drawn).
+
+    Returns one (m, dim) stack per letter of plan and the (count,) mask of
+    repetitions that passed the gate.
+
+    Each role takes one draw of 2 * dim normals per attempt.  Draws are taken
+    in rounds, each as large as the sequential loop still takes at least: one
+    draw per role left (per repetition left, with a gate, plus the rest of a
+    repetition already under way), and no more than the rejections left
+    before NotInvertible.  A scan over the per-draw acceptances then hands the
+    draws to the roles.  So rng ends in the state the per-sample calls leave,
+    also when MAX_DRAWS consecutive rejections raise NotInvertible.
+    """
+    per_rep = 1 if gate is not None else len(plan)
+    draws, picks, kept = [], [[] for _ in plan], []
+    role = rep = streak = taken = 0
+    while rep < count:
+        # the rest of the repetition under way, then per_rep for each one after it
+        need = (len(plan) - role if role else per_rep) + (count - rep - 1) * per_rep
+        raw = random_coords(a, rng, min(need, MAX_DRAWS - streak))
+        out = {"e": raw}
+        out["s"] = out["i"] = selfadjoint_parts(a, raw)
+        draws.append(out)
+        ok = (smallest_svs(a, out["i"]) > min_sv).tolist() if "i" in plan else None
+        passed = gate(out[plan[0]]).tolist() if gate is not None else None
+        for k in range(len(raw)):
+            if plan[role] == "i" and not ok[k]:
+                streak += 1
+                if streak == MAX_DRAWS:
+                    raise NotInvertible("failed to sample a well-conditioned "
+                                        "self-adjoint element")
+                continue
+            streak = 0
+            picks[role].append(taken + k)
+            if role == 0 and gate is not None:
+                kept.append(passed[k])
+                if not passed[k]:
+                    rep += 1
+                    continue
+            role += 1
+            if role == len(plan):
+                role, rep = 0, rep + 1
+        taken += len(raw)
+    stacks = [np.concatenate([out[kind] for out in draws])[idx] for kind, idx in zip(plan, picks)]
+    return stacks, np.array(kept) if gate is not None else np.ones(count, bool)
+
+
+def _random_one(a: BlockAlgebra, rng: np.random.Generator, kind: str,
+                min_sv: float = 1e-3) -> AlgebraElement:
+    (x,), _ = random_stacks(a, rng, kind, 1, min_sv)
+    return a.from_coords(x[0])
+
+
 def random_element(a: BlockAlgebra, rng: np.random.Generator) -> AlgebraElement:
-    return a.from_coords(random_coords(a, rng))
+    return _random_one(a, rng, "e")
 
 
 def random_selfadjoint(a: BlockAlgebra, rng: np.random.Generator) -> AlgebraElement:
-    x = random_element(a, rng)
-    return 0.5 * (x + x.adjoint())
+    return _random_one(a, rng, "s")
 
 
 def random_selfadjoint_invertible(a: BlockAlgebra, rng: np.random.Generator,
                                   min_sv: float = 1e-3) -> AlgebraElement:
-    for _ in range(64):
-        x = random_selfadjoint(a, rng)
-        if x.smallest_sv() > min_sv:
-            return x
-    raise NotInvertible("failed to sample a well-conditioned self-adjoint element")
+    return _random_one(a, rng, "i", min_sv)
 
 
 def random_positive_invertible(a: BlockAlgebra, rng: np.random.Generator,

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import __version__
 from . import blockalg as ba
-from .blockalg import ToleranceConfig, spectrum
-from .duality import Functional, build_dual, jordan_decompose, fourier_of_counit_support
+from .blockalg import ToleranceConfig
+from .duality import DualHopfAlgebra, build_dual, fourier_of_counit_support, jordan_splits
 from .errors import FqgError, ParseError, ResourceLimit
 from .groups import by_name, from_cayley_csv, from_permutation_file
 from .hopf import HopfAlgebra, function_algebra, group_algebra, verify_axioms
@@ -136,13 +136,81 @@ def _emit(report: dict, tol: ToleranceConfig, as_json: bool, started: float) -> 
     return 0 if ok else 1
 
 
+def _sampled_checks(h: HopfAlgebra, d: DualHopfAlgebra, rng: np.random.Generator, samples: int,
+                    tol: ToleranceConfig) -> list[dict]:
+    """The sampled convolution checks of `fqg verify`: the Fourier bijection,
+    the unit law of convolution, that c<>y is self-adjoint and invertible,
+    whether spectra are preserved, and the Jordan decomposition of faithful
+    functionals.
+
+    Each check is evaluated at once on the (samples, N) stack of its draws.
+    ba.random_stacks gives every sample the draw a loop of per-sample
+    random_* calls would give it, and leaves rng in the same state.
+    """
+    a = h.algebra
+    one = a.unit_coords()
+    checks = []
+
+    x = ba.random_coords(a, rng, samples)
+    back = ba.matvec(d.fourier_inv, ba.matvec(d.fourier_mat, x))
+    worst = np.max(ba.norms(back - x) / np.maximum(1e-12, ba.norms(x)))
+    checks.append(_check("fourier_bijectivity", worst, tol.eq_tol))
+
+    c = ba.selfadjoint_parts(a, ba.random_coords(a, rng, samples))
+    scaled_one = ba.matvec(h.haar, c)[:, None] * one
+    worst = max(np.max(ba.norms(d.convolutions(c, one) - scaled_one)),
+                np.max(ba.norms(d.convolutions(one, c) - scaled_one)))
+    checks.append(_check("convolution_unit_law", worst, tol.eq_tol))
+
+    (c, y), _ = ba.random_stacks(a, rng, "ii", samples)
+    w = d.convolutions(c, y)
+    checks.append(_check("convolution_selfadjoint",
+                         np.max(ba.norms(w - ba.adjoints(a, w))), tol.eq_tol))
+    min_sv = float(np.min(ba.smallest_svs(a, w)))
+    checks.append(_check("convolution_invertible", None, None,
+                         passed=min_sv > tol.inv_tol,
+                         info=f"min singular value {min_sv:.3e}"))
+
+    # spectrum preservation is reported, not gated: no placement is expected
+    # to survive on generic inputs (see the README).  A placement is validated
+    # when it agrees on every evaluated sample; draws with small tau(c) are
+    # skipped (no y is drawn for them) and do not count.
+    (c, y), kept = ba.random_stacks(a, rng, "is", min(samples, 50),
+                                    gate=lambda s: np.abs(ba.matvec(h.haar, s)) >= 0.1)
+    c = c[kept]
+    c = (1.0 / ba.matvec(h.haar, c))[:, None] * c
+    sy = ba.spectra(a, y, tol)
+
+    def agreeing(conv):
+        return int(np.sum(np.max(np.abs(ba.spectra(a, conv, tol) - sy), axis=-1) < 1e-8))
+    placements = {"left": agreeing(d.convolutions(c, y)),
+                  "right": agreeing(d.convolutions(y, c))}
+    trials = len(c)
+    validated = [k for k, v in placements.items() if trials and v == trials]
+    checks.append(_check("spectrum_preservation", None, None, gating=False,
+                         info={"validated_placement": validated or "none",
+                               "agreeing": placements, "trials": trials}))
+
+    (v, x), _ = ba.random_stacks(a, rng, "ie", samples)
+    d1, d2, p = jordan_splits(a, v, tol)
+
+    def pair(density, z):
+        return ba.matvec(h.haar, ba.products(a, density, z))     # tau(density z)
+    neg = np.maximum(-ba.spectra(a, d1, tol)[:, 0], -ba.spectra(a, d2, tol)[:, 0])
+    ortho = np.maximum(np.abs(pair(d1, ba.products(a, one - p, x))),
+                       np.abs(pair(d2, ba.products(a, p, x))))
+    recon = np.abs((pair(d1, x) - pair(d2, x)) - pair(v, x))
+    worst = max(np.max(neg), np.max(ortho), np.max(recon), 0.0)
+    checks.append(_check("jordan_decomposition", worst, tol.eq_tol * 100))
+    return checks
+
+
 def cmd_verify(args, tol: ToleranceConfig) -> int:
     started = time.time()
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     checks = []
     h = _build_algebra(args, tol)
-    a = h.algebra
 
     rep = verify_axioms(h, tol)
     checks.append(_check("hopf_axioms", rep.max_residual, tol.eq_tol,
@@ -152,67 +220,7 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
     checks.append(_check("dual_axioms", rep_d.max_residual, tol.eq_tol,
                          info=f"dual blocks {list(d.hopf.algebra.block_dims)}"))
 
-    worst = 0.0
-    for _ in range(args.samples):
-        x = ba.random_element(a, rng)
-        worst = max(worst, (d.inverse_fourier(d.fourier(x)) - x).norm()
-                    / max(1e-12, x.norm()))
-    checks.append(_check("fourier_bijectivity", worst, tol.eq_tol))
-
-    one = a.unit()
-    worst = 0.0
-    for _ in range(args.samples):
-        c = ba.random_selfadjoint(a, rng)
-        worst = max(worst, (d.convolve(c, one) - h.tau(c) * one).norm(),
-                    (d.convolve(one, c) - h.tau(c) * one).norm())
-    checks.append(_check("convolution_unit_law", worst, tol.eq_tol))
-
-    worst_sa, min_sv = 0.0, np.inf
-    for _ in range(args.samples):
-        c = ba.random_selfadjoint_invertible(a, rng)
-        y = ba.random_selfadjoint_invertible(a, rng)
-        w = d.convolve(c, y)
-        worst_sa = max(worst_sa, (w - w.adjoint()).norm())
-        min_sv = min(min_sv, w.smallest_sv())
-    checks.append(_check("convolution_selfadjoint", worst_sa, tol.eq_tol))
-    checks.append(_check("convolution_invertible", None, None,
-                         passed=min_sv > tol.inv_tol,
-                         info=f"min singular value {min_sv:.3e}"))
-
-    # spectrum preservation is reported, not gated: no placement is expected
-    # to survive on generic inputs (see the README).  A placement is validated
-    # when it agrees on every evaluated sample; draws with small tau(c) are
-    # skipped and do not count.
-    placements = {"left": 0, "right": 0}
-    trials = 0
-    for _ in range(min(args.samples, 50)):
-        c = ba.random_selfadjoint_invertible(a, rng)
-        tc = h.tau(c)
-        if abs(tc) < 0.1:
-            continue
-        trials += 1
-        c = (1.0 / tc) * c
-        y = ba.random_selfadjoint(a, rng)
-        sy = spectrum(y, tol)
-        if np.max(np.abs(spectrum(d.convolve(y, c), tol) - sy)) < 1e-8:
-            placements["right"] += 1
-        if np.max(np.abs(spectrum(d.convolve(c, y), tol) - sy)) < 1e-8:
-            placements["left"] += 1
-    validated = [k for k, v in placements.items() if trials and v == trials]
-    checks.append(_check("spectrum_preservation", None, None, gating=False,
-                         info={"validated_placement": validated or "none",
-                               "agreeing": placements, "trials": trials}))
-
-    worst = 0.0
-    for _ in range(args.samples):
-        v = ba.random_selfadjoint_invertible(a, rng)
-        f1, f2, p = jordan_decompose(Functional(h, v), tol)
-        neg = max(-spectrum(f1.density, tol)[0], -spectrum(f2.density, tol)[0], 0.0)
-        x = ba.random_element(a, rng)
-        ortho = max(abs(f1((one - p) * x)), abs(f2(p * x)))
-        recon = abs((f1(x) - f2(x)) - h.tau(v * x))
-        worst = max(worst, neg, ortho, recon)
-    checks.append(_check("jordan_decomposition", worst, tol.eq_tol * 100))
+    checks += _sampled_checks(h, d, rng, args.samples, tol)
 
     scalar, resid = fourier_of_counit_support(h, d, tol)
     checks.append(_check("fourier_counit_support_scalar", resid, tol.eq_tol,

@@ -15,10 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from . import blockalg as ba
-from .blockalg import (AlgebraElement, DEFAULT_TOL, ToleranceConfig, polar_symmetry,
-                       tensor_perm, tensor_map)
-from .errors import (NotFaithful, NotInjective, NotInvertible, NotSelfAdjoint,
-                     NotStarHom)
+from .blockalg import AlgebraElement, DEFAULT_TOL, ToleranceConfig, tensor_perm, tensor_map
+from .errors import NotFaithful, NotInjective, NotSelfAdjoint, NotStarHom
 from .hopf import HopfAlgebra, compute_haar, verify_axioms
 from .wedderburn import AbstractStarAlgebra, wedderburn
 
@@ -108,11 +106,20 @@ class DualHopfAlgebra:
     def inverse_fourier(self, xhat: AlgebraElement) -> AlgebraElement:
         return self.base.algebra.from_coords(self.fourier_inv @ xhat.coords())
 
+    def convolutions(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Coordinates of x <> y = F^{-1}(F(x) F(y)) for coordinate stacks x, y
+        (..., N) of the base algebra, broadcast against each other: one
+        Fourier transform per vector and one product per block size of the
+        dual."""
+        f = self.fourier_mat
+        fxy = ba.products(self.hopf.algebra, ba.matvec(f, x), ba.matvec(f, y))
+        return ba.matvec(self.fourier_inv, fxy)
+
     def convolve(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        """a <> b = F^{-1}(F(a) F(b))."""
+        """a <> b = F^{-1}(F(a) F(b)) (convolutions on one pair)."""
         if a.algebra != self.base.algebra or b.algebra != self.base.algebra:
             raise ba.ShapeMismatch("convolution arguments must live in the base algebra")
-        return self.inverse_fourier(self.fourier(a) * self.fourier(b))
+        return self.base.algebra.from_coords(self.convolutions(a.coords(), b.coords()))
 
 
 def build_dual(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
@@ -156,24 +163,28 @@ def build_dual(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
 # Jordan decomposition and pullbacks of faithful functionals
 # ---------------------------------------------------------------------------
 
-def jordan_decompose(f: Functional, tol: ToleranceConfig = DEFAULT_TOL):
-    """Split a faithful self-adjoint functional as f1 - f2 with f1, f2
+def jordan_splits(a: ba.BlockAlgebra, v: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+    """Jordan decompositions f = f1 - f2 of the faithful self-adjoint
+    functionals tau(v .) for a stack v (..., N) of densities: f1 and f2
     positive, orthogonal, faithful on complementary corners.
 
-    Returns (f1, f2, p) where p = (1 + sym)/2 for the polar symmetry of the
-    density; f1 = f(p .), f2 = -f((1-p) .).
+    Returns the coordinates (d1, d2, p): p = (1 + sym)/2 for the polar
+    symmetry sym of v, and the densities d1 = v p and d2 = -v (1 - p), so
+    f1 = f(p .) and f2 = -f((1-p) .).  NotSelfAdjoint or NotInvertible (from
+    polar_symmetries) if any density is not self-adjoint or not invertible.
     """
-    v = f.density
-    if not v.is_selfadjoint(tol.eq_tol):
-        raise NotSelfAdjoint("density must be self-adjoint")
-    if not v.is_invertible(tol.inv_tol):
-        raise NotInvertible("density must be invertible")
-    _, sym = polar_symmetry(v, tol)
-    one = v.algebra.unit()
+    one = a.unit_coords()
+    _, sym = ba.polar_symmetries(a, v, tol)
     p = 0.5 * (one + sym)
-    f1 = Functional(f.hopf, v * p)
-    f2 = Functional(f.hopf, -(v * (one - p)))
-    return f1, f2, p
+    return ba.products(a, v, p), -ba.products(a, v, one - p), p
+
+
+def jordan_decompose(f: Functional, tol: ToleranceConfig = DEFAULT_TOL):
+    """(f1, f2, p) of jordan_splits for one faithful self-adjoint functional."""
+    a = f.hopf.algebra
+    d1, d2, p = jordan_splits(a, f.density.coords(), tol)
+    return (Functional(f.hopf, a.from_coords(d1)), Functional(f.hopf, a.from_coords(d2)),
+            a.from_coords(p))
 
 
 def pullback(hom_matrix: np.ndarray, f: Functional, source: HopfAlgebra,
