@@ -4,15 +4,12 @@ Two independent routes decide whether a map is bi-inner:
 
 * definitional route: the map is a Hopf *-automorphism, it is inner, and its
   induced dual action is inner on the dual algebra;
-* identity-component route: the map is conjugation by a unitary from the
-  identity component of the group of kappa-symmetric unitaries commuting
-  with the cocentre (computed as the exponential image of its Lie algebra,
-  with membership decided by repeated principal square roots).
-
-The group is a product over the antipode's orbits of blocks, so the sign
-of each antipode-fixed block is chosen on its own, from the constraint
-defect of one principal square root: a membership query runs at most one
-square-root descent per attempt instead of one per sign pattern.
+* group route: the map is conjugation by a unitary of G_c, the whole group
+  of kappa-symmetric unitaries commuting with the cocentre.  Its identity
+  component is the exponential image of the Lie algebra the group model
+  computes, but G_c can be larger: two of the four group-likes of the
+  Kac-Paljutkin algebra implement the same non-trivial bi-inner map, while
+  that Lie algebra is 0.
 
 The consistency harness samples unitaries, runs both routes and reports the
 confusion matrix, which must be diagonal.
@@ -38,13 +35,13 @@ from .multunitary import (MultiplicativeUnitary, commutation_test,
 
 @dataclass(eq=False)
 class BiInnerGroupModel:
-    """Lie-algebra model of the unitary group behind the bi-inner maps.
+    """Model of G_c, the unitary group behind the bi-inner maps.
 
     lie_basis spans {X : X* = -X, kappa(X*) = X, [X, c] = 0 for cocentral c}
     over the reals and lie_real holds its realified coordinates as
-    orthonormal columns; sign_patterns enumerates the finite part of the
-    central kappa-symmetric unitary subgroup (one +-1 per antipode-fixed
-    block, bit i of the index flipping the i-th fixed block).
+    orthonormal columns; sign_patterns enumerates the central +-1 elements
+    of G_c (one sign per antipode-fixed block, bit i of the index flipping
+    the i-th fixed block).
     constant_stack is the realified matrix of the alpha-independent
     constraints (kappa-symmetry and cocentre commutators), reused by every
     membership query.
@@ -67,11 +64,10 @@ class BiInnerGroupModel:
         vec = np.concatenate([x.coords().real, x.coords().imag])
         return float(np.linalg.norm(vec - self.lie_real @ (self.lie_real.T @ vec)))
 
-    def random_element(self, rng: np.random.Generator,
-                       scale: float = 1.0) -> AlgebraElement:
+    def random_element(self, rng: np.random.Generator) -> AlgebraElement:
         x = self.hopf.algebra.zero()
         for c, b in zip(rng.standard_normal(max(self.dim, 1)), self.lie_basis):
-            x = x + float(c) * scale * b
+            x = x + float(c) * b
         return x
 
 
@@ -141,29 +137,8 @@ def sample_identity_component(model: BiInnerGroupModel, x: AlgebraElement,
 
 
 # ---------------------------------------------------------------------------
-# identity-component membership
+# group membership
 # ---------------------------------------------------------------------------
-
-def _of_angles(u: AlgebraElement, fn) -> AlgebraElement:
-    """fn of the principal spectral angles of a unitary, one Schur form per
-    block (a 1x1 block is its own eigenvalue), applied per block size."""
-    def calculus(s):
-        if s.shape[-1] == 1:
-            return fn(np.angle(s))
-        # schur takes one matrix at a time on older SciPy
-        vals, vecs = map(np.stack, zip(*(scipy.linalg.schur(b, output="complex") for b in s)))
-        angles = np.angle(np.diagonal(vals, axis1=-2, axis2=-1))
-        return (vecs * fn(angles)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return u.blockwise(calculus)
-
-
-def _principal_sqrt_unitary(u: AlgebraElement) -> AlgebraElement:
-    return _of_angles(u, lambda t: np.exp(0.5j * t))
-
-
-def _principal_log_skew(u: AlgebraElement) -> AlgebraElement:
-    return _of_angles(u, lambda t: 1j * t)
-
 
 def _in_group(model: BiInnerGroupModel, u: AlgebraElement, tol: float) -> bool:
     h = model.hopf
@@ -172,51 +147,21 @@ def _in_group(model: BiInnerGroupModel, u: AlgebraElement, tol: float) -> bool:
     return all((u * c - c * u).norm() <= tol for c in model.cocentre)
 
 
-def _sqrt_descent(model: BiInnerGroupModel, v: AlgebraElement,
-                  tol: float = 1e-7) -> AlgebraElement | None:
-    """Halve spectral angles until close to 1, staying inside the unitary
-    group; returns the Lie-algebra logarithm or None."""
-    cand = v
-    one = v.algebra.unit()
-    for _ in range(48):
-        if (cand - one).opnorm() <= 0.8:
-            x = _principal_log_skew(cand)
-            if model.project_defect(x) <= 1e-7 * max(1.0, x.norm()):
-                return x
-            return None
-        cand = _principal_sqrt_unitary(cand)
-        if not _in_group(model, cand, tol * max(1.0, cand.norm())):
-            return None
-    return None
-
-
-def _sign_choice(model: BiInnerGroupModel, v: AlgebraElement,
-                 tol: float) -> AlgebraElement:
-    """The sign pattern z for which sqrt(v z) meets the group constraints.
-
-    kappa maps blocks to blocks and the cocentre commutators act block by
-    block, so on an antipode-fixed block the constraint defect of the
-    principal root r = sqrt(v) depends on that block alone: z is -1 exactly
-    on the fixed blocks where that defect exceeds tol.
-    """
-    a = model.hopf.algebra
-    r = _principal_sqrt_unitary(v).coords()
-    # each row group of constant_stack @ r has length n, indexed by coordinate
-    defect = model.constant_stack @ np.concatenate([r.real, r.imag])
-    per_block = np.add.reduceat(np.sum(defect.reshape(-1, a.dim) ** 2, axis=0), a.offsets)
-    fixed = [b for b, c in enumerate(model.kappa_block_map) if c == b]
-    bits = sum(1 << i for i, b in enumerate(fixed) if np.sqrt(per_block[b]) > tol)
-    return model.sign_patterns[bits]
-
-
 def in_identity_component(alpha: AlgebraMap, model: BiInnerGroupModel,
                           tol: ToleranceConfig = DEFAULT_TOL,
                           rng: np.random.Generator | None = None):
-    """Decide alpha = Ad(v) for v in the identity component of the
-    kappa-symmetric cocentre-commuting unitary group.
+    """Decide alpha = Ad(v) for v in G_c, the group of kappa-symmetric
+    unitaries that commute with the cocentre (the whole group, not only its
+    identity component; the name is kept for its callers).
 
-    Returns (verdict, info); info carries the witness v and its logarithm
-    when the verdict is True.
+    If alpha = Ad(v0) with v0 in G_c, every intertwiner w of alpha that
+    meets the constraints of G_c is v0 z with z central and kappa(z*) = z,
+    so |z| is central, positive and kappa-invariant, and the blockwise
+    unitarisation w |z|^-1 of an invertible one lies in G_c.  One membership
+    test of that unitary therefore decides the question.
+
+    Returns (verdict, info); info carries the witness v when the verdict is
+    True and the reason otherwise.
     """
     rng = rng or np.random.default_rng(0x1D)
     h = model.hopf
@@ -250,20 +195,9 @@ def in_identity_component(alpha: AlgebraMap, model: BiInnerGroupModel,
         return w / np.sqrt(trace / w.shape[-1])[:, None, None]
     v = w_el.blockwise(unitarise)
 
-    for attempt in range(4):
-        # the sign patterns are central +-1, so v z is in the group iff v is
-        in_tol = 1e-7 * max(1.0, v.norm())
-        if _in_group(model, v, in_tol):
-            cand = v * _sign_choice(model, v, in_tol)
-            x = _sqrt_descent(model, cand)
-            if x is not None:
-                return True, {"witness": cand, "log_steps": x}
-        if model.dim == 0:
-            break
-        # dodge branch collisions by a small shift inside the component
-        y = model.random_element(rng, scale=0.3)
-        v = exp_element(y) * v
-    return False, {"reason": "no path to the identity found"}
+    if not _in_group(model, v, 1e-7 * max(1.0, v.norm())):
+        return False, {"reason": "the unitarised intertwiner leaves the group"}
+    return True, {"witness": v}
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +265,8 @@ def classify_biinner(alpha: AlgebraMap, h: HopfAlgebra, d: DualHopfAlgebra,
     When a multiplicative unitary is supplied, the verdict carries the
     commutation certificate with the aligned dual partner and the path
     residuals at r in {0.25, 0.5, 0.75, 1}; when a group model is supplied
-    it also carries the exponential-image membership check.
+    it also carries the group route's verdict (exp_membership: alpha is
+    Ad(v) for some v in G_c).
     """
     rng = np.random.default_rng(seed)
     if not hopf_flags_fast(alpha, h, tol):
@@ -361,10 +296,7 @@ def classify_biinner(alpha: AlgebraMap, h: HopfAlgebra, d: DualHopfAlgebra,
             radii, path_in_commutant(partner, u, mu, radii, tol)[2].tolist()))
         uhat = partner
     if model is not None:
-        member, info = in_identity_component(alpha, model, tol, rng)
-        certs["exp_membership"] = member
-        if member:
-            certs["exp_log"] = info.get("log_steps")
+        certs["exp_membership"] = in_identity_component(alpha, model, tol, rng)[0]
     return BiInnerVerdict(True, "bi-inner", u=u, uhat=uhat, certificates=certs)
 
 
@@ -374,7 +306,7 @@ def classify_biinner(alpha: AlgebraMap, h: HopfAlgebra, d: DualHopfAlgebra,
 
 @dataclass
 class ConsistencyReport:
-    confusion: np.ndarray          # [def-route][component-route] counts
+    confusion: np.ndarray          # [definitional route][group route] counts
     samples: int
     lie_dim: int
     positives_are_identity: bool
@@ -399,9 +331,10 @@ def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
                                     tol: ToleranceConfig = DEFAULT_TOL) -> ConsistencyReport:
     """Sample unitaries, classify by both routes, report the confusion matrix.
 
-    The sample mix is Haar-random unitaries plus planted members of the
-    component (central unitaries and exponentials of the Lie algebra) so both
-    verdict classes are populated.
+    The sample mix is Haar-random unitaries plus planted members of G_c
+    (central unitaries and exponentials of the Lie algebra) so both verdict
+    classes are populated.  Route A is one classify_biinner call per sample,
+    route B one in_identity_component call.
     """
     if h.algebra.dim > 12:
         raise PreconditionFailed("consistency harness is desk-scale: dim <= 12")
@@ -426,10 +359,8 @@ def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
                 u = ba.random_central_unitary(a, rng)
         alpha = AlgebraMap.ad(u, tol)
 
-        route_a = False
-        if hopf_flags_fast(alpha, h, tol):
-            alpha_hat = induced_dual_action(alpha, d, tol, check=False)
-            route_a = inner_implementer(alpha_hat, tol) is not None
+        verdict = classify_biinner(alpha, h, d, mu, None, tol)
+        route_a = verdict.is_biinner
         route_b, _ = in_identity_component(alpha, model, tol, rng)
         confusion[int(route_a), int(route_b)] += 1
         if route_a != route_b:
@@ -437,10 +368,7 @@ def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
         if route_a:
             if not alpha.is_identity(1e-7):
                 positives_identity = False
-            if mu is not None:
-                verdict = classify_biinner(alpha, h, d, mu, None, tol)
-                if verdict.is_biinner and "commutation" in verdict.certificates:
-                    worst_comm = max(worst_comm,
-                                     verdict.certificates["commutation"]["residual"])
+            if "commutation" in verdict.certificates:
+                worst_comm = max(worst_comm, verdict.certificates["commutation"]["residual"])
     return ConsistencyReport(confusion, samples, model.dim,
                              positives_identity, worst_comm, mismatches)

@@ -83,10 +83,6 @@ class DualHopfAlgebra:
     def to_dual(self, f: Functional) -> AlgebraElement:
         return self.hopf.algebra.from_coords(self.to_dual_mat @ f.row)
 
-    def to_functional(self, ahat: AlgebraElement) -> Functional:
-        row = self.from_dual_mat @ ahat.coords()
-        return Functional.from_row(self.base, row)
-
     def pairing(self, a: AlgebraElement, ahat: AlgebraElement) -> complex:
         row = self.from_dual_mat @ ahat.coords()
         return complex(row @ a.coords())

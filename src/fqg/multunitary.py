@@ -134,6 +134,18 @@ class MultiplicativeUnitary:
 
 def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
                                  tol: ToleranceConfig = DEFAULT_TOL) -> MultiplicativeUnitary:
+    """V with its certificates.
+
+    The second-leg span is certified from the Schmidt fit V = V' + E,
+    V' = sum_k X_k (x) S_k with S_k = rep(e_k), whose second-leg span is
+    rep(A) when the X_k and the S_k are each linearly independent (their
+    ranks are leg_dim_first and leg_dim_second).  By Wedin's theorem and
+    Weyl's inequality the sine of the largest principal angle between the
+    dominant n-dimensional second-leg span of V and rep(A) is at most
+    ||E||_F / (sigma_n(X) sigma_n(S) - ||E||_F), using
+    sigma_n(V') >= sigma_n(X) sigma_n(S) for the stacks X and S of the X_k
+    and the S_k; second_leg_span_distance is that bound, capped at 1.
+    """
     h = gns.hopf
     if dual.base is not h:
         raise ba.ShapeMismatch("GNS space and dual must come from the same algebra")
@@ -178,10 +190,12 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
         raise LegMismatch("V does not lie in B(H) (x) rep(A)")
     shat = xmat.reshape(n, n, n)
 
-    # leg spans: second legs = rep(A), first legs = span X_k with full rank
-    cert["leg_dim_first"] = _row_span(shat.reshape(n, -1))[0]
-    cert["leg_dim_second"], second = _row_span(_second_legs(v, n).reshape(-1, n * n))
-    cert["second_leg_span_distance"] = _span_distance(second, _row_span(flat)[1])
+    # leg spans: both stacks have full rank, and the second legs of V lie
+    # within the fit's distance of rep(A)
+    cert["leg_dim_first"], floor_first = _rank_and_floor(xmat)
+    cert["leg_dim_second"], floor_second = _rank_and_floor(flat)
+    gap = floor_first * floor_second - fit
+    cert["second_leg_span_distance"] = min(1.0, fit / gap) if gap > 0 else 1.0
     if cert["leg_dim_first"] != n or cert["leg_dim_second"] != n:
         raise LegMismatch(f"leg ranks {cert['leg_dim_first']}, {cert['leg_dim_second']} != {n}")
     if cert["second_leg_span_distance"] > 1e-8:
@@ -289,29 +303,10 @@ def pentagon_residual(v: np.ndarray, n: int) -> float:
     return float(np.sqrt(total)) / norm
 
 
-def _second_legs(v: np.ndarray, n: int) -> np.ndarray:
-    """All slices (omega (x) id)(V): the (i,j) block pattern of V."""
-    v4 = v.reshape(n, n, n, n)
-    return v4.transpose(0, 2, 1, 3).reshape(n * n, n, n)
-
-
-def _row_span(rows: np.ndarray) -> tuple[int, np.ndarray]:
-    """Numerical rank of the rows and an orthonormal basis (columns) of their
-    transposed span."""
-    rank, u, _ = ba.numerical_rank(rows.T)
-    return rank, u[:, :rank]
-
-
-def _span_distance(qa: np.ndarray, qb: np.ndarray) -> float:
-    """||P_a - P_b||_2 for two spans given by orthonormal bases (columns).
-
-    Unequal dimensions give exactly 1.  Equal dimensions give the sine of
-    the largest principal angle, ||qa - qb (qb* qa)||_2, from an SVD with as
-    many columns as the spans have dimensions; sqrt(1 - sigma_min(qb* qa)^2)
-    would lose everything below ~1e-8 to cancellation."""
-    if qa.shape[1] != qb.shape[1]:
-        return 1.0
-    return float(np.linalg.norm(qa - qb @ (qb.conj().T @ qa), 2))
+def _rank_and_floor(rows: np.ndarray) -> tuple[int, float]:
+    """Numerical rank of the rows and their smallest kept singular value."""
+    rank, _, vh = ba.numerical_rank(rows)
+    return rank, float(np.linalg.norm(rows @ vh[rank - 1].conj()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@ multiplicative unitary and bi-inner group model, built once per session."""
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from fqg import (BlockAlgebra, DualHopfAlgebra, HopfAlgebra, build_dual,
                  build_gns, build_group_model, build_kac_paljutkin,
                  build_multiplicative_unitary, function_algebra, group_algebra)
 from fqg.biinner import BiInnerGroupModel
+from fqg.blockalg import AlgebraElement
+from fqg.morphisms import AlgebraMap
 from fqg.groups import by_name
 from fqg.multunitary import GnsSpace, MultiplicativeUnitary
 
@@ -63,3 +66,36 @@ def fs3(workbenches) -> Workbench:
 @pytest.fixture(scope="session")
 def gz2(workbenches) -> Workbench:
     return workbenches["group:Z2"]
+
+
+def _group_likes(wb: Workbench) -> list[AlgebraElement]:
+    """The group-likes of wb's algebra, the characters of its dual: one per
+    1x1 block b of the dual, the u with beta(u, xhat) = xhat_b for all xhat."""
+    ahat = wb.dual.hopf.algebra
+    out = []
+    for off, d in zip(ahat.offsets, ahat.block_dims):
+        if d == 1:
+            chi = np.zeros(ahat.dim)
+            chi[off] = 1.0
+            out.append(wb.hopf.algebra.from_coords(np.linalg.solve(wb.dual.from_dual_mat.T, chi)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def group_likes(workbenches) -> dict[str, list[AlgebraElement]]:
+    return {key: _group_likes(wb) for key, wb in workbenches.items()}
+
+
+@pytest.fixture(scope="session")
+def outer_automorphisms(workbenches) -> dict[str, list[AlgebraMap]]:
+    """delta_x -> delta_(g^-1 x g) on C(S3) and C(D4), one per non-central g:
+    Hopf *-automorphisms that are not inner."""
+    out = {}
+    for key in ("function:S3", "function:D4"):
+        a = workbenches[key].hopf.algebra
+        grp = workbenches[key].hopf.meta["group"]
+        n = grp.order
+        conj = [[grp.mul(grp.mul(grp.inv(g), x), g) for x in range(n)] for g in range(n)]
+        out[key] = [AlgebraMap(a, a, np.eye(n)[perm]) for perm in conj
+                    if perm != list(range(n))]
+    return out

@@ -23,7 +23,8 @@ from fqg.morphisms import (AlgebraMap, classify_map, hopf_flags_fast,
                            perturbation_inverse_residual, proposition_pipeline)
 from fqg.multunitary import (commutation_test, pair_from_commutant,
                              path_in_commutant, solve_commutant_partner)
-from fqg.biinner import brute_force_biinner_consistency, classify_biinner, exp_element
+from fqg.biinner import (brute_force_biinner_consistency, classify_biinner, exp_element,
+                         in_identity_component)
 
 SEED = 20240211
 
@@ -349,3 +350,45 @@ def test_criterion_11_spectrum_preservation(workbenches):
     assert example_ok, "README counterexample on C(Z2) not reproduced"
     assert refuted == list(workbenches), "a convolution placement preserved spectra"
     assert control_ok, "trivial-group control did not validate both placements"
+
+
+def _hard_samples(wb, us, rng):
+    """Ad of every group-like u, and of u times two planted members of G_c
+    (a sign pattern times an exponential of the Lie algebra)."""
+    model = wb.model
+    out = []
+    for u in us:
+        out.append(AlgebraMap.ad(u))
+        for _ in range(2):
+            z = model.sign_patterns[int(rng.integers(len(model.sign_patterns)))]
+            member = z * exp_element(model.random_element(rng)) if model.dim else z
+            out.append(AlgebraMap.ad(u * member))
+    return out
+
+
+def test_criterion_12_biinner_hard_samples(workbenches, group_likes, outer_automorphisms):
+    """The samples criterion 10's mix rarely draws: conjugation by group-likes
+    (on kp two of them act non-trivially although its Lie algebra is 0),
+    group-likes times planted members of G_c, and the outer Hopf
+    *-automorphisms delta_x -> delta_(g^-1 x g) of C(S3) and C(D4), which
+    route A must refuse as not inner."""
+    rng = np.random.default_rng(SEED + 12)
+    all_diag = True
+    worst_comm = 0.0
+    details = []
+    for key, wb in workbenches.items():
+        maps = _hard_samples(wb, group_likes[key], rng) + outer_automorphisms.get(key, [])
+        confusion = np.zeros((2, 2), dtype=int)
+        for alpha in maps:
+            verdict = classify_biinner(alpha, wb.hopf, wb.dual, wb.mu)
+            member, _ = in_identity_component(alpha, wb.model, rng=rng)
+            confusion[int(verdict.is_biinner), int(member)] += 1
+            if verdict.is_biinner:
+                worst_comm = max(worst_comm, verdict.certificates["commutation"]["residual"])
+        all_diag &= confusion[0, 1] == 0 and confusion[1, 0] == 0
+        details.append(f"{key}:{confusion.tolist()}")
+    ok = bool(all_diag) and worst_comm < 1e-8
+    _line(12, ok, f"group-like, planted and outer samples on 11 algebras, all confusion "
+                  f"matrices diagonal: {bool(all_diag)}; commutation worst {worst_comm:.2e}; "
+                  + " ".join(details))
+    assert ok

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from fqg import blockalg as ba
 from fqg import biinner
@@ -10,7 +9,8 @@ from fqg.biinner import (brute_force_biinner_consistency, build_group_model,
 from fqg.errors import NotInLieAlgebra
 from fqg.groups import symmetric
 from fqg.hopf import function_algebra, ksymmetric_basis
-from fqg.morphisms import AlgebraMap
+from fqg.morphisms import (AlgebraMap, hopf_flags_fast, induced_dual_action,
+                           inner_implementer)
 
 RNG = np.random.default_rng(515)
 
@@ -157,7 +157,6 @@ def test_small_t_derivative_of_conjugation(workbenches):
 
 
 def test_hopf_flag_along_exponential_paths(workbenches):
-    from fqg.morphisms import hopf_flags_fast
     for key, wb in workbenches.items():
         if wb.model.dim == 0:
             continue
@@ -218,8 +217,8 @@ def test_identity_always_member(workbenches):
 
 
 def test_sign_flip_member_through_pattern_scan(workbenches):
-    # diag(1,-1) on C(Z2) induces the identity map; the path to the identity
-    # requires the sign-pattern quotient
+    # diag(1,-1) on C(Z2) induces the identity map; the unitarised
+    # intertwiner is a central unitary of the group, so it is a member
     wb = workbenches["function:Z2"]
     u = wb.hopf.algebra.element([[[1.0]], [[-1.0]]])
     ok, _ = in_identity_component(AlgebraMap.ad(u), wb.model)
@@ -241,170 +240,41 @@ def test_planted_exponentials_are_members(workbenches):
         assert ok, key
 
 
-def _scan_in_identity_component(alpha, model, rng):
-    """Oracle: identity-component membership by trying every sign pattern,
-    with the per-basis intertwiner rows and one draw per candidate.
-    Returns the verdict and the witness (None when the verdict is False)."""
-    a = model.hopf.algebra
-    n = a.dim
-    left = ba.left_mult_tensor(a)
-    right = ba.right_mult_tensor(a)
-    rows = np.empty((n * n, n), complex)
-    for k in range(n):
-        rows[k * n:(k + 1) * n, :] = np.tensordot(alpha.matrix[:, k], left,
-                                                  axes=(0, 0)) - right[k]
-    null = ba.null_space(np.vstack([ba.realify_complex_linear(rows),
-                                         model.constant_stack]))
-    if null.shape[1] == 0:
-        return False, None
-    w_el, best_sv = None, 0.0
-    for _ in range(16):
-        cand = a.from_coords(ba.real_vec_to_coords(
-            null @ rng.standard_normal(null.shape[1])))
-        sv = cand.smallest_sv() / max(1.0, cand.norm())
-        if sv > best_sv:
-            best_sv, w_el = sv, cand
-    if w_el is None or best_sv <= 1e-6:
-        return False, None
-    ww = w_el.adjoint() * w_el
-    v = a.element([b / np.sqrt(np.trace(c).real / len(c))
-                   for b, c in zip(w_el.blocks, ww.blocks)])
-    for _ in range(4):
-        for z in model.sign_patterns:
-            cand = v * z
-            if not biinner._in_group(model, cand, 1e-7 * max(1.0, cand.norm())):
-                continue
-            if biinner._sqrt_descent(model, cand) is not None:
-                return True, cand
-        if model.dim == 0:
-            break
-        v = biinner.exp_element(model.random_element(rng, scale=0.3)) * v
-    return False, None
-
-
-def _of_angles_loop(u, fn):
-    """Oracle: fn of the spectral angles from one Schur form per block."""
-    blocks = []
-    for b in u.blocks:
-        vals, vecs = scipy.linalg.schur(b, output="complex")
-        blocks.append((vecs * fn(np.angle(np.diag(vals)))) @ vecs.conj().T)
-    return np.concatenate([b.reshape(-1) for b in blocks])
-
-
-def test_principal_root_and_log_match_per_block_schur(workbenches, monkeypatch):
-    """On random unitaries, whose blocks are not scalar, of every workbench
-    and its dual; schur is handed one matrix at a time, as SciPy releases
-    before batched linalg require."""
-    schur = scipy.linalg.schur
-
-    def one_matrix(m, **kw):
-        assert np.ndim(m) == 2
-        return schur(m, **kw)
-    monkeypatch.setattr(scipy.linalg, "schur", one_matrix)
-    rng = np.random.default_rng(516)
-    for wb in workbenches.values():
-        for a in (wb.hopf.algebra, wb.dual.hopf.algebra):
-            u = ba.random_unitary(a, rng)
-            for got, fn in ((biinner._principal_sqrt_unitary(u), lambda t: np.exp(0.5j * t)),
-                            (biinner._principal_log_skew(u), lambda t: 1j * t)):
-                assert np.abs(got.coords() - _of_angles_loop(u, fn)).max() < 1e-13, wb.key
-
-
-def _membership_samples(wb, rng):
-    """Seeded random, central and planted unitaries, planted ones also
-    multiplied by a sign pattern."""
-    a, m = wb.hopf.algebra, wb.model
-    out = [ba.random_unitary(a, rng) for _ in range(3)]
-    out += [ba.random_central_unitary(a, rng) for _ in range(3)]
-    for j in range(3):
-        z = m.sign_patterns[int(rng.integers(len(m.sign_patterns)))]
-        out.append(z * exp_element((0.5 + rng.random()) * m.random_element(rng)))
-    return out
-
-
-def _same_as_scan(wb, u, seed, before=lambda: None):
-    """Both routes on Ad(u) from the same seed: same verdict, same draws and,
-    for members, the same witness (same intertwiner, same sign pattern)."""
-    alpha = AlgebraMap.ad(u)
-    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-    before()
-    new, info = in_identity_component(alpha, wb.model, rng=rng_new)
-    before()
-    old, witness = _scan_in_identity_component(alpha, wb.model, rng_old)
-    assert new == old, wb.key
-    assert rng_new.bit_generator.state == rng_old.bit_generator.state, wb.key
-    if new:
-        assert np.abs(info["witness"].coords() - witness.coords()).max() < 1e-12, wb.key
-    return new
-
-
-def test_sign_choice_matches_pattern_scan(workbenches):
-    rng = np.random.default_rng(2024)
-    verdicts = set()
-    for key, wb in workbenches.items():
-        for i, u in enumerate(_membership_samples(wb, rng)):
-            verdicts.add(_same_as_scan(wb, u, seed=100 * i + 7))
-    assert verdicts == {True, False}
-
-
-def test_sign_choice_matches_pattern_scan_after_a_shift(workbenches, monkeypatch):
-    # the first attempt's descents all fail, so both routes must shift once
-    # (one rng draw) and agree on the shifted unitary
-    state = {"shifted": False}
-    real_descent, real_exp = biinner._sqrt_descent, biinner.exp_element
-
-    def descent(model, v, tol=1e-7):
-        return real_descent(model, v, tol) if state["shifted"] else None
-
-    def exp(x):
-        state["shifted"] = True
-        return real_exp(x)
-
-    rng = np.random.default_rng(77)
-    samples = {key: _membership_samples(wb, rng) for key, wb in workbenches.items()}
-    monkeypatch.setattr(biinner, "_sqrt_descent", descent)
-    monkeypatch.setattr(biinner, "exp_element", exp)
-    shifted_members = 0
-    for key, wb in workbenches.items():
-        if wb.model.dim == 0:
-            continue
-        for i, u in enumerate(samples[key]):
-            member = _same_as_scan(wb, u, seed=i,
-                                   before=lambda: state.update(shifted=False))
-            shifted_members += member and state["shifted"]
-    assert shifted_members > 0
-
-
-def test_sign_choice_scales_to_ten_fixed_blocks(monkeypatch):
-    # C(S4) has 10 antipode-fixed blocks: the scan would try up to 1024
-    # patterns per attempt, the sign choice runs one descent per attempt
+def test_members_times_sign_patterns_with_ten_fixed_blocks():
+    # C(S4) has 10 antipode-fixed blocks and 1024 sign patterns; a planted
+    # member times any of them is a member, with a witness implementing it
     h = function_algebra(symmetric(4))
     model = build_group_model(h)
     assert len(model.sign_patterns) == 1024
-    calls, flips = [], []
-    real_descent, real_choice = biinner._sqrt_descent, biinner._sign_choice
-
-    def descent(*args, **kwargs):
-        calls.append(1)
-        return real_descent(*args, **kwargs)
-
-    def choice(*args, **kwargs):
-        z = real_choice(*args, **kwargs)
-        flips.append(int(np.sum(z.coords().real < 0)))
-        return z
-
-    monkeypatch.setattr(biinner, "_sqrt_descent", descent)
-    monkeypatch.setattr(biinner, "_sign_choice", choice)
     rng = np.random.default_rng(4)
-    for _ in range(20):
+    for _ in range(5):
         z = model.sign_patterns[int(rng.integers(1024))]
-        u = z * exp_element(model.random_element(rng))
-        calls.clear()
-        ok, info = in_identity_component(AlgebraMap.ad(u), model, rng=rng)
+        alpha = AlgebraMap.ad(z * exp_element(model.random_element(rng)))
+        ok, info = in_identity_component(alpha, model, rng=rng)
         assert ok
-        assert len(calls) <= 4
-        assert model.project_defect(info["log_steps"]) < 1e-7
-    assert max(flips) > 0
+        assert AlgebraMap.ad(info["witness"]).distance_to(alpha) < 1e-10
+
+
+def test_kp_group_likes_are_biinner_on_both_routes(kp, group_likes):
+    """kp's Lie algebra is 0, yet all four group-likes implement bi-inner
+    maps on both routes: two of them act non-trivially, and those two give
+    the same map (their ratio is central), so G_c is not connected."""
+    us = group_likes["kp"]
+    assert len(us) == 4
+    maps = []
+    for u in us:
+        assert (kp.hopf.delta(u) - ba.tensor_element(u, u)).norm() < 1e-12
+        alpha = AlgebraMap.ad(u)
+        verdict = classify_biinner(alpha, kp.hopf, kp.dual, kp.mu, kp.model)
+        assert verdict.is_biinner and verdict.certificates["exp_membership"]
+        assert verdict.certificates["commutation"]["residual"] < 1e-8
+        member, info = in_identity_component(alpha, kp.model)
+        assert member
+        assert AlgebraMap.ad(info["witness"]).distance_to(alpha) < 1e-10
+        maps.append(alpha)
+    moving = [m for m in maps if not m.is_identity(1e-7)]
+    assert len(moving) == 2
+    assert moving[0].distance_to(moving[1]) < 1e-12
 
 
 # -- classifier -----------------------------------------------------------------------
@@ -452,3 +322,19 @@ def test_verdict_serialises_to_json(workbenches):
     doc = v.to_dict()
     json.dumps(doc)
     assert doc["is_biinner"] and doc["certificates"]["exp_membership"]
+
+
+def test_harness_route_a_refuses_an_outer_hopf_automorphism(fs3, outer_automorphisms,
+                                                           monkeypatch):
+    # delta_x -> delta_(g^-1 x g) on C(S3) is a Hopf *-automorphism with an
+    # inner dual action, yet not inner on C(S3): route A must ask that too
+    alpha = outer_automorphisms["function:S3"][0]
+    alpha_hat = induced_dual_action(alpha, fs3.dual, check=False)
+    assert hopf_flags_fast(alpha, fs3.hopf) and inner_implementer(alpha_hat) is not None
+
+    class EverySample:          # the harness conjugates by u: hand it alpha
+        ad = staticmethod(lambda u, tol: alpha)
+    monkeypatch.setattr(biinner, "AlgebraMap", EverySample)
+    rep = brute_force_biinner_consistency(fs3.hopf, fs3.dual, fs3.mu, fs3.model,
+                                          samples=5, seed=3)
+    assert rep.confusion.tolist() == [[5, 0], [0, 0]]

@@ -1,9 +1,13 @@
-"""Source hygiene: no module of the library imports a name it never uses."""
+"""Source hygiene: no module of the library imports a name it never uses,
+and every function, class and method it defines is referenced somewhere."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fqg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fqg"
 
 # (module, name) pairs imported on purpose without a use in the module.
 ALLOWED = {
@@ -66,3 +70,89 @@ def test_scan_sees_an_unused_import(tmp_path):
                    "    '''Mentions tau and os, which does not use them.'''\n"
                    "    return pi\n")
     assert _unused_imports(mod) == {"os", "tau"}
+
+
+# -- unreferenced definitions ---------------------------------------------------
+
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _docstring_ids(tree: ast.AST) -> set[int]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                out.add(id(first.value))
+    return out
+
+
+def _references(tree: ast.AST) -> Counter:
+    """Identifiers a tree reads: names, attributes, imported names, and the
+    identifiers inside string literals other than docstrings (so that
+    monkeypatch targets such as setattr(mod, "name") count)."""
+    docs = _docstring_ids(tree)
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docs):
+            out.update(IDENTIFIER.findall(node.value))
+    return out
+
+
+def _unreferenced(sources: list[Path], corpus: list[Path]) -> list[str]:
+    """Functions, classes and methods defined in sources whose name is read
+    nowhere in corpus outside their own definition.  Dunder methods are
+    called implicitly and are skipped."""
+    refs = Counter()
+    for path in corpus:
+        refs += _references(ast.parse(path.read_text(), filename=str(path)))
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if refs[node.name] - _references(node)[node.name] <= 0:
+                found.append(f"{path.name}: {node.name}")
+    return sorted(found)
+
+
+def test_every_definition_is_referenced():
+    corpus = sorted(p for top in ("src", "tests", "perfbench")
+                    for p in (ROOT / top).rglob("*.py"))
+    assert _unreferenced(sorted(SRC.glob("*.py")), corpus) == []
+
+
+def test_scan_sees_an_unreferenced_definition(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text('class Box:\n'
+                   '    def __len__(self):\n'
+                   '        return 0\n'
+                   '    def used(self):\n'
+                   '        return 1\n'
+                   '    def dead_method(self):\n'
+                   '        return self.used()\n'
+                   'def loop(n):\n'
+                   '    return loop(n - 1) if n else Box()\n'
+                   'def patched():\n'
+                   '    """Mentions loop and mentioned, which does not use them."""\n'
+                   'def mentioned():\n'
+                   '    pass\n')
+    use = tmp_path / "use.py"
+    use.write_text('import mod\n'
+                   'from mod import Box\n'
+                   'Box().used()\n'
+                   'def test(monkeypatch):\n'
+                   '    monkeypatch.setattr(mod, "patched", None)\n')
+    assert _unreferenced([mod], [mod, use]) == [
+        "mod.py: dead_method", "mod.py: loop", "mod.py: mentioned"]

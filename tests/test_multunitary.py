@@ -462,37 +462,30 @@ def test_commutation_test_reads_cached_leg_spans(workbenches, monkeypatch):
         assert reports[0][1]["residual"] < 1e-12, key
 
 
-def test_span_distance_of_unequal_dimensions_is_one():
-    q, _ = np.linalg.qr(RNG.normal(size=(9, 4)) + 1j * RNG.normal(size=(9, 4)))
-    assert multunitary._span_distance(q, q[:, :3]) == 1.0
-    assert multunitary._span_distance(q[:, :2], q) == 1.0
+def _dense_leg_span(mu):
+    """Oracle: rank of all second-leg slices (omega (x) id)(V) and the sine of
+    the largest principal angle between their span and rep(A), from an SVD
+    of the n^2 x n^2 slice matrix (1.0 for unequal dimensions)."""
+    n = mu.dim
+    slices = mu.matrix.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    rank, qa, _ = ba.numerical_rank(slices.T)
+    rank_s, qb, _ = ba.numerical_rank(mu.sbasis.reshape(n, n * n).T)
+    if rank != rank_s:
+        return rank, 1.0
+    qa, qb = qa[:, :rank], qb[:, :rank]
+    return rank, float(np.linalg.norm(qa - qb @ (qb.conj().T @ qa), 2))
 
 
-def test_span_distance_resolves_a_small_rotation():
-    # sqrt(1 - cos^2) would give ~1e-8 or 0 here, not 1e-12
-    q, _ = np.linalg.qr(RNG.normal(size=(16, 6)) + 1j * RNG.normal(size=(16, 6)))
-    angle = 1e-12
-    turned = q[:, :4].copy()
-    turned[:, 0] = np.cos(angle) * q[:, 0] + np.sin(angle) * q[:, 5]
-    mix, _ = np.linalg.qr(RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)))
-    got = multunitary._span_distance(q[:, :4], turned @ mix)
-    assert abs(got - angle) < 1e-14
+def test_leg_span_certificate_matches_dense_formula(workbenches):
+    for key, wb in workbenches.items():
+        rank, distance = _dense_leg_span(wb.mu)
+        c = wb.mu.certificates
+        assert c["leg_dim_second"] == rank == wb.mu.dim, key
+        assert abs(c["second_leg_span_distance"] - distance) < 1e-13, key
 
 
-def test_span_distance_matches_projector_norm():
-    for dim, k in ((4, 2), (9, 3), (16, 4), (25, 10)):
-        qa, _ = np.linalg.qr(RNG.normal(size=(dim, k)) + 1j * RNG.normal(size=(dim, k)))
-        qb, _ = np.linalg.qr(qa + 0.3 * (RNG.normal(size=(dim, k))
-                                         + 1j * RNG.normal(size=(dim, k))))
-        want = np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2)
-        assert abs(multunitary._span_distance(qa, qb) - want) < 1e-14
-
-
-def test_commutant_factorises_nothing_above_n_cubed_rows(workbenches, monkeypatch):
-    """Neither commutant solver factorises a matrix with more than n^3 rows
-    or an SVD input wider than n: the n^2 x n^2 and n^4 x n paths are gone."""
-    h = group_algebra(by_name("dihedral:6"))
-    d6 = build_multiplicative_unitary(build_gns(h), build_dual(h))
+def _recording_factorisations(monkeypatch):
+    """Record the input shape of every numpy svd and qr call."""
     shapes = {"svd": [], "qr": []}
 
     def recording(name, fn):
@@ -505,6 +498,30 @@ def test_commutant_factorises_nothing_above_n_cubed_rows(workbenches, monkeypatc
     for mod in (np.linalg, linalg):
         monkeypatch.setattr(mod, "svd", recording("svd", linalg.svd))
         monkeypatch.setattr(mod, "qr", recording("qr", linalg.qr))
+    return shapes
+
+
+def test_build_factorises_nothing_of_n_squared_size(kp, monkeypatch):
+    """The build's svd and qr inputs all have a side shorter than n^2: the
+    second-leg certificate no longer factorises the n^2 x n^2 slice matrix."""
+    h = group_algebra(by_name("dihedral:6"))
+    gns_d6, dual_d6 = build_gns(h), build_dual(h)
+    shapes = _recording_factorisations(monkeypatch)
+    for gns, dual in ((kp.gns, kp.dual), (gns_d6, dual_d6)):
+        n = gns.dim
+        shapes["svd"].clear()
+        shapes["qr"].clear()
+        build_multiplicative_unitary(gns, dual)
+        assert shapes["svd"], n
+        assert max(min(s[-2:]) for s in shapes["svd"] + shapes["qr"]) < n * n, shapes
+
+
+def test_commutant_factorises_nothing_above_n_cubed_rows(workbenches, monkeypatch):
+    """Neither commutant solver factorises a matrix with more than n^3 rows
+    or an SVD input wider than n: the n^2 x n^2 and n^4 x n paths are gone."""
+    h = group_algebra(by_name("dihedral:6"))
+    d6 = build_multiplicative_unitary(build_gns(h), build_dual(h))
+    shapes = _recording_factorisations(monkeypatch)
     rng = np.random.default_rng(14)
     for mu in (workbenches["kp"].mu, d6):
         n = mu.dim
