@@ -29,7 +29,8 @@ from .hopf import HopfAlgebra, function_algebra, group_algebra, verify_axioms
 from .io import (element_from_json, element_to_json, load_hopf_file,
                  load_bundled_kac_paljutkin, read_json_file, report_to_json)
 from .multunitary import build_gns, build_multiplicative_unitary, fixed_and_cofixed
-from .biinner import build_group_model, brute_force_biinner_consistency
+from .biinner import (brute_force_biinner_consistency, build_group_model,
+                      require_desk_scale)
 
 
 def _positive_int(text: str) -> int:
@@ -248,6 +249,7 @@ def cmd_biinner(args, tol: ToleranceConfig) -> int:
     started = time.time()
     seed = _resolve_seed(args)
     h = _build_algebra(args, tol)
+    require_desk_scale(h)
     d = build_dual(h, tol)
     gns = build_gns(h, tol)
     mu = build_multiplicative_unitary(gns, d, tol)

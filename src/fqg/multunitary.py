@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import blockalg as ba
 from .blockalg import AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig
@@ -499,19 +498,23 @@ def unitary_fractional_power(op: np.ndarray, r: float | np.ndarray,
                              min_gap: float = 1e-6) -> np.ndarray:
     """op^r by functional calculus with the branch cut in the largest
     spectral gap on the unit circle.  r may be an array of exponents: the
-    powers are stacked along its shape, all from one Schur form."""
-    vals, vecs = scipy.linalg.schur(op, output="complex")
-    d = np.diag(vals)
-    angles = np.angle(d)
-    order = np.argsort(angles)
-    sorted_ang = angles[order]
-    gaps = np.diff(np.concatenate([sorted_ang, [sorted_ang[0] + 2 * np.pi]]))
+    powers are stacked along its shape, all from one Hermitian
+    eigendecomposition.
+
+    With c = e^{i cut}, H = i(c + op)(c - op)^-1 is Hermitian with the
+    eigenvectors of op, and op's eigenvalue e^{i phi} is H's eigenvalue
+    cot((cut - phi) / 2), so phi = cut - 2 atan2(1, cot) lies in
+    (cut - 2 pi, cut), the branch of the cut.  The cut lies in the largest
+    gap, at least 2 pi / n wide, so c - op is well conditioned."""
+    angles = np.sort(np.angle(np.linalg.eigvals(op)))
+    gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
     imax = int(np.argmax(gaps))
     if gaps[imax] < min_gap:
         raise SpectrumFullCircle("no usable gap on the unit circle")
-    cut = sorted_ang[imax] + gaps[imax] / 2
-    shifted = np.where(angles > cut, angles - 2 * np.pi, angles)
-    shifted = np.where(shifted <= cut - 2 * np.pi, shifted + 2 * np.pi, shifted)
+    cut = angles[imax] + gaps[imax] / 2
+    c = np.exp(1j * cut) * np.eye(len(op))
+    cot, vecs = np.linalg.eigh(ba.hermitian_part(1j * np.linalg.solve(c - op, c + op)))
+    shifted = cut - 2 * np.arctan2(1.0, cot)
     powered = np.exp(1j * np.multiply.outer(r, shifted))
     return (vecs * powered[..., None, :]) @ vecs.conj().T
 
@@ -523,9 +526,9 @@ def path_in_commutant(uhat: AlgebraElement, u: AlgebraElement,
     of operators and the commutation residual at this r.
 
     r may also be a sequence of radii: then both factors are (k, n, n)
-    stacks from one Schur form each, and the residuals a length-k array.
-    The commutators are taken one radius at a time, which keeps the
-    temporaries at n^4 entries."""
+    stacks from one Hermitian eigendecomposition each, and the residuals a
+    length-k array.  The commutators are taken one radius at a time, which
+    keeps the temporaries at n^4 entries."""
     rs = np.asarray(r, float)
     if not np.all((0 < rs) & (rs <= 1)):
         raise ValueError("r must be in (0, 1]")

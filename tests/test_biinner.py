@@ -156,6 +156,20 @@ def test_small_t_derivative_of_conjugation(workbenches):
         assert 30 < errs[0] / errs[1] < 300
 
 
+def test_exp_of_the_lie_algebra_is_unitary(workbenches):
+    # the model's Lie algebra, whose elements live in 1x1 blocks on these
+    # workbenches, and the skew-Hermitian elements of the whole algebra
+    rng = np.random.default_rng(18)
+    for key, wb in workbenches.items():
+        a = wb.hopf.algebra
+        y = ba.random_element(a, rng)
+        for x in ((y - y.adjoint()) * 0.5, wb.model.random_element(rng)):
+            for t in (0.3, 3.0):
+                v = exp_element(t * x)
+                assert (v.adjoint() * v - a.unit()).norm() <= 1e-14, (key, t)
+                assert (v * v.adjoint() - a.unit()).norm() <= 1e-14, (key, t)
+
+
 def test_hopf_flag_along_exponential_paths(workbenches):
     for key, wb in workbenches.items():
         if wb.model.dim == 0:

@@ -349,7 +349,9 @@ def test_element_ops_match_per_block_formulas(workbenches):
         _close(x.opnorm(), max(np.linalg.norm(p, 2) for p in bx))
         _close(x.smallest_sv(), min(np.linalg.svd(p, compute_uv=False)[-1] for p in bx))
         _close(invert(x).coords(), _cat([np.linalg.inv(p) for p in bx]))
-        _close(exp_element(0.3 * x).coords(), _cat([scipy.linalg.expm(0.3 * p) for p in bx]))
+        for scale in (0.3, 3.0, 30.0):      # 3 and 30 also run the squarings
+            _close(exp_element(scale * x).coords(),
+                   _cat([scipy.linalg.expm(scale * p) for p in bx]))
 
         bs = [(p + p.conj().T) / 2 for p in bx]
         s = a.element(bs)

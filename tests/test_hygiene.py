@@ -1,8 +1,12 @@
 """Source hygiene: no module of the library imports a name it never uses,
-and every function, class and method it defines is referenced somewhere."""
+every function, class and method it defines is referenced somewhere, and
+importing it loads numpy but not scipy."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -156,3 +160,13 @@ def test_scan_sees_an_unreferenced_definition(tmp_path):
                    '    monkeypatch.setattr(mod, "patched", None)\n')
     assert _unreferenced([mod], [mod, use]) == [
         "mod.py: dead_method", "mod.py: loop", "mod.py: mentioned"]
+
+
+# -- runtime imports -----------------------------------------------------------------
+
+def test_importing_fqg_loads_no_scipy():
+    code = ("import sys, fqg, fqg.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.strip() == "[]"

@@ -188,6 +188,18 @@ def test_cli_internal_error_has_its_own_exit_code(monkeypatch, capsys):
         "error: InternalError: TypeError: unsupported operand"
 
 
+def test_cli_biinner_refuses_a_large_algebra_before_building_v(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the size refusal")
+    for name in ("build_dual", "build_gns", "build_multiplicative_unitary"):
+        monkeypatch.setattr(f"fqg.cli.{name}", refuse)
+    for algebra in ("function", "group"):
+        rc = main(["biinner", "--group", "S4", "--algebra", algebra, "--samples", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: PreconditionFailed: consistency harness is desk-scale: dim <= 12\n"
+
+
 def test_cli_biinner_z4(capsys):
     rc = main(["biinner", "--group", "Z4", "--algebra", "function",
                "--samples", "30", "--seed", "7", "--json"])

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fqg import blockalg as ba
 from fqg import multunitary
@@ -639,6 +640,49 @@ def test_fractional_power_limit_for_generic_spectrum():
     assert np.linalg.norm(unitary_fractional_power(q, 0.01) - np.eye(4), 2) < 0.2
 
 
+def _schur_fractional_power(op, r, min_gap=1e-6):
+    """The former Schur-form implementation, kept as an oracle: the angles
+    of the diagonal of the complex Schur form, moved into the branch
+    (cut - 2 pi, cut] of the cut in the largest gap."""
+    vals, vecs = scipy.linalg.schur(op, output="complex")
+    angles = np.angle(np.diag(vals))
+    sorted_ang = np.sort(angles)
+    gaps = np.diff(np.concatenate([sorted_ang, [sorted_ang[0] + 2 * np.pi]]))
+    imax = int(np.argmax(gaps))
+    if gaps[imax] < min_gap:
+        raise SpectrumFullCircle("no usable gap on the unit circle")
+    cut = sorted_ang[imax] + gaps[imax] / 2
+    shifted = np.where(angles > cut, angles - 2 * np.pi, angles)
+    shifted = np.where(shifted <= cut - 2 * np.pi, shifted + 2 * np.pi, shifted)
+    powered = np.exp(1j * np.multiply.outer(r, shifted))
+    return (vecs * powered[..., None, :]) @ vecs.conj().T
+
+
+def test_fractional_power_matches_the_schur_formula(workbenches):
+    rng = np.random.default_rng(23)
+    radii = np.array([0.25, 0.5, 0.75, 1.0])
+    cases = []
+    for n in (1, 2, 3, 5, 8, 12):                       # Haar-random unitaries
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        cases.append((np.linalg.qr(z)[0], 1e-6))
+    for wb in workbenches.values():                     # repeated eigenvalues
+        cases.append((wb.mu.rep(ba.random_central_unitary(wb.hopf.algebra, rng)), 1e-6))
+    for n in (3, 6, 9):
+        # one gap 1e-3 wider than the others, and min_gap just below it
+        q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        angles = np.linspace(-np.pi, np.pi, n, endpoint=False) + 0.1
+        angles[0] -= 1e-3
+        gap = 2 * np.pi / n + 1e-3
+        cases.append(((q * np.exp(1j * angles)) @ q.conj().T, gap * (1 - 1e-6)))
+    for op, min_gap in cases:
+        got = unitary_fractional_power(op, radii, min_gap)
+        want = _schur_fractional_power(op, radii, min_gap)
+        assert np.abs(got - want).max() <= 1e-13
+        assert np.array_equal(got[1], unitary_fractional_power(op, 0.5, min_gap))
+    with pytest.raises(SpectrumFullCircle):
+        unitary_fractional_power(op, 0.5, gap * (1 + 1e-6))
+
+
 def test_path_commutes_at_sampled_r(workbenches):
     rng = np.random.default_rng(21)
     for key, wb in workbenches.items():
@@ -650,15 +694,16 @@ def test_path_commutes_at_sampled_r(workbenches):
             assert resid < 1e-8, (key, r)
 
 
-def test_path_radii_share_one_schur_form_per_factor(workbenches, monkeypatch):
-    """All radii from one call: one Schur form per factor, and each residual
-    within round-off of the per-radius Kronecker commutator."""
+def test_path_radii_share_one_eigh_per_factor(workbenches, monkeypatch):
+    """All radii from one call: one Hermitian eigendecomposition per factor,
+    and each residual within round-off of the per-radius Kronecker
+    commutator."""
     rng = np.random.default_rng(22)
     radii = (0.25, 0.5, 0.75, 1.0)
-    schur = multunitary.scipy.linalg.schur
+    eigh = np.linalg.eigh
     calls = []
-    monkeypatch.setattr(multunitary.scipy.linalg, "schur",
-                        lambda *a, **k: calls.append(1) or schur(*a, **k))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **k: calls.append(1) or eigh(*a, **k))
     for key, wb in workbenches.items():
         mu = wb.mu
         u = ba.random_central_unitary(wb.hopf.algebra, rng)
