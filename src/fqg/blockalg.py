@@ -504,22 +504,26 @@ def flip_perm(a: BlockAlgebra) -> np.ndarray:
 # *-homomorphism certificate
 # ---------------------------------------------------------------------------
 
-def hom_residuals(m: np.ndarray, source: BlockAlgebra, target: BlockAlgebra) -> dict[str, float]:
+def hom_residuals(m: np.ndarray, source, target: BlockAlgebra, *,
+                  anti: bool = False) -> dict[str, float]:
     """How far phi = m: coords(source) -> coords(target) is from a unital
-    (anti-, Jordan) *-homomorphism.
+    *-homomorphism, and with anti=True from an anti- and a Jordan one.
 
-    multiplicative, anti_multiplicative and jordan are the largest Frobenius
-    defects, over all basis pairs (e_i, e_j), of phi(e_i e_j) against
-    phi(e_i) phi(e_j), phi(e_j) phi(e_i) and (for phi(e_i e_j + e_j e_i)) their
-    sum; star_preserving is the largest defect of phi(e_i*) against phi(e_i)*
-    over the basis, and unital the norm of phi(1) - 1.  Per pair the squared
-    defects are summed over the blocks of the target, which are multiplied
-    in one batch per block size.
+    source is a BlockAlgebra or a structure-constant algebra (an
+    AbstractStarAlgebra: left_mult, star and unit).  Every call returns
+    multiplicative, the largest Frobenius defect over all basis pairs
+    (e_i, e_j) of phi(e_i e_j) against phi(e_i) phi(e_j); star_preserving,
+    the largest defect of phi(e_i*) against phi(e_i)* over the basis; and
+    unital, the norm of phi(1) - 1.  Only anti=True adds anti_multiplicative
+    and jordan, the defects against phi(e_j) phi(e_i) and (for
+    phi(e_i e_j + e_j e_i)) their sum.  Per pair the squared defects are
+    summed over the blocks of the target, which are multiplied in one batch
+    per block size.
     """
     n = source.dim
     mult, adj, unit_s, unit_t, target_blocks = _hom_structure(source, target)
-    star = m[:, adj]                                 # phi(e_i*), column i
-    sq = np.zeros((3, n, n))
+    star = m[:, adj] if adj.ndim == 1 else m @ adj   # phi(e_i*), column i
+    sq = np.zeros((3 if anti else 1, n, n))
     sq_s = np.zeros(n)
     # one residual array at a time: each is as large as all pairs' images
     for idx in target_blocks:
@@ -530,24 +534,40 @@ def hom_residuals(m: np.ndarray, source: BlockAlgebra, target: BlockAlgebra) -> 
         want = (m[idx.reshape(-1)] @ mult).reshape(k, d, d, n, n).transpose(0, 3, 4, 1, 2)
         defect = want - pair
         sq[0] += (np.abs(defect) ** 2).sum(axis=(0, 3, 4))
-        # the Jordan defect of (i, j) is the sum of the (i, j) and (j, i) ones
-        defect = defect + defect.swapaxes(1, 2)
-        sq[2] += (np.abs(defect) ** 2).sum(axis=(0, 3, 4))
-        defect = want - pair.swapaxes(1, 2)
-        sq[1] += (np.abs(defect) ** 2).sum(axis=(0, 3, 4))
+        if anti:
+            # the Jordan defect of (i, j) is the sum of the (i, j) and (j, i) ones
+            defect = defect + defect.swapaxes(1, 2)
+            sq[2] += (np.abs(defect) ** 2).sum(axis=(0, 3, 4))
+            defect = want - pair.swapaxes(1, 2)
+            sq[1] += (np.abs(defect) ** 2).sum(axis=(0, 3, 4))
         want = star[idx].transpose(0, 3, 1, 2)
         sq_s += (np.abs(want - blk.conj().swapaxes(2, 3)) ** 2).sum(axis=(0, 2, 3))
     worst = np.sqrt(np.max(sq, axis=(1, 2)))
-    return {"multiplicative": float(worst[0]), "anti_multiplicative": float(worst[1]),
-            "jordan": float(worst[2]), "star_preserving": float(np.sqrt(np.max(sq_s))),
-            "unital": float(np.linalg.norm(m @ unit_s - unit_t))}
+    res = {"multiplicative": float(worst[0])}
+    if anti:
+        res.update(anti_multiplicative=float(worst[1]), jordan=float(worst[2]))
+    res.update(star_preserving=float(np.sqrt(np.max(sq_s))),
+               unital=float(np.linalg.norm(m @ unit_s - unit_t)))
+    return res
+
+
+def _hom_structure(source, target: BlockAlgebra):
+    """What hom_residuals reads of its two algebras: the multiplication
+    matrix, the source's star (a permutation of a BlockAlgebra's
+    coordinates, else the matrix of coords(e_i*)), both units and the
+    target's blocks by size."""
+    if isinstance(source, BlockAlgebra):
+        return _block_hom_structure(source, target)
+    n = source.dim
+    return (source.left_mult.transpose(1, 0, 2).reshape(n, n * n), source.star,
+            source.unit, target.unit_coords(), list(target.layout.by_size.values()))
 
 
 @lru_cache(maxsize=None)
-def _hom_structure(source: BlockAlgebra, target: BlockAlgebra):
-    """What hom_residuals reads of its two algebras, built once per pair: for
-    small algebras it costs more than the residuals, and the sampling
-    harnesses ask about thousands of maps on one algebra."""
+def _block_hom_structure(source: BlockAlgebra, target: BlockAlgebra):
+    """_hom_structure of two block algebras, built once per pair: for small
+    algebras it costs more than the residuals, and the sampling harnesses
+    ask about thousands of maps on one algebra."""
     return (mult_matrix(source), source.layout.adjoint, source.unit_coords(),
             target.unit_coords(), list(target.layout.by_size.values()))
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import blockalg as ba
 from .blockalg import (AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig,
                        tensor_algebra, tensor_perm, inverse_perm, flip_perm,
-                       tensor_map, tensor_element)
+                       tensor_map)
 from .errors import NoCharacterBlock, NonUniqueHaar, NotInvolutive
 from .groups import Group
 from .wedderburn import AbstractStarAlgebra, wedderburn
@@ -305,32 +305,24 @@ def group_algebra(group: Group, tol: ToleranceConfig = DEFAULT_TOL,
     meta["group_basis"].
     """
     n = group.order
-    left = np.zeros((n, n, n))
-    for g in range(n):
-        for x in range(n):
-            left[g, group.mul(g, x), x] = 1.0
-    star = np.zeros((n, n))
-    for g in range(n):
-        star[group.inv(g), g] = 1.0
+    table = np.array(group.table)
+    g, x = np.indices((n, n))
+    left = np.zeros((n, n, n), complex)
+    left[g, table, x] = 1.0
+    # g -> g^{-1} (g h = e has index 0): an involution, so the matrix is symmetric
+    inverse = np.eye(n)[np.nonzero(table == 0)[1]]
     unit = np.zeros(n)
     unit[0] = 1.0
-    abstract = AbstractStarAlgebra(left.astype(complex), star.astype(complex),
-                                   unit.astype(complex))
-    wd = wedderburn(abstract, seed=seed)
+    wd = wedderburn(AbstractStarAlgebra(left, inverse.astype(complex), unit.astype(complex)),
+                    seed=seed)
     phi, phi_inv = wd.iso, wd.iso_inv
     alg = wd.algebra
 
-    perm = tensor_perm(alg, alg)
-    coproduct = np.empty((alg.dim ** 2, n), complex)
-    for g in range(n):
-        xg = alg.from_coords(phi[:, g])
-        coproduct[:, g] = tensor_element(xg, xg).coords()
+    # column g is coords(x_g (x) x_g) = kron(phi[:, g], phi[:, g])[perm]
+    coproduct = (phi[:, None] * phi[None]).reshape(n * n, n)[tensor_perm(alg, alg)]
     coproduct = coproduct @ phi_inv
     counit = np.ones(n) @ phi_inv
-    kappa_group = np.zeros((n, n))
-    for g in range(n):
-        kappa_group[group.inv(g), g] = 1.0
-    antipode = phi @ kappa_group @ phi_inv
+    antipode = phi @ inverse @ phi_inv
     haar = unit @ phi_inv  # tau(lambda_g) = [g = e]
     return HopfAlgebra(alg, coproduct, counit, antipode, haar,
                        name=f"C[{group.name}]",
@@ -341,20 +333,12 @@ def function_algebra(group: Group, tol: ToleranceConfig = DEFAULT_TOL) -> HopfAl
     """C(G): all blocks 1x1, delta(f)(s,t) = f(st) on the delta-function basis."""
     n = group.order
     alg = BlockAlgebra((1,) * n)
-    perm = tensor_perm(alg, alg)
-    coproduct = np.zeros((n * n, n), complex)
-    for g in range(n):
-        kron = np.zeros(n * n)
-        for s in range(n):
-            for t in range(n):
-                if group.mul(s, t) == g:
-                    kron[s * n + t] = 1.0
-        coproduct[:, g] = kron[perm]
+    table = np.array(group.table)
+    # column g is the indicator of {(s, t): st = g} on kron coordinates
+    coproduct = np.eye(n, dtype=complex)[table.reshape(-1)[tensor_perm(alg, alg)]]
     counit = np.zeros(n)
     counit[0] = 1.0
-    antipode = np.zeros((n, n))
-    for g in range(n):
-        antipode[group.inv(g), g] = 1.0
+    antipode = np.eye(n)[np.nonzero(table == 0)[1]]   # g -> g^{-1}, as in group_algebra
     haar = np.full(n, 1.0 / n)
     return HopfAlgebra(alg, coproduct, counit, antipode, haar,
                        name=f"C({group.name})",

@@ -151,7 +151,7 @@ def classify_map(phi: AlgebraMap, h_source: HopfAlgebra, h_target: HopfAlgebra,
         bij = sv[-1] > tol.inv_tol
     else:
         res["bijective"] = 0.0
-    res.update(ba.hom_residuals(phi.matrix, phi.source, phi.target))
+    res.update(ba.hom_residuals(phi.matrix, phi.source, phi.target, anti=True))
 
     img = _positivity_family(phi.source, rng) @ phi.matrix.T     # phi(b*b), one row each
     lay = phi.target.layout
@@ -217,7 +217,7 @@ def per_block_jordan_decomposition(phi: AlgebraMap, tol: ToleranceConfig = DEFAU
         leak = float(np.linalg.norm(phi.matrix[:, sl])) ** 2 - float(np.linalg.norm(sub)) ** 2
         leak = np.sqrt(max(leak, 0.0))
         mblock = BlockAlgebra((nb,))
-        hom = ba.hom_residuals(sub, mblock, mblock)
+        hom = ba.hom_residuals(sub, mblock, mblock, anti=True)
         wm = max(hom["multiplicative"], leak)
         wa = max(hom["anti_multiplicative"], leak)
         thresh = tol.eq_tol * 100

@@ -249,7 +249,7 @@ def test_positive_spectrum_floor(dims, seed):
 # -- *-homomorphism certificate ------------------------------------------------
 
 def _failing(m, source, target, thresh=1e-9):
-    return {k for k, v in ba.hom_residuals(m, source, target).items() if v > thresh}
+    return {k for k, v in ba.hom_residuals(m, source, target, anti=True).items() if v > thresh}
 
 
 def test_hom_residuals_isolate_each_property():
@@ -273,6 +273,19 @@ def test_hom_residuals_isolate_each_property():
     # C^2 -> C^2 (+) C^2 that is not onto
     c4 = BlockAlgebra((1, 1, 1, 1))
     assert _failing(np.vstack([np.eye(2), np.eye(2)]), c2, c4) == set()
+
+
+def test_hom_residuals_compute_anti_and_jordan_only_on_request():
+    """The default call returns the three *-homomorphism keys and nothing
+    else, so a caller that forgets anti=True gets a KeyError, not a zero."""
+    a = BlockAlgebra((1, 2))
+    transpose = np.eye(a.dim)[a.layout.adjoint]
+    full = ba.hom_residuals(transpose, a, a, anti=True)
+    short = ba.hom_residuals(transpose, a, a)
+    assert set(short) == {"multiplicative", "star_preserving", "unital"}
+    assert short == {k: full[k] for k in short}
+    with pytest.raises(KeyError):
+        short["anti_multiplicative"]
 
 
 def test_hom_residuals_are_largest_pair_defects():

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+from fqg import blockalg as ba, duality, hopf
 from fqg import wedderburn as wd_module
 from fqg.blockalg import BlockAlgebra
+from fqg.duality import build_dual
+from fqg.groups import by_name
+from fqg.hopf import function_algebra, group_algebra
+from fqg.kacpaljutkin import build_kac_paljutkin
 from fqg.errors import NotCStarAlgebra, WedderburnRetry
 from fqg.wedderburn import AbstractStarAlgebra, wedderburn
 
@@ -90,3 +95,87 @@ def test_unlucky_draws_are_retried_then_refused(monkeypatch):
     with pytest.raises(NotCStarAlgebra, match="unlucky"):
         wedderburn(alg, max_tries=3)
     assert len(calls) == 3
+
+
+# -- the isomorphism certificate ---------------------------------------------
+
+def _pair_loop_residual(alg, phi, target):
+    """The per-pair loop _wedderburn_once certified its isomorphism with
+    before blockalg.hom_residuals, kept as the oracle."""
+    n = alg.dim
+    res = float(np.linalg.norm(phi @ alg.unit - target.unit().coords()))
+    for a in range(n):
+        ea = np.zeros(n, complex)
+        ea[a] = 1.0
+        xa = target.from_coords(phi @ ea)
+        res = max(res, float(np.linalg.norm(phi @ alg.star_of(ea) - xa.adjoint().coords())))
+        for b in range(n):
+            eb = np.zeros(n, complex)
+            eb[b] = 1.0
+            xb = target.from_coords(phi @ eb)
+            res = max(res, float(np.linalg.norm(phi @ alg.mult(ea, eb) - (xa * xb).coords())))
+    return res
+
+
+def _recorded_wedderburns(build):
+    """Run build() and return (algebra, result, AlgebraElements made inside)
+    for every wedderburn call that hopf and duality make meanwhile."""
+    calls, made = [], [0]
+    init = ba.AlgebraElement.__init__
+
+    def counting(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    def recording(alg, **kwargs):
+        before = made[0]
+        wd = wd_module.wedderburn(alg, **kwargs)
+        calls.append((alg, wd, made[0] - before))
+        return wd
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ba.AlgebraElement, "__init__", counting)
+        m.setattr(hopf, "wedderburn", recording)
+        m.setattr(duality, "wedderburn", recording)
+        build()
+    return calls
+
+
+@pytest.fixture(scope="module")
+def s4_wedderburns():
+    def build():
+        build_dual(group_algebra(by_name("S4")))
+        build_dual(function_algebra(by_name("S4")))
+    return _recorded_wedderburns(build)
+
+
+def test_wedderburn_builds_no_algebra_element(s4_wedderburns):
+    """C[S4], its dual and the dual of C(S4) are decomposed and certified
+    on coordinate arrays: no AlgebraElement per basis pair."""
+    assert [wd.algebra.dim for _, wd, _ in s4_wedderburns] == [24, 24, 24]
+    assert [count for _, _, count in s4_wedderburns] == [0, 0, 0]
+
+
+def _certified(case, s4_wedderburns):
+    """(algebra, wedderburn result) of each certified case."""
+    if case == "kp-dual":
+        return _recorded_wedderburns(lambda: build_dual(build_kac_paljutkin()))[0][:2]
+    if case == "group:S4":
+        return s4_wedderburns[0][:2]     # C[S4] on the group basis
+    dims, seed = {"m2+m3": ((2, 3), 5), "c4": ((1, 1, 1, 1), 9)}[case]
+    alg = _scrambled(dims, seed)[0]
+    return alg, wedderburn(alg)
+
+
+@pytest.mark.parametrize("case", ["m2+m3", "c4", "kp-dual", "group:S4"])
+def test_certificate_matches_the_pair_loop(case, s4_wedderburns):
+    alg, wd = _certified(case, s4_wedderburns)
+    want = _pair_loop_residual(alg, wd.iso, wd.algebra)
+    assert abs(wd.residual - want) <= 1e-12 * max(1.0, want)
+    assert wd.residual < 1e-7
+    # one column off by 1e-6: both read the same defect, above the gate
+    phi = wd.iso.copy()
+    phi[:, 1] += 1e-6
+    got = max(ba.hom_residuals(phi, alg, wd.algebra).values())
+    want = _pair_loop_residual(alg, phi, wd.algebra)
+    assert got > 1e-7 and abs(got - want) <= 1e-12 * max(1.0, want)
