@@ -78,7 +78,7 @@ def _commutator_stack(a: BlockAlgebra, elements: list[AlgebraElement]) -> np.nda
     return np.tensordot(coords, comm, axes=(1, 0)).reshape(-1, a.dim)
 
 
-def build_group_model(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> BiInnerGroupModel:
+def build_group_model(h: HopfAlgebra) -> BiInnerGroupModel:
     a = h.algebra
     n = a.dim
     coc = cocentre_basis(h)
@@ -154,7 +154,7 @@ def exp_element(x: AlgebraElement) -> AlgebraElement:
 
 
 def sample_identity_component(model: BiInnerGroupModel, x: AlgebraElement,
-                              t: float, tol: ToleranceConfig = DEFAULT_TOL) -> AlgebraElement:
+                              t: float) -> AlgebraElement:
     """exp(t x) for x in the Lie algebra: a kappa-symmetric unitary commuting
     with the cocentre."""
     if model.project_defect(x) > 1e-7 * max(1.0, x.norm()):
@@ -179,7 +179,6 @@ def _in_group(model: BiInnerGroupModel, u: AlgebraElement, tol: float) -> bool:
 
 
 def in_identity_component(alpha: AlgebraMap, model: BiInnerGroupModel,
-                          tol: ToleranceConfig = DEFAULT_TOL,
                           rng: np.random.Generator | None = None):
     """Decide alpha = Ad(v) for v in G_c, the group of kappa-symmetric
     unitaries that commute with the cocentre (the whole group, not only its
@@ -210,11 +209,7 @@ def in_identity_component(alpha: AlgebraMap, model: BiInnerGroupModel,
 
     # the best conditioned of 16 random intertwiners (the first maximum wins)
     cands = ba.real_vec_to_coords(null @ rng.standard_normal((16, null.shape[1])).T)
-    smallest = np.full(16, np.inf)
-    for idx in a.layout.by_size.values():
-        sv = np.linalg.svd(np.moveaxis(cands[idx], -1, 0), compute_uv=False)
-        smallest = np.minimum(smallest, sv[..., -1].min(axis=1))
-    ratio = smallest / np.maximum(1.0, np.linalg.norm(cands, axis=0))
+    ratio = ba.smallest_svs(a, cands.T) / np.maximum(1.0, np.linalg.norm(cands, axis=0))
     best = int(np.argmax(ratio))
     if not ratio[best] > 1e-6:
         return False, {"reason": "no invertible kappa-symmetric intertwiner"}
@@ -324,10 +319,10 @@ def classify_biinner(alpha: AlgebraMap, h: HopfAlgebra, d: DualHopfAlgebra,
                                  - alpha_hat.matrix)))
         radii = (0.25, 0.5, 0.75, 1.0)
         certs["path_residuals"] = dict(zip(
-            radii, path_in_commutant(partner, u, mu, radii, tol)[2].tolist()))
+            radii, path_in_commutant(partner, u, mu, radii)[2].tolist()))
         uhat = partner
     if model is not None:
-        certs["exp_membership"] = in_identity_component(alpha, model, tol, rng)[0]
+        certs["exp_membership"] = in_identity_component(alpha, model, rng)[0]
     return BiInnerVerdict(True, "bi-inner", u=u, uhat=uhat, certificates=certs)
 
 
@@ -374,7 +369,7 @@ def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
     route B one in_identity_component call.
     """
     require_desk_scale(h)
-    model = model or build_group_model(h, tol)
+    model = model or build_group_model(h)
     rng = np.random.default_rng(seed)
     a = h.algebra
     confusion = np.zeros((2, 2), dtype=int)
@@ -397,7 +392,7 @@ def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
 
         verdict = classify_biinner(alpha, h, d, mu, None, tol)
         route_a = verdict.is_biinner
-        route_b, _ = in_identity_component(alpha, model, tol, rng)
+        route_b, _ = in_identity_component(alpha, model, rng)
         confusion[int(route_a), int(route_b)] += 1
         if route_a != route_b:
             mismatches.append({"sample": k, "route_a": route_a, "route_b": route_b})

@@ -101,7 +101,7 @@ def _build_algebra(args, tol: ToleranceConfig) -> HopfAlgebra:
         g = from_permutation_file(args.perm_file)
     else:
         g = by_name(args.group)
-    return group_algebra(g, tol) if args.algebra == "group" else function_algebra(g, tol)
+    return group_algebra(g) if args.algebra == "group" else function_algebra(g)
 
 
 def _check(name, residual, threshold, gating=True, info=None, passed=None):
@@ -253,7 +253,7 @@ def cmd_biinner(args, tol: ToleranceConfig) -> int:
     d = build_dual(h, tol)
     gns = build_gns(h, tol)
     mu = build_multiplicative_unitary(gns, d, tol)
-    model = build_group_model(h, tol)
+    model = build_group_model(h)
     rep = brute_force_biinner_consistency(h, d, mu, model,
                                           samples=args.samples, seed=seed, tol=tol)
     checks = [

@@ -126,7 +126,7 @@ def build_dual(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
     # abstract convolution algebra on coefficient rows: left[a][:, b] is the
     # row of (f_a (x) f_b) o delta for the dual basis f_a, i.e. the kron
     # coefficients dk[a, b, :] of delta
-    left = h.coproduct[h.iperm2].reshape(n, n, n).transpose(0, 2, 1)
+    left = h.coproduct_kron.transpose(0, 2, 1)
 
     # star: f*(x) = conj(f(kappa(x)*)); column j of kstar_cols is kappa(e_j)*
     kstar_cols = h.star_mat @ h.antipode.conj()
@@ -138,14 +138,14 @@ def build_dual(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
     phi, phi_inv = wd.iso, wd.iso_inv
     dual_alg = wd.algebra
 
-    # dual coproduct: transpose of multiplication, transported block by block
+    # dual coproduct: transpose of multiplication, transported block by block;
+    # row j of gamma holds f_j(e_a e_b) on kron coordinates (a, b) for the
+    # functional f_j of dual basis element j.  Kept C-ordered: the axiom
+    # residuals of the dual read its last bits through the memory layout
     dual_perm = tensor_perm(dual_alg, dual_alg)
     phi2 = tensor_map(phi, phi, np.arange(n * n), dual_perm)
-    dual_coproduct = np.empty((n * n, n), complex)
-    for j in range(n):
-        row2 = (phi_inv[:, j] @ h.mult_mat)  # functional on A(x)A
-        gamma = row2[h.iperm2]               # kron coefficients of f(e_a e_b)
-        dual_coproduct[:, j] = phi2 @ gamma
+    gamma = phi_inv.T @ ba.mult_matrix(h.algebra)
+    dual_coproduct = np.ascontiguousarray(ba.matvec(phi2, gamma).T)
     dual_counit = h.algebra.unit().coords() @ phi_inv
     dual_antipode = phi @ h.antipode.T @ phi_inv
     dual_haar = compute_haar(dual_alg, dual_coproduct, tol=tol)

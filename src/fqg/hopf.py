@@ -15,8 +15,7 @@ import numpy as np
 
 from . import blockalg as ba
 from .blockalg import (AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig,
-                       tensor_algebra, tensor_perm, inverse_perm, flip_perm,
-                       tensor_map)
+                       tensor_algebra, tensor_perm, inverse_perm, flip_perm)
 from .errors import NoCharacterBlock, NonUniqueHaar, NotInvolutive
 from .groups import Group
 from .wedderburn import AbstractStarAlgebra, wedderburn
@@ -39,7 +38,7 @@ class HopfAlgebra:
         self.antipode = np.asarray(self.antipode, complex).reshape(n, n)
         self.haar = np.asarray(self.haar, complex).reshape(n)
 
-    # -- cached plumbing ------------------------------------------------------
+    # -- plumbing -------------------------------------------------------------
     @cached_property
     def square(self) -> BlockAlgebra:
         return tensor_algebra(self.algebra, self.algebra)
@@ -49,17 +48,13 @@ class HopfAlgebra:
         return tensor_perm(self.algebra, self.algebra)
 
     @cached_property
-    def iperm2(self) -> np.ndarray:
-        return inverse_perm(self.perm2)
-
-    @cached_property
     def flip(self) -> np.ndarray:
         return flip_perm(self.algebra)
 
-    @cached_property
-    def mult_mat(self) -> np.ndarray:
-        """Multiplication A(x)A -> A as a matrix on tensor coordinates."""
-        return ba.mult_matrix(self.algebra)[:, self.perm2]
+    @property
+    def coproduct_kron(self) -> np.ndarray:
+        """kron_coefficients of the coproduct, recomputed on every read."""
+        return kron_coefficients(self.algebra, self.coproduct)
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -104,6 +99,14 @@ class HopfAlgebra:
         return (self.kappa(x.adjoint()) - x).norm()
 
 
+def kron_coefficients(algebra: BlockAlgebra, coproduct: np.ndarray) -> np.ndarray:
+    """dk[p, q, x] = coefficient of e_p (x) e_q in column x of coproduct, a
+    map into coords(A (x) A) (the coproduct, or the coproduct followed by a
+    map into A), read on kron coordinates."""
+    n = algebra.dim
+    return coproduct[inverse_perm(tensor_perm(algebra, algebra))].reshape(n, n, -1)
+
+
 # ---------------------------------------------------------------------------
 # axiom verification
 # ---------------------------------------------------------------------------
@@ -142,7 +145,7 @@ def verify_axioms(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> AxiomRe
     res: dict[str, float] = {}
     eye = np.eye(n)
     unit = h.unit_coords()
-    dk = h.coproduct[h.iperm2].reshape(n, n, n)
+    dk = h.coproduct_kron
     dflat = dk.reshape(n * n, n)
     mk = ba.mult_matrix(h.algebra)
 
@@ -210,32 +213,25 @@ def _vecrel(v: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def compute_haar(algebra: BlockAlgebra, coproduct: np.ndarray,
-                 counit: np.ndarray | None = None,
-                 antipode: np.ndarray | None = None,
                  tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Solve the two-sided invariance system for the Haar state.
 
     Returns the coefficient row of the unique functional t with
     (id (x) t)delta = t(.)1 = (t (x) id)delta and t(1) = 1; raises
     NonUniqueHaar if the invariance solution space is not one-dimensional.
+
+    With dk = kron_coefficients(algebra, coproduct), the system in t has the
+    n**2 rows (p, x) of (id (x) t)delta - 1 t, that is
+    sum_q (dk[p, q, x] - unit[p] [q = x]) t[q], and the n**2 rows (q, x) of
+    (t (x) id)delta - 1 t, sum_p (dk[p, q, x] - unit[q] [p = x]) t[p].
     """
     n = algebra.dim
-    coproduct = np.asarray(coproduct, complex).reshape(n * n, n)
-    perm = tensor_perm(algebra, algebra)
-    unit = algebra.unit().coords()
-    triv = BlockAlgebra((1,))
-    p_ac = tensor_perm(algebra, triv)
-    p_ca = tensor_perm(triv, algebra)
-    eye = np.eye(n)
-
-    # linear map t -> [(id (x) t)delta - 1 t ; (t (x) id)delta - 1 t]
-    def residual_op(t: np.ndarray) -> np.ndarray:
-        right = tensor_map(eye, t.reshape(1, n), perm, p_ac) @ coproduct
-        left = tensor_map(t.reshape(1, n), eye, perm, p_ca) @ coproduct
-        target = np.outer(unit, t)
-        return np.concatenate([(right - target).reshape(-1), (left - target).reshape(-1)])
-
-    null = ba.null_space(np.array([residual_op(eye[k]) for k in range(n)]).T)
+    dk = kron_coefficients(algebra, np.asarray(coproduct, complex).reshape(n * n, n))
+    unit = algebra.unit_coords()
+    ones = (unit[:, None, None] * np.eye(n)[None]).reshape(n * n, n)  # [(p, x), q]
+    system = np.vstack([dk.transpose(0, 2, 1).reshape(n * n, n) - ones,
+                        dk.transpose(1, 2, 0).reshape(n * n, n) - ones])
+    null = ba.null_space(system)
     if null.shape[1] != 1:
         raise NonUniqueHaar(f"invariance solution space has dimension {null.shape[1]}")
     t = null[:, 0]
@@ -296,8 +292,7 @@ def counit_support(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> Centra
 # example families
 # ---------------------------------------------------------------------------
 
-def group_algebra(group: Group, tol: ToleranceConfig = DEFAULT_TOL,
-                  seed: int = 0x517C) -> HopfAlgebra:
+def group_algebra(group: Group, seed: int = 0x517C) -> HopfAlgebra:
     """C[G] in block form via the numerical Wedderburn decomposition.
 
     On the group basis: delta(g) = g (x) g, eps(g) = 1, kappa(g) = g^{-1},
@@ -329,7 +324,7 @@ def group_algebra(group: Group, tol: ToleranceConfig = DEFAULT_TOL,
                        meta={"group": group, "group_basis": phi, "kind": "group"})
 
 
-def function_algebra(group: Group, tol: ToleranceConfig = DEFAULT_TOL) -> HopfAlgebra:
+def function_algebra(group: Group) -> HopfAlgebra:
     """C(G): all blocks 1x1, delta(f)(s,t) = f(st) on the delta-function basis."""
     n = group.order
     alg = BlockAlgebra((1,) * n)
@@ -347,6 +342,6 @@ def function_algebra(group: Group, tol: ToleranceConfig = DEFAULT_TOL) -> HopfAl
 
 def with_computed_haar(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> HopfAlgebra:
     """Clone of h with the Haar row recomputed from the invariance system."""
-    haar = compute_haar(h.algebra, h.coproduct, h.counit, h.antipode, tol)
+    haar = compute_haar(h.algebra, h.coproduct, tol)
     return HopfAlgebra(h.algebra, h.coproduct, h.counit, h.antipode, haar,
                        name=h.name, meta=dict(h.meta))

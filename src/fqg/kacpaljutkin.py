@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blockalg import (BlockAlgebra, inverse_perm, right_mult_tensor, tensor_element,
-                       tensor_perm)
-from .hopf import HopfAlgebra, compute_haar, verify_axioms
+from .blockalg import BlockAlgebra, right_mult_tensor, tensor_element
+from .hopf import HopfAlgebra, compute_haar, kron_coefficients, verify_axioms
 from .errors import NotCStarAlgebra
 
 BLOCK_DIMS = (1, 1, 1, 1, 2)
@@ -61,7 +60,7 @@ def build_kac_paljutkin() -> HopfAlgebra:
     # kappa, unknown as an N x N matrix (row-major): the rows of e_j read
     # sum_ab gamma[a, b, j] kappa(e_a) e_b, with gamma the kron coefficients of
     # delta and right_mult_tensor[b] the right multiplication by e_b
-    gamma = coproduct[inverse_perm(tensor_perm(alg, alg))].reshape(n, n, n)
+    gamma = kron_coefficients(alg, coproduct)
     sys = np.einsum('abj,brk->jrka', gamma, right_mult_tensor(alg)).reshape(n * n, n * n)
     target = np.outer(counit, one.coords()).reshape(-1)
     sol, *_ = np.linalg.lstsq(sys, target, rcond=None)

@@ -19,7 +19,7 @@ from .blockalg import AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig
 from .duality import DualHopfAlgebra
 from .errors import (ClassificationUnstable, ConventionMismatch, DimensionMismatch,
                      NeitherAutoNorAnti, NotBlockPreserving, PreconditionFailed)
-from .hopf import HopfAlgebra, cocentre_basis, counit_support
+from .hopf import HopfAlgebra, cocentre_basis, counit_support, kron_coefficients
 
 
 @dataclass
@@ -112,10 +112,10 @@ def _hopf_residuals(m: np.ndarray, h_source: HopfAlgebra,
     (phi (x) phi) delta is two products with phi, one per leg.
     """
     nt, ns = m.shape
-    dk = h_source.coproduct[h_source.iperm2].reshape(ns, ns * ns)
+    dk = h_source.coproduct_kron.reshape(ns, ns * ns)
     first = (m @ dk).reshape(nt, ns, ns).transpose(1, 0, 2).reshape(ns, nt * ns)
     qp = (m @ first).reshape(nt, nt, ns)                 # axes [q, p, x]
-    lhs = (h_target.coproduct @ m)[h_target.iperm2].reshape(nt, nt, ns)
+    lhs = kron_coefficients(h_target.algebra, h_target.coproduct @ m)
     scale = max(1.0, np.linalg.norm(lhs))
     return (float(np.linalg.norm(lhs - qp.swapaxes(0, 1))) / scale,
             float(np.linalg.norm(lhs - qp)) / scale)

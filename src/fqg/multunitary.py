@@ -153,9 +153,7 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     # V on element coordinates: column (i, j) = kron coords of
     # delta(e_i)(1 (x) e_j); since (x (x) y)(1 (x) e_j) = x (x) (y e_j), this
     # is delta(e_i) with its second leg multiplied on the right by e_j
-    dk = np.empty_like(h.coproduct)
-    dk[h.perm2] = h.coproduct                    # dk[p * n + q, i]
-    v_el = np.einsum('pqi,jrq->prij', dk.reshape(n, n, n),
+    v_el = np.einsum('pqi,jrq->prij', h.coproduct_kron,
                      ba.right_mult_tensor(h.algebra)).reshape(n * n, n * n)
     w2 = np.kron(gns.onb, gns.onb)
     v_full = w2 @ v_el @ np.linalg.inv(w2)
@@ -520,8 +518,7 @@ def unitary_fractional_power(op: np.ndarray, r: float | np.ndarray,
 
 
 def path_in_commutant(uhat: AlgebraElement, u: AlgebraElement,
-                      mu: MultiplicativeUnitary, r: float | tuple | np.ndarray,
-                      tol: ToleranceConfig = DEFAULT_TOL):
+                      mu: MultiplicativeUnitary, r: float | tuple | np.ndarray):
     """The simple tensor uhat^r (x) u^r (principal powers); returns the pair
     of operators and the commutation residual at this r.
 

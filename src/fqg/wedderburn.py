@@ -55,7 +55,7 @@ class AbstractStarAlgebra:
         return self.star @ np.conj(v)
 
     def trace_row(self) -> np.ndarray:
-        return np.array([np.trace(self.left_mult[a]) for a in range(self.dim)])
+        return np.trace(self.left_mult, axis1=1, axis2=2)
 
 
 @dataclass
@@ -120,12 +120,11 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
     n = alg.dim
     tr = alg.trace_row()
 
-    # GNS inner product <a,b> = tr(a* b); Cholesky gives the ON frame.
-    gram = np.empty((n, n), complex)
-    for i in range(n):
-        ei = np.zeros(n, complex)
-        ei[i] = 1.0
-        gram[i, :] = tr @ alg.lmat(alg.star_of(ei))
+    # GNS inner product <a,b> = tr(a* b); Cholesky gives the ON frame.  Row i
+    # is tr @ lmat(e_i*), with column i of star as e_i*: one vector-matrix
+    # product per basis element, as lmat computes it
+    lmats = ba.matvec(alg.left_mult.reshape(n, n * n).T, alg.star.T).reshape(n, n, n)
+    gram = tr @ lmats
     gram = 0.5 * (gram + gram.conj().T)
     try:
         chol = np.linalg.cholesky(gram)
@@ -133,7 +132,7 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
         raise NotCStarAlgebra("trace form is not positive definite") from err
     w = chol.conj().T
     winv = np.linalg.inv(w)
-    rep = np.array([w @ alg.left_mult[a] @ winv for a in range(n)])
+    rep = w @ alg.left_mult @ winv
     rep_flat = rep.reshape(n, n * n).T      # columns vec(rep(e_a))
     rep_pinv = np.linalg.pinv(rep_flat)
 
@@ -146,12 +145,10 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
     def rep_of(v: np.ndarray) -> np.ndarray:
         return np.tensordot(v, rep, axes=(0, 0))
 
-    # centre = null space of all commutators with basis elements
-    rows = []
-    for a in range(n):
-        right = np.column_stack([alg.left_mult[j][:, a] for j in range(n)])
-        rows.append(right - alg.left_mult[a])
-    centre = ba.null_space(np.vstack(rows))
+    # centre = null space of all commutators with basis elements: row block a
+    # is right minus left multiplication by e_a, the right one read off
+    # left_mult as [k, j] -> left_mult[j, k, a]
+    centre = ba.null_space((alg.left_mult.transpose(2, 1, 0) - alg.left_mult).reshape(n * n, n))
     if centre.shape[1] == 0:
         raise NotCStarAlgebra("trivial centre: not unital?")
 

@@ -68,6 +68,14 @@ def gz2(workbenches) -> Workbench:
     return workbenches["group:Z2"]
 
 
+@pytest.fixture(scope="session")
+def s4_duals() -> dict[str, DualHopfAlgebra]:
+    """The duals of C[S4] and C(S4), the largest rung of the ladder (N = 24)."""
+    g = by_name("S4")
+    return {"group:S4": build_dual(group_algebra(g)),
+            "function:S4": build_dual(function_algebra(g))}
+
+
 def _group_likes(wb: Workbench) -> list[AlgebraElement]:
     """The group-likes of wb's algebra, the characters of its dual: one per
     1x1 block b of the dual, the u with beta(u, xhat) = xhat_b for all xhat."""

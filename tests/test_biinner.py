@@ -239,6 +239,22 @@ def test_sign_flip_member_through_pattern_scan(workbenches):
     assert ok
 
 
+def test_candidate_conditioning_matches_the_per_size_loop(workbenches):
+    """in_identity_component ranks its 16 candidate intertwiners (columns of
+    an (n, 16) array) by blockalg.smallest_svs; the former per-size SVD loop
+    stays as the oracle."""
+    rng = np.random.default_rng(450)
+    for key, wb in workbenches.items():
+        a = wb.hopf.algebra
+        for _ in range(10):
+            cands = rng.standard_normal((a.dim, 16)) + 1j * rng.standard_normal((a.dim, 16))
+            smallest = np.full(16, np.inf)
+            for idx in a.layout.by_size.values():
+                sv = np.linalg.svd(np.moveaxis(cands[idx], -1, 0), compute_uv=False)
+                smallest = np.minimum(smallest, sv[..., -1].min(axis=1))
+            assert np.array_equal(ba.smallest_svs(a, cands.T), smallest), key
+
+
 def test_nontrivial_group_conjugation_not_member(gs3):
     ok, info = in_identity_component(AlgebraMap.ad(_lam(gs3, 1)), gs3.model)
     assert not ok

@@ -39,6 +39,28 @@ def test_dual_of_function_s3_blocks(fs3):
     assert sorted(fs3.dual.hopf.algebra.block_dims) == [1, 1, 2]
 
 
+def _loop_dual_coproduct(d):
+    """Oracle: the dual coproduct transported one column at a time, through
+    the multiplication matrix on tensor coordinates."""
+    h, n = d.base, d.base.algebra.dim
+    dual_alg = d.hopf.algebra
+    phi2 = ba.tensor_map(d.to_dual_mat, d.to_dual_mat, np.arange(n * n),
+                         ba.tensor_perm(dual_alg, dual_alg))
+    mult_mat = ba.mult_matrix(h.algebra)[:, h.perm2]
+    iperm2 = ba.inverse_perm(h.perm2)
+    out = np.empty((n * n, n), complex)
+    for j in range(n):
+        out[:, j] = phi2 @ (d.from_dual_mat[:, j] @ mult_mat)[iperm2]
+    return out
+
+
+def test_dual_coproduct_matches_the_per_column_loop(workbenches, s4_duals):
+    duals = {key: wb.dual for key, wb in workbenches.items()} | s4_duals
+    for key, d in duals.items():
+        assert np.array_equal(d.hopf.coproduct, _loop_dual_coproduct(d)), key
+        assert d.hopf.coproduct.flags.c_contiguous, key
+
+
 def test_build_dual_structure_constants_match_basis_loops(workbenches, monkeypatch):
     """The convolution tensor and the star handed to the Wedderburn engine
     against the former per-basis loops: the tensor bit for bit, the star

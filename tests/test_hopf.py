@@ -9,7 +9,8 @@ from fqg.errors import NoCharacterBlock, NonUniqueHaar
 from fqg.groups import cyclic, dihedral, symmetric
 from fqg.hopf import (AxiomReport, HopfAlgebra, cocentre_basis, compute_haar,
                       counit_support, function_algebra, group_algebra,
-                      ksymmetric_basis, verify_axioms, with_computed_haar)
+                      kron_coefficients, ksymmetric_basis, verify_axioms,
+                      with_computed_haar)
 
 RNG = np.random.default_rng(77)
 
@@ -330,7 +331,7 @@ def test_closed_form_structure_tensors_match_loops(workbenches):
         a = h.algebra
         assert np.array_equal(ba.left_mult_tensor(a), _loop_left_mult(a)), key
         assert np.array_equal(ba.right_mult_tensor(a), _loop_right_mult(a)), key
-        assert np.array_equal(h.mult_mat, _loop_mult_mat(h)), key
+        assert np.array_equal(ba.mult_matrix(a)[:, h.perm2], _loop_mult_mat(h)), key
         assert np.array_equal(h.gram, _loop_gram(h)), key
         assert np.array_equal(h.gram_bilinear, _loop_gram_bilinear(h)), key
         assert np.array_equal(h.star_mat, _loop_star_mat(h)), key
@@ -520,6 +521,48 @@ def test_compute_haar_group_s3(gs3):
 def test_compute_haar_kac_paljutkin_matches_bundled(kp):
     h2 = with_computed_haar(kp.hopf)
     assert np.linalg.norm(h2.haar - kp.hopf.haar) < 1e-10
+
+
+def _loop_compute_haar(algebra, coproduct):
+    """Oracle: the invariance system assembled one basis functional e_k at a
+    time, each side a Kronecker-product map applied to the coproduct."""
+    n = algebra.dim
+    perm = ba.tensor_perm(algebra, algebra)
+    triv = BlockAlgebra((1,))
+    p_ac, p_ca = ba.tensor_perm(algebra, triv), ba.tensor_perm(triv, algebra)
+    unit, eye = algebra.unit().coords(), np.eye(n)
+
+    def residual_op(t):
+        right = ba.tensor_map(eye, t.reshape(1, n), perm, p_ac) @ coproduct
+        left = ba.tensor_map(t.reshape(1, n), eye, perm, p_ca) @ coproduct
+        target = np.outer(unit, t)
+        return np.concatenate([(right - target).reshape(-1), (left - target).reshape(-1)])
+
+    t = ba.null_space(np.array([residual_op(eye[k]) for k in range(n)]).T)[:, 0]
+    return t / (t @ unit)
+
+
+def test_compute_haar_matches_the_kronecker_loop(workbenches, s4_duals):
+    cases = [h for wb in workbenches.values() for h in (wb.hopf, wb.dual.hopf)]
+    cases += [h for d in s4_duals.values() for h in (d.base, d.hopf)]
+    for h in cases:
+        got = compute_haar(h.algebra, h.coproduct)
+        assert np.array_equal(got, _loop_compute_haar(h.algebra, h.coproduct)), h.name
+
+
+def test_coproduct_kron_reads_delta_on_elementary_tensors(workbenches):
+    """dk[p, q, x] is the coefficient of e_p (x) e_q in delta(e_x), also for
+    a coproduct followed by a map; the property is recomputed on every read,
+    so no n**3 copy stays alive with the algebra."""
+    for key, wb in workbenches.items():
+        h = wb.hopf
+        n = h.algebra.dim
+        elementary = np.eye(n * n)[:, h.perm2]        # row (p, q): coords of e_p (x) e_q
+        assert np.array_equal(h.coproduct_kron, (elementary @ h.coproduct).reshape(n, n, n)), key
+        m = h.antipode[:, :2]
+        assert np.array_equal(kron_coefficients(h.algebra, h.coproduct @ m),
+                              (elementary @ h.coproduct @ m).reshape(n, n, 2)), key
+        assert h.coproduct_kron is not h.coproduct_kron
 
 
 def test_compute_haar_rejects_non_quantum_group():

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the library imports a name it never uses,
-every function, class and method it defines is referenced somewhere, and
-importing it loads numpy but not scipy."""
+every function, class and method it defines is referenced somewhere, every
+parameter it declares is read, and importing it loads numpy but not scipy."""
 
 import ast
 import os
@@ -160,6 +160,54 @@ def test_scan_sees_an_unreferenced_definition(tmp_path):
                    '    monkeypatch.setattr(mod, "patched", None)\n')
     assert _unreferenced([mod], [mod, use]) == [
         "mod.py: dead_method", "mod.py: loop", "mod.py: mentioned"]
+
+
+# -- unread parameters ---------------------------------------------------------------
+
+def _unread_parameters(path: Path) -> list[str]:
+    """Parameters of the functions and lambdas in path that their body never
+    reads (nested functions count as the body).  self, cls and the
+    parameters of dunder methods, whose signatures Python fixes, are
+    skipped."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = [a.arg for a in (args.posonlyargs + args.args + args.kwonlyargs
+                                  + [args.vararg, args.kwarg]) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        reads = {n.id for stmt in body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{path.name}: {name}({p})" for p in params
+                  if p not in ("self", "cls", *reads)]
+    return found
+
+
+def test_no_unread_parameters():
+    assert [f for path in sorted(SRC.glob("*.py")) for f in _unread_parameters(path)] == []
+
+
+def test_scan_sees_an_unread_parameter(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text('class Box:\n'
+                   '    def __exit__(self, *exc):\n'
+                   '        return None\n'
+                   '    def size(self, unit, tol=1e-9):\n'
+                   '        """Mentions tol, which does not read it."""\n'
+                   '        return unit\n'
+                   'def outer(a, b, *rest, key=None, **opts):\n'
+                   '    def inner():\n'
+                   '        return a\n'
+                   '    b = 2\n'
+                   '    return inner, rest, (lambda x, y: x)\n')
+    assert sorted(_unread_parameters(mod)) == [
+        "mod.py: <lambda>(y)", "mod.py: outer(b)", "mod.py: outer(key)",
+        "mod.py: outer(opts)", "mod.py: size(tol)"]
 
 
 # -- runtime imports -----------------------------------------------------------------

@@ -65,7 +65,7 @@ def _antipode_loop(h):
     basis = [alg.basis_element(k) for k in range(n)]
     rows, rhs = [], []
     for j in range(n):
-        gamma = h.coproduct[h.iperm2, j].reshape(n, n)
+        gamma = h.coproduct_kron[:, :, j]
         block_rows = np.zeros((n, n * n), complex)
         for a in range(n):
             for b in range(n):

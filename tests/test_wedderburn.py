@@ -32,6 +32,21 @@ def _scrambled(block_dims, seed):
     return AbstractStarAlgebra(left, star_map, unit), a, t
 
 
+def test_trace_row_matches_the_per_element_trace(workbenches):
+    for key, wb in workbenches.items():
+        h = wb.hopf
+        n = h.algebra.dim
+        # the convolution algebra as build_dual hands it over (a transposed
+        # view), and the contiguous left multiplication tensor of the algebra
+        for left in (h.coproduct_kron.transpose(0, 2, 1), ba.left_mult_tensor(h.algebra)):
+            alg = AbstractStarAlgebra(left, np.eye(n), h.counit)
+            assert np.array_equal(alg.trace_row(),
+                                  np.array([np.trace(left[a]) for a in range(n)])), key
+    alg, _, _ = _scrambled((2, 3), seed=5)
+    assert np.array_equal(alg.trace_row(),
+                          np.array([np.trace(alg.left_mult[a]) for a in range(alg.dim)]))
+
+
 def test_recovers_scrambled_m2_plus_m3():
     alg, _, _ = _scrambled((2, 3), seed=5)
     wd = wedderburn(alg)
