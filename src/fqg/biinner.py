@@ -12,7 +12,10 @@ Two independent routes decide whether a map is bi-inner:
   that Lie algebra is 0.
 
 The consistency harness samples unitaries, runs both routes and reports the
-confusion matrix, which must be diagonal.
+confusion matrix, which must be diagonal.  Both routes are kernels on stacks
+of maps: the harness runs them on chunks of samples, and classify_biinner
+(route A) and in_identity_component (route B) run them on a stack of one
+map, so a sample gets the same verdict either way.
 """
 
 from __future__ import annotations
@@ -25,10 +28,10 @@ import numpy as np
 from . import blockalg as ba
 from .blockalg import AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig
 from .duality import DualHopfAlgebra
-from .errors import NotInLieAlgebra, PreconditionFailed
+from .errors import DimensionMismatch, NotInLieAlgebra, PreconditionFailed
 from .hopf import HopfAlgebra, cocentre_basis
-from .morphisms import (AlgebraMap, hopf_flags_fast, induced_dual_action,
-                        inner_implementer)
+from .morphisms import (AlgebraMap, hopf_flags, induced_dual_action,
+                        induced_dual_matrices, inner_implementers)
 from .multunitary import (MultiplicativeUnitary, commutation_test,
                           path_in_commutant, solve_commutant_partner)
 
@@ -43,8 +46,8 @@ class BiInnerGroupModel:
     of G_c (one sign per antipode-fixed block, bit i of the index flipping
     the i-th fixed block).
     constant_stack is the realified matrix of the alpha-independent
-    constraints (kappa-symmetry and cocentre commutators), reused by every
-    membership query.
+    constraints (kappa-symmetry, then the commutators with the cocentre
+    basis), reused by every intertwiner null space and membership test.
     """
 
     hopf: HopfAlgebra
@@ -171,11 +174,69 @@ def sample_identity_component(model: BiInnerGroupModel, x: AlgebraElement,
 # group membership
 # ---------------------------------------------------------------------------
 
-def _in_group(model: BiInnerGroupModel, u: AlgebraElement, tol: float) -> bool:
-    h = model.hopf
-    if h.ksym_defect(u) > tol:
-        return False
-    return all((u * c - c * u).norm() <= tol for c in model.cocentre)
+ROUTE_B_REFUSALS = ("no kappa-symmetric intertwiner",
+                    "no invertible kappa-symmetric intertwiner",
+                    "the unitarised intertwiner leaves the group")
+
+
+def _group_defects(model: BiInnerGroupModel, v: np.ndarray) -> np.ndarray:
+    """The constraints of G_c on each element of a (k, N) coordinate stack:
+    column 0 holds the norm of kappa(v*) - v, column 1 + j that of the
+    commutator [v, c_j] with the j-th cocentre basis element.
+
+    All are read off one product of model.constant_stack with the realified
+    coordinates [Re v, Im v]: its first 2N rows are the kappa twist, the
+    rest the real parts of all the commutators, then their imaginary parts.
+    """
+    k, n = v.shape
+    res = np.concatenate([v.real, v.imag], axis=-1) @ model.constant_stack.T
+    twist = np.linalg.norm(res[:, :2 * n], axis=-1)
+    comm = np.linalg.norm(res[:, 2 * n:].reshape(k, 2, len(model.cocentre), n), axis=(1, 3))
+    return np.column_stack([twist, comm])
+
+
+def _intertwiner_candidates(m: np.ndarray, model: BiInnerGroupModel,
+                            rng: np.random.Generator) -> np.ndarray | None:
+    """16 random intertwiners of the map with matrix m that meet the
+    constraints of G_c, as the rows of a (16, N) array, or None when there is
+    none.  The draw takes 16 normals from rng per dimension of their space."""
+    a = model.hopf.algebra
+    n = a.dim
+    # intertwiner condition alpha(e_k) w - w e_k = 0, row block k of the stack
+    rows = np.tensordot(m, ba.left_mult_tensor(a), axes=(0, 0)) - ba.right_mult_tensor(a)
+    stack = np.vstack([ba.realify_complex_linear(rows.reshape(n * n, n)),
+                       model.constant_stack])
+    null = ba.null_space(stack)
+    if null.shape[1] == 0:
+        return None
+    return ba.real_vec_to_coords(null @ rng.standard_normal((16, null.shape[1])).T).T
+
+
+def _unitarise(w: np.ndarray) -> np.ndarray:
+    """w |w|^-1 for each matrix of a stack with w*w scalar."""
+    trace = np.trace(w.conj().swapaxes(-1, -2) @ w, axis1=-2, axis2=-1).real
+    return w / np.sqrt(trace / w.shape[-1])[..., None, None]
+
+
+def _route_b(model: BiInnerGroupModel, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Route B on a (k, 16, N) stack of candidate intertwiners, one row of 16
+    per map: the index into ROUTE_B_REFUSALS of each map's refusal (-1 for a
+    member of G_c) and the coordinates of its unitarised best candidate."""
+    a = model.hopf.algebra
+    # the best conditioned of the 16 (the first maximum wins)
+    ratio = ba.smallest_svs(a, cands) / np.maximum(1.0, ba.norms(cands))
+    rows = np.arange(len(cands))
+    best = np.argmax(ratio, axis=1)
+    invertible = ratio[rows, best] > 1e-6
+    # unitarise: w*w is central, so the polar part is per-block scaling
+    v = np.zeros((len(cands), a.dim), complex)
+    v[invertible] = a.layout.apply(cands[rows, best][invertible], _unitarise)
+    # membership: every constraint of G_c holds to 1e-7 max(1, |v|)
+    member = np.all(_group_defects(model, v) <= 1e-7 * np.maximum(1.0, ba.norms(v))[:, None],
+                    axis=1)
+    refusal = np.where(invertible, -1, 1)
+    refusal[invertible & ~member] = 2
+    return refusal, v
 
 
 def in_identity_component(alpha: AlgebraMap, model: BiInnerGroupModel,
@@ -188,42 +249,20 @@ def in_identity_component(alpha: AlgebraMap, model: BiInnerGroupModel,
     meets the constraints of G_c is v0 z with z central and kappa(z*) = z,
     so |z| is central, positive and kappa-invariant, and the blockwise
     unitarisation w |z|^-1 of an invertible one lies in G_c.  One membership
-    test of that unitary therefore decides the question.
+    test of that unitary therefore decides the question.  The candidates
+    and the test are the consistency harness's route B on a stack of one.
 
     Returns (verdict, info); info carries the witness v when the verdict is
     True and the reason otherwise.
     """
     rng = rng or np.random.default_rng(0x1D)
-    h = model.hopf
-    a = h.algebra
-    n = a.dim
-
-    # intertwiner condition alpha(e_k) w - w e_k = 0, row block k of the stack
-    rows = np.tensordot(alpha.matrix, ba.left_mult_tensor(a), axes=(0, 0)) \
-        - ba.right_mult_tensor(a)
-    stack = np.vstack([ba.realify_complex_linear(rows.reshape(n * n, n)),
-                       model.constant_stack])
-    null = ba.null_space(stack)
-    if null.shape[1] == 0:
-        return False, {"reason": "no kappa-symmetric intertwiner"}
-
-    # the best conditioned of 16 random intertwiners (the first maximum wins)
-    cands = ba.real_vec_to_coords(null @ rng.standard_normal((16, null.shape[1])).T)
-    ratio = ba.smallest_svs(a, cands.T) / np.maximum(1.0, np.linalg.norm(cands, axis=0))
-    best = int(np.argmax(ratio))
-    if not ratio[best] > 1e-6:
-        return False, {"reason": "no invertible kappa-symmetric intertwiner"}
-    w_el = a.from_coords(cands[:, best])
-
-    # unitarise: w*w is central, so the polar part is per-block scaling
-    def unitarise(w):
-        trace = np.trace(w.conj().swapaxes(-1, -2) @ w, axis1=-2, axis2=-1).real
-        return w / np.sqrt(trace / w.shape[-1])[:, None, None]
-    v = w_el.blockwise(unitarise)
-
-    if not _in_group(model, v, 1e-7 * max(1.0, v.norm())):
-        return False, {"reason": "the unitarised intertwiner leaves the group"}
-    return True, {"witness": v}
+    cands = _intertwiner_candidates(alpha.matrix, model, rng)
+    if cands is None:
+        return False, {"reason": ROUTE_B_REFUSALS[0]}
+    refusal, v = _route_b(model, cands[None])
+    if refusal[0] >= 0:
+        return False, {"reason": ROUTE_B_REFUSALS[refusal[0]]}
+    return True, {"witness": model.hopf.algebra.from_coords(v[0])}
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +320,53 @@ def _polar_unitary(w: np.ndarray) -> np.ndarray:
     return uu @ vvh
 
 
+ROUTE_A_REFUSALS = ("not a Hopf *-automorphism", "not inner on the algebra",
+                    "dual action is not inner")
+
+
+def _route_a(ms: np.ndarray, h: HopfAlgebra, d: DualHopfAlgebra,
+             tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The definitional gates of route A on a (k, N, N) stack of maps of h:
+    Hopf *-automorphism, inner, inner induced dual action, each asked only
+    of the maps that passed the one before.
+
+    Returns the index into ROUTE_A_REFUSALS of each map's first failed gate
+    (-1 when it passes all three) and the coordinates of the inner
+    implementers u of the maps and uhat of their dual actions (zero rows
+    where a gate failed first).
+    """
+    refusal = np.full(len(ms), -1)
+    us = np.zeros((len(ms), h.algebra.dim), complex)
+    uhats = np.zeros((len(ms), d.hopf.algebra.dim), complex)
+    hopf = hopf_flags(ms, h, tol)
+    refusal[~hopf] = 0
+    live = np.flatnonzero(hopf)
+    inner, us[live] = inner_implementers(ms[live], h.algebra, tol)
+    refusal[live[~inner]] = 1
+    live = live[inner]
+    inner, uhats[live] = inner_implementers(induced_dual_matrices(ms[live], d),
+                                            d.hopf.algebra, tol)
+    refusal[live[~inner]] = 2
+    return refusal, us, uhats
+
+
+def _commutant_partner(u: AlgebraElement, mu: MultiplicativeUnitary,
+                       rng: np.random.Generator, tol: ToleranceConfig):
+    """A unitary uhat with uhat (x) u in the commutant of V, drawn from rng,
+    and its commutation certificate; None when there is none."""
+    partner = _unitary_in_span(solve_commutant_partner(u, mu), rng)
+    if partner is None:
+        return None
+    return partner, commutation_test(partner, u, mu, tol)
+
+
 def classify_biinner(alpha: AlgebraMap, h: HopfAlgebra, d: DualHopfAlgebra,
                      mu: MultiplicativeUnitary | None = None,
                      model: BiInnerGroupModel | None = None,
                      tol: ToleranceConfig = DEFAULT_TOL,
                      seed: int = 0xB11) -> BiInnerVerdict:
-    """Definitional bi-inner classification with certificates.
+    """Definitional bi-inner classification with certificates: the
+    consistency harness's route A on a stack of one map.
 
     When a multiplicative unitary is supplied, the verdict carries the
     commutation certificate with the aligned dual partner and the path
@@ -294,33 +374,27 @@ def classify_biinner(alpha: AlgebraMap, h: HopfAlgebra, d: DualHopfAlgebra,
     it also carries the group route's verdict (exp_membership: alpha is
     Ad(v) for some v in G_c).
     """
+    if alpha.source != h.algebra or alpha.target != h.algebra:
+        raise DimensionMismatch("alpha must be an endomorphism of the base algebra")
     rng = np.random.default_rng(seed)
-    if not hopf_flags_fast(alpha, h, tol):
-        return BiInnerVerdict(False, "not a Hopf *-automorphism")
-    u = inner_implementer(alpha, tol)
-    if u is None:
-        return BiInnerVerdict(False, "not inner on the algebra")
-    alpha_hat = induced_dual_action(alpha, d, tol, check=False)
-    uhat = inner_implementer(alpha_hat, tol)
-    if uhat is None:
-        return BiInnerVerdict(False, "dual action is not inner")
+    refusal, us, uhats = _route_a(alpha.matrix[None], h, d, tol)
+    if refusal[0] >= 0:
+        return BiInnerVerdict(False, ROUTE_A_REFUSALS[refusal[0]])
+    u = h.algebra.from_coords(us[0])
+    uhat = d.hopf.algebra.from_coords(uhats[0])
     certs: dict = {}
     if mu is not None:
-        sols = solve_commutant_partner(u, mu)
-        partner = _unitary_in_span(sols, rng)
-        if partner is None:
-            return BiInnerVerdict(False, "no unitary commutant partner",
-                                  u=u, uhat=uhat)
-        report = commutation_test(partner, u, mu, tol)
-        certs["commutation"] = report
+        found = _commutant_partner(u, mu, rng, tol)
+        if found is None:
+            return BiInnerVerdict(False, "no unitary commutant partner", u=u, uhat=uhat)
+        uhat, certs["commutation"] = found
+        alpha_hat = induced_dual_action(alpha, d, tol, check=False).matrix
         certs["partner_implements_dual"] = min(
-            float(np.linalg.norm(AlgebraMap.ad(partner, tol).matrix - alpha_hat.matrix)),
-            float(np.linalg.norm(AlgebraMap.ad(partner.adjoint(), tol).matrix
-                                 - alpha_hat.matrix)))
+            float(np.linalg.norm(AlgebraMap.ad(uhat, tol).matrix - alpha_hat)),
+            float(np.linalg.norm(AlgebraMap.ad(uhat.adjoint(), tol).matrix - alpha_hat)))
         radii = (0.25, 0.5, 0.75, 1.0)
         certs["path_residuals"] = dict(zip(
-            radii, path_in_commutant(partner, u, mu, radii)[2].tolist()))
-        uhat = partner
+            radii, path_in_commutant(uhat, u, mu, radii)[2].tolist()))
     if model is not None:
         certs["exp_membership"] = in_identity_component(alpha, model, rng)[0]
     return BiInnerVerdict(True, "bi-inner", u=u, uhat=uhat, certificates=certs)
@@ -356,6 +430,14 @@ def require_desk_scale(h: HopfAlgebra) -> None:
         raise PreconditionFailed("consistency harness is desk-scale: dim <= 12")
 
 
+# Samples per chunk of the consistency harness.  Its largest stacked
+# temporaries, the homomorphism and Hopf residuals of the chunk's maps, hold
+# about CHUNK * N^3 complex entries: 64 KiB at N = 8, 216 KiB at the
+# harness's largest N = 12.  Chunks of 32 ran about 10% faster at N = 8 but
+# raised the peak RSS of `fqg biinner` by about 1 MB.
+CHUNK = 8
+
+
 def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
                                     mu: MultiplicativeUnitary | None = None,
                                     model: BiInnerGroupModel | None = None,
@@ -365,41 +447,73 @@ def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
 
     The sample mix is Haar-random unitaries plus planted members of G_c
     (central unitaries and exponentials of the Lie algebra) so both verdict
-    classes are populated.  Route A is one classify_biinner call per sample,
-    route B one in_identity_component call.
+    classes are populated.  Samples run in chunks of CHUNK, in two phases:
+
+    * in order, one sample at a time: draw u, form alpha = Ad(u), take route
+      B's intertwiner null space and draw its 16 candidates.  This stays
+      sequential because the null space's dimension says how many normals
+      the candidate draw takes from rng, which moves every later draw;
+    * on the chunk's stacks: route A's gates (classify_biinner's) on the
+      maps and route B's conditioning, unitarisation and membership test
+      (in_identity_component's) on the candidates.  Then each map that
+      passes route A's gates asks the commutant of V for its partner, per
+      sample, with the generator classify_biinner would seed.
+
+    So each sample gets the verdicts and draws that classify_biinner and
+    in_identity_component, called on it one after another with the shared
+    rng, would give it, and memory stays at one chunk's stacks whatever
+    the sample count.  Route A's certificates that the report does not read
+    (path residuals, partner_implements_dual) are not computed.
     """
     require_desk_scale(h)
     model = model or build_group_model(h)
     rng = np.random.default_rng(seed)
     a = h.algebra
+    n = a.dim
     confusion = np.zeros((2, 2), dtype=int)
     mismatches = []
     positives_identity = True
     worst_comm = 0.0
-    for k in range(samples):
-        mode = k % 5
-        if mode <= 2:
-            u = ba.random_unitary(a, rng)
-        elif mode == 3:
-            u = ba.random_central_unitary(a, rng)
-        else:
-            if model.dim > 0:
-                x = model.random_element(rng)
-                u = exp_element((0.5 + rng.random()) * x)
-            else:
+    for start in range(0, samples, CHUNK):
+        count = min(CHUNK, samples - start)
+        ms = np.empty((count, n, n), complex)
+        cands = np.empty((count, 16, n), complex)
+        has_cands = np.zeros(count, bool)
+        for j in range(count):
+            mode = (start + j) % 5
+            if mode <= 2:
+                u = ba.random_unitary(a, rng)
+            elif mode == 3:
                 u = ba.random_central_unitary(a, rng)
-        alpha = AlgebraMap.ad(u, tol)
+            else:
+                if model.dim > 0:
+                    x = model.random_element(rng)
+                    u = exp_element((0.5 + rng.random()) * x)
+                else:
+                    u = ba.random_central_unitary(a, rng)
+            ms[j] = AlgebraMap.ad(u, tol).matrix
+            drawn = _intertwiner_candidates(ms[j], model, rng)
+            if drawn is not None:
+                cands[j], has_cands[j] = drawn, True
 
-        verdict = classify_biinner(alpha, h, d, mu, None, tol)
-        route_a = verdict.is_biinner
-        route_b, _ = in_identity_component(alpha, model, rng)
-        confusion[int(route_a), int(route_b)] += 1
-        if route_a != route_b:
-            mismatches.append({"sample": k, "route_a": route_a, "route_b": route_b})
-        if route_a:
-            if not alpha.is_identity(1e-7):
-                positives_identity = False
-            if "commutation" in verdict.certificates:
-                worst_comm = max(worst_comm, verdict.certificates["commutation"]["residual"])
+        refusal, us, _ = _route_a(ms, h, d, tol)
+        route_a = refusal < 0
+        if mu is not None:
+            for j in np.flatnonzero(route_a):
+                found = _commutant_partner(a.from_coords(us[j]), mu,
+                                           np.random.default_rng(0xB11), tol)
+                if found is None:
+                    route_a[j] = False
+                else:
+                    worst_comm = max(worst_comm, found[1]["residual"])
+        route_b = np.zeros(count, bool)
+        route_b[has_cands] = _route_b(model, cands[has_cands])[0] < 0
+
+        np.add.at(confusion, (route_a.astype(int), route_b.astype(int)), 1)
+        for j in np.flatnonzero(route_a != route_b):
+            mismatches.append({"sample": start + int(j), "route_a": bool(route_a[j]),
+                               "route_b": bool(route_b[j])})
+        moved = np.linalg.norm(ms[route_a] - np.eye(n), axis=(1, 2)) > 1e-7 * n
+        positives_identity &= not moved.any()
     return ConsistencyReport(confusion, samples, model.dim,
                              positives_identity, worst_comm, mismatches)

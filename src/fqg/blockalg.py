@@ -505,7 +505,7 @@ def flip_perm(a: BlockAlgebra) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def hom_residuals(m: np.ndarray, source, target: BlockAlgebra, *,
-                  anti: bool = False) -> dict[str, float]:
+                  anti: bool = False) -> dict:
     """How far phi = m: coords(source) -> coords(target) is from a unital
     *-homomorphism, and with anti=True from an anti- and a Jordan one.
 
@@ -519,36 +519,42 @@ def hom_residuals(m: np.ndarray, source, target: BlockAlgebra, *,
     phi(e_i e_j + e_j e_i)) their sum.  Per pair the squared defects are
     summed over the blocks of the target, which are multiplied in one batch
     per block size.
+
+    m may also be a (..., target dim, source dim) stack of maps: then each
+    residual is an array over the stack instead of a float.
     """
     n = source.dim
+    lead = m.shape[:-2]
     mult, adj, unit_s, unit_t, target_blocks = _hom_structure(source, target)
-    star = m[:, adj] if adj.ndim == 1 else m @ adj   # phi(e_i*), column i
-    sq = np.zeros((3 if anti else 1, n, n))
-    sq_s = np.zeros(n)
+    star = m[..., adj] if adj.ndim == 1 else m @ adj   # phi(e_i*), column i
+    sq = np.zeros(lead + (3 if anti else 1, n, n))
+    sq_s = np.zeros(lead + (n,))
     # one residual array at a time: each is as large as all pairs' images
     for idx in target_blocks:
         k, d = idx.shape[:2]
-        blk = m[idx].transpose(0, 3, 1, 2)           # (k, n, d, d): blocks of phi(e_i)
-        pair = blk[:, :, None] @ blk[:, None]        # (k, n, n, d, d): phi(e_i) phi(e_j)
+        blk = np.moveaxis(m[..., idx, :], -1, -3)    # (..., k, n, d, d): blocks of phi(e_i)
+        pair = blk[..., :, None, :, :] @ blk[..., None, :, :, :]   # (..., k, n, n, d, d)
         # blocks of phi(e_i e_j): these rows of phi times the multiplication matrix
-        want = (m[idx.reshape(-1)] @ mult).reshape(k, d, d, n, n).transpose(0, 3, 4, 1, 2)
+        want = np.moveaxis((m[..., idx.reshape(-1), :] @ mult).reshape(lead + (k, d, d, n, n)),
+                           (-2, -1), (-4, -3))
         defect = want - pair
-        sq[0] += (np.abs(defect) ** 2).sum(axis=(0, 3, 4))
+        sq[..., 0, :, :] += (np.abs(defect) ** 2).sum(axis=(-5, -2, -1))
         if anti:
             # the Jordan defect of (i, j) is the sum of the (i, j) and (j, i) ones
-            defect = defect + defect.swapaxes(1, 2)
-            sq[2] += (np.abs(defect) ** 2).sum(axis=(0, 3, 4))
-            defect = want - pair.swapaxes(1, 2)
-            sq[1] += (np.abs(defect) ** 2).sum(axis=(0, 3, 4))
-        want = star[idx].transpose(0, 3, 1, 2)
-        sq_s += (np.abs(want - blk.conj().swapaxes(2, 3)) ** 2).sum(axis=(0, 2, 3))
-    worst = np.sqrt(np.max(sq, axis=(1, 2)))
-    res = {"multiplicative": float(worst[0])}
+            defect = defect + defect.swapaxes(-4, -3)
+            sq[..., 2, :, :] += (np.abs(defect) ** 2).sum(axis=(-5, -2, -1))
+            defect = want - pair.swapaxes(-4, -3)
+            sq[..., 1, :, :] += (np.abs(defect) ** 2).sum(axis=(-5, -2, -1))
+        want = np.moveaxis(star[..., idx, :], -1, -3)
+        sq_s += (np.abs(want - blk.conj().swapaxes(-2, -1)) ** 2).sum(axis=(-4, -2, -1))
+    worst = np.sqrt(np.max(sq, axis=(-2, -1)))
+    res = {"multiplicative": worst[..., 0]}
     if anti:
-        res.update(anti_multiplicative=float(worst[1]), jordan=float(worst[2]))
-    res.update(star_preserving=float(np.sqrt(np.max(sq_s))),
-               unital=float(np.linalg.norm(m @ unit_s - unit_t)))
-    return res
+        res.update(anti_multiplicative=worst[..., 1], jordan=worst[..., 2])
+    # for one map, the norm of one vector (a dot product, not a reduction)
+    res.update(star_preserving=np.sqrt(np.max(sq_s, axis=-1)),
+               unital=np.linalg.norm(m @ unit_s - unit_t, axis=-1 if lead else None))
+    return res if lead else {k: float(v) for k, v in res.items()}
 
 
 def _hom_structure(source, target: BlockAlgebra):

@@ -102,9 +102,11 @@ class HopfAlgebra:
 def kron_coefficients(algebra: BlockAlgebra, coproduct: np.ndarray) -> np.ndarray:
     """dk[p, q, x] = coefficient of e_p (x) e_q in column x of coproduct, a
     map into coords(A (x) A) (the coproduct, or the coproduct followed by a
-    map into A), read on kron coordinates."""
+    map into A), read on kron coordinates; a (..., n^2, m) stack of such maps
+    gives the (..., n, n, m) stack of their coefficients."""
     n = algebra.dim
-    return coproduct[inverse_perm(tensor_perm(algebra, algebra))].reshape(n, n, -1)
+    return coproduct[..., inverse_perm(tensor_perm(algebra, algebra)), :].reshape(
+        coproduct.shape[:-2] + (n, n, coproduct.shape[-1]))
 
 
 # ---------------------------------------------------------------------------

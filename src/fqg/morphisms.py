@@ -64,7 +64,7 @@ class AlgebraMap:
     def ad(cls, u: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> "AlgebraMap":
         """Conjugation x -> u x u^{-1}."""
         uinv = invert(u, tol)
-        return cls(u.algebra, u.algebra, _sandwich_matrix(u, uinv))
+        return cls(u.algebra, u.algebra, _sandwich_matrix(u.algebra, u.coords(), uinv.coords()))
 
     @classmethod
     def blockwise_transpose(cls, a: BlockAlgebra) -> "AlgebraMap":
@@ -87,38 +87,48 @@ def _cached_cocentre(h: HopfAlgebra):
 
 def hopf_flags_fast(phi: AlgebraMap, h: HopfAlgebra,
                     tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Cheap test for the Hopf *-automorphism property (no positivity family).
+    """Cheap test for the Hopf *-automorphism property (no positivity family):
+    hopf_flags on a stack of one map."""
+    return bool(hopf_flags(phi.matrix[None], h, tol)[0])
 
-    Checks bijectivity, the unital *-homomorphism residuals and intertwining
-    of the coproduct; used by the sampling harnesses.
-    """
-    m = phi.matrix
-    if np.linalg.svd(m, compute_uv=False)[-1] <= tol.inv_tol:
-        return False
+
+def hopf_flags(ms: np.ndarray, h: HopfAlgebra,
+               tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Which maps of a (k, n, n) stack are Hopf *-automorphisms of h, by the
+    cheap test: bijectivity, the unital *-homomorphism residuals and
+    intertwining of the coproduct, each asked only of the maps that passed
+    the one before."""
+    ok = np.linalg.svd(ms, compute_uv=False)[:, -1] > tol.inv_tol
     thresh = tol.eq_tol * 100
-    hom = ba.hom_residuals(m, h.algebra, h.algebra)
-    if max(hom["multiplicative"], hom["star_preserving"], hom["unital"]) > thresh:
-        return False
-    return _hopf_residuals(m, h, h)[0] <= thresh
+    live = np.flatnonzero(ok)
+    hom = ba.hom_residuals(ms[live], h.algebra, h.algebra)
+    ok[live] = np.maximum.reduce([hom["multiplicative"], hom["star_preserving"],
+                                  hom["unital"]]) <= thresh
+    live = np.flatnonzero(ok)
+    ok[live] = _hopf_residuals(ms[live], h, h)[0] <= thresh
+    return ok
 
 
-def _hopf_residuals(m: np.ndarray, h_source: HopfAlgebra,
-                    h_target: HopfAlgebra) -> tuple[float, float]:
+def _hopf_residuals(m: np.ndarray, h_source: HopfAlgebra, h_target: HopfAlgebra):
     """Relative residuals of delta phi = (phi (x) phi) delta and of the same
-    identity with the flipped coproduct.
+    identity with the flipped coproduct: floats for one map m, arrays for a
+    (..., nt, ns) stack.
 
     Both sides are compared on kron coordinates [p, q, x] (the coefficient of
     e_p (x) e_q in the image of e_x), where the flip swaps p and q and
     (phi (x) phi) delta is two products with phi, one per leg.
     """
-    nt, ns = m.shape
+    lead, (nt, ns) = m.shape[:-2], m.shape[-2:]
     dk = h_source.coproduct_kron.reshape(ns, ns * ns)
-    first = (m @ dk).reshape(nt, ns, ns).transpose(1, 0, 2).reshape(ns, nt * ns)
-    qp = (m @ first).reshape(nt, nt, ns)                 # axes [q, p, x]
+    first = (m @ dk).reshape(lead + (nt, ns, ns)).swapaxes(-3, -2).reshape(lead + (ns, nt * ns))
+    qp = (m @ first).reshape(lead + (nt, nt, ns))       # axes [q, p, x]
     lhs = kron_coefficients(h_target.algebra, h_target.coproduct @ m)
-    scale = max(1.0, np.linalg.norm(lhs))
-    return (float(np.linalg.norm(lhs - qp.swapaxes(0, 1))) / scale,
-            float(np.linalg.norm(lhs - qp)) / scale)
+
+    def norm(x):
+        return np.sqrt((np.abs(x) ** 2).sum(axis=(-3, -2, -1)))
+    scale = np.maximum(1.0, norm(lhs))
+    hopf, co_anti = norm(lhs - qp.swapaxes(-3, -2)) / scale, norm(lhs - qp) / scale
+    return (hopf, co_anti) if lead else (float(hopf), float(co_anti))
 
 
 def _positivity_family(a: BlockAlgebra, rng: np.random.Generator) -> np.ndarray:
@@ -248,9 +258,14 @@ def induced_dual_action(alpha: AlgebraMap, d: DualHopfAlgebra,
         raise DimensionMismatch("alpha must be an endomorphism of the base algebra")
     if check and not hopf_flags_fast(alpha, h, tol):
         raise PreconditionFailed("alpha is not a Hopf *-automorphism")
-    ainv = np.linalg.inv(alpha.matrix)
-    mat = d.to_dual_mat @ ainv.T @ d.from_dual_mat
-    return AlgebraMap(d.hopf.algebra, d.hopf.algebra, mat)
+    return AlgebraMap(d.hopf.algebra, d.hopf.algebra,
+                      induced_dual_matrices(alpha.matrix[None], d)[0])
+
+
+def induced_dual_matrices(ms: np.ndarray, d: DualHopfAlgebra) -> np.ndarray:
+    """Matrices of the induced dual actions f -> f o alpha^{-1} of a (k, n, n)
+    stack of invertible maps of the base algebra."""
+    return d.to_dual_mat @ np.linalg.inv(ms).swapaxes(-1, -2) @ d.from_dual_mat
 
 
 def dual_sandwich(c: AlgebraElement, h: HopfAlgebra, d: DualHopfAlgebra,
@@ -289,72 +304,89 @@ def dual_sandwich(c: AlgebraElement, h: HopfAlgebra, d: DualHopfAlgebra,
 # inner implementers
 # ---------------------------------------------------------------------------
 
-def _sandwich_matrix(left: AlgebraElement, right: AlgebraElement) -> np.ndarray:
-    """Coordinate matrix of x -> l x r: block-diagonal kron(l_b, r_b^T), as
-    vec_row(L X R) = (L (x) R^T) vec_row(X), scattered once per block size."""
-    a = left.algebra
-    out = np.zeros((a.dim, a.dim), complex)
-    for idx, lb, rb in zip(a.layout.by_size.values(), left.stacks(), right.stacks()):
+def _sandwich_matrix(a: BlockAlgebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Coordinate matrices of x -> l x r for coordinates l and r (..., dim):
+    block-diagonal kron(l_b, r_b^T), as vec_row(L X R) = (L (x) R^T) vec_row(X),
+    scattered once per block size."""
+    out = np.zeros(left.shape[:-1] + (a.dim, a.dim), complex)
+    lay = a.layout
+    for idx, lb, rb in zip(lay.by_size.values(), lay.stacks(left), lay.stacks(right)):
         k, n = idx.shape[:2]
         flat = idx.reshape(k, n * n)
         # kron(l, r^T)[(i, j), (p, q)] = l[i, p] r[q, j]
-        kr = lb[:, :, None, :, None] * rb.swapaxes(1, 2)[:, None, :, None, :]
-        out[flat[:, :, None], flat[:, None, :]] = kr.reshape(k, n * n, n * n)
+        kr = lb[..., :, None, :, None] * rb.swapaxes(-1, -2)[..., None, :, None, :]
+        out[..., flat[:, :, None], flat[:, None, :]] = kr.reshape(kr.shape[:-4] + (n * n, n * n))
     return out
 
 
-def _unitary_intertwiners(u: np.ndarray, tol: ToleranceConfig) -> np.ndarray | None:
+def _unitary_intertwiners(u: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (k, n, n) intertwiners u scaled to unitaries, each with its largest
-    entry real positive; None when one is not unitary up to scale (for an
-    automorphism every intertwiner is)."""
+    entry real positive, and the (k,) mask of those that are unitary up to
+    scale (for an automorphism every intertwiner is).  Each u must be nonzero."""
     k, nb = u.shape[:2]
     uu = u.conj().transpose(0, 2, 1) @ u
     scale = np.trace(uu, axis1=1, axis2=2).real / nb
-    if np.any(scale <= tol.inv_tol) or np.any(np.linalg.norm(
-            uu - scale[:, None, None] * np.eye(nb), axis=(1, 2)) > 1e-7 * scale * nb):
-        return None
+    ok = (scale > tol.inv_tol) & (np.linalg.norm(
+        uu - scale[:, None, None] * np.eye(nb), axis=(1, 2)) <= 1e-7 * scale * nb)
     u = (u / np.sqrt(scale)[:, None, None]).reshape(k, -1)
     top = u[np.arange(k), np.argmax(np.abs(u), axis=1)]
-    return u * (np.abs(top) / top)[:, None]
+    return ok, u * (np.abs(top) / top)[:, None]
 
 
 def inner_implementer(alpha: AlgebraMap, tol: ToleranceConfig = DEFAULT_TOL):
-    """Unitary u with alpha = Ad(u), or None when alpha permutes blocks.
-
-    Solves the intertwiner system alpha(x) u = u x block by block (batched
-    over blocks of one size) and unitarises; the phase is canonicalised per
-    block (largest entry real positive).
-    """
+    """Unitary u with alpha = Ad(u), or None when alpha permutes blocks:
+    inner_implementers on a stack of one map."""
     a = alpha.source
     if alpha.target != a:
         raise DimensionMismatch("inner implementers need an endomorphism")
+    ok, coords = inner_implementers(alpha.matrix[None], a, tol)
+    return a.from_coords(coords[0]) if ok[0] else None
+
+
+def inner_implementers(ms: np.ndarray, a: BlockAlgebra,
+                       tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """For a (k, n, n) stack of maps of a, the (k,) mask of those that are
+    Ad(u) for a unitary u, and the (k, n) coordinates of each such u.
+
+    Solves the intertwiner system alpha(x) u = u x block by block (batched
+    over the maps and the blocks of one size) and unitarises; the phase is
+    canonicalised per block (largest entry real positive).  A map that fails
+    a test (it moves a block unit, has no intertwiner on a block, or a
+    non-unitary one) leaves the stack before the next.
+    """
     units = a.block_unit_coords()
-    if np.linalg.norm(alpha.matrix @ units - units, axis=0).max() > tol.eq_tol * 1e3:
-        return None
-    coords = np.empty(a.dim, complex)
+    ok = np.linalg.norm(ms @ units - units, axis=-2).max(axis=-1) <= tol.eq_tol * 1e3
+    coords = np.zeros((len(ms), a.dim), complex)
     for nb, idx in a.layout.by_size.items():
+        live = np.flatnonzero(ok)
+        if not live.size:
+            break
         flat = idx.reshape(len(idx), -1)
-        # ax[:, k] = alpha(x_k) on each block, x_k the k-th matrix unit
-        ax = alpha.matrix[flat[:, None, :], flat[:, :, None]].reshape(-1, nb * nb, nb, nb)
+        # ax[..., k] = alpha(x_k) on each block, x_k the k-th matrix unit
+        ax = ms[live[:, None, None, None], flat[:, None, :], flat[:, :, None]].reshape(
+            len(live), len(idx), nb * nb, nb, nb)
         xt = np.eye(nb * nb).reshape(nb * nb, nb, nb).transpose(0, 2, 1)
         one = np.eye(nb)
         # alpha(x_k) u - u x_k = 0, unknown u as vec (row-major): row block k is
         # kron(alpha(x_k), 1) - kron(1, x_k^T), axes [k, i, l, j, m]
-        sys = ax[:, :, :, None, :, None] * one[:, None, :] \
+        sys = ax[..., :, :, None, :, None] * one[:, None, :] \
             - one[:, None, :, None] * xt[:, None, :, None, :]
-        rank, _, vh = ba.numerical_rank(sys.reshape(len(idx), nb ** 4, nb * nb))
+        rank, _, vh = ba.numerical_rank(sys.reshape(len(live), len(idx), nb ** 4, nb * nb))
         # a block without an intertwiner: alpha is not inner there
-        if np.any(rank == nb * nb):
-            return None
-        u = _unitary_intertwiners(vh[:, -1].conj().reshape(-1, nb, nb), tol)
-        if u is None:
-            return None
-        coords[idx.reshape(-1)] = u.reshape(-1)
-    u_el = a.from_coords(coords)
-    resid = alpha.matrix - _sandwich_matrix(u_el, u_el.adjoint())
-    if np.linalg.norm(resid, axis=0).max() > tol.eq_tol * 1e3:
-        return None
-    return u_el
+        has = ~np.any(rank == nb * nb, axis=1)
+        ok[live[~has]] = False
+        live, vh = live[has], vh[has]
+        if not live.size:
+            break
+        unitary, u = _unitary_intertwiners(vh[..., -1, :].conj().reshape(-1, nb, nb), tol)
+        coords[live[:, None], idx.reshape(-1)] = u.reshape(len(live), -1)
+        ok[live] = unitary.reshape(len(live), -1).all(axis=1)
+    live = np.flatnonzero(ok)
+    if live.size:
+        resid = ms[live] - _sandwich_matrix(a, coords[live], ba.adjoints(a, coords[live]))
+        ok[live] = np.linalg.norm(resid, axis=-2).max(axis=-1) <= tol.eq_tol * 1e3
+    coords[~ok] = 0.0
+    return ok, coords
 
 
 # ---------------------------------------------------------------------------

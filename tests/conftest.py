@@ -9,7 +9,7 @@ import pytest
 from fqg import (BlockAlgebra, DualHopfAlgebra, HopfAlgebra, build_dual,
                  build_gns, build_group_model, build_kac_paljutkin,
                  build_multiplicative_unitary, function_algebra, group_algebra)
-from fqg.biinner import BiInnerGroupModel
+from fqg.biinner import BiInnerGroupModel, exp_element
 from fqg.blockalg import AlgebraElement
 from fqg.morphisms import AlgebraMap
 from fqg.groups import by_name
@@ -107,3 +107,25 @@ def outer_automorphisms(workbenches) -> dict[str, list[AlgebraMap]]:
         out[key] = [AlgebraMap(a, a, np.eye(n)[perm]) for perm in conj
                     if perm != list(range(n))]
     return out
+
+
+def _hard_samples(wb: Workbench, us: list[AlgebraElement],
+                  rng: np.random.Generator) -> list[AlgebraMap]:
+    """Ad of every group-like u, and of u times two planted members of G_c
+    (a sign pattern times an exponential of the Lie algebra)."""
+    model = wb.model
+    out = []
+    for u in us:
+        out.append(AlgebraMap.ad(u))
+        for _ in range(2):
+            z = model.sign_patterns[int(rng.integers(len(model.sign_patterns)))]
+            member = z * exp_element(model.random_element(rng)) if model.dim else z
+            out.append(AlgebraMap.ad(u * member))
+    return out
+
+
+@pytest.fixture(scope="session")
+def hard_samples():
+    """The function hard_samples(wb, group_likes, rng) behind criterion 12's
+    group-like and planted samples."""
+    return _hard_samples

@@ -352,21 +352,8 @@ def test_criterion_11_spectrum_preservation(workbenches):
     assert control_ok, "trivial-group control did not validate both placements"
 
 
-def _hard_samples(wb, us, rng):
-    """Ad of every group-like u, and of u times two planted members of G_c
-    (a sign pattern times an exponential of the Lie algebra)."""
-    model = wb.model
-    out = []
-    for u in us:
-        out.append(AlgebraMap.ad(u))
-        for _ in range(2):
-            z = model.sign_patterns[int(rng.integers(len(model.sign_patterns)))]
-            member = z * exp_element(model.random_element(rng)) if model.dim else z
-            out.append(AlgebraMap.ad(u * member))
-    return out
-
-
-def test_criterion_12_biinner_hard_samples(workbenches, group_likes, outer_automorphisms):
+def test_criterion_12_biinner_hard_samples(workbenches, group_likes, outer_automorphisms,
+                                           hard_samples):
     """The samples criterion 10's mix rarely draws: conjugation by group-likes
     (on kp two of them act non-trivially although its Lie algebra is 0),
     group-likes times planted members of G_c, and the outer Hopf
@@ -377,7 +364,7 @@ def test_criterion_12_biinner_hard_samples(workbenches, group_likes, outer_autom
     worst_comm = 0.0
     details = []
     for key, wb in workbenches.items():
-        maps = _hard_samples(wb, group_likes[key], rng) + outer_automorphisms.get(key, [])
+        maps = hard_samples(wb, group_likes[key], rng) + outer_automorphisms.get(key, [])
         confusion = np.zeros((2, 2), dtype=int)
         for alpha in maps:
             verdict = classify_biinner(alpha, wb.hopf, wb.dual, wb.mu)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+import tracemalloc
+
 from fqg import blockalg as ba
 from fqg import biinner
-from fqg.biinner import (brute_force_biinner_consistency, build_group_model,
+from fqg.biinner import (ROUTE_A_REFUSALS, ROUTE_B_REFUSALS, ConsistencyReport,
+                         brute_force_biinner_consistency, build_group_model,
                          classify_biinner, exp_element, in_identity_component,
                          sample_identity_component)
+from fqg.blockalg import DEFAULT_TOL
 from fqg.errors import NotInLieAlgebra
 from fqg.groups import symmetric
 from fqg.hopf import function_algebra, ksymmetric_basis
@@ -368,3 +372,198 @@ def test_harness_route_a_refuses_an_outer_hopf_automorphism(fs3, outer_automorph
     rep = brute_force_biinner_consistency(fs3.hopf, fs3.dual, fs3.mu, fs3.model,
                                           samples=5, seed=3)
     assert rep.confusion.tolist() == [[5, 0], [0, 0]]
+
+
+# -- the stacked harness against the per-sample loop -------------------------------------
+
+def _loop_in_group(model, u, tol):
+    """Oracle: membership in G_c by the kappa-twist defect and one product
+    pair per cocentre element."""
+    if model.hopf.ksym_defect(u) > tol:
+        return False
+    return all((u * c - c * u).norm() <= tol for c in model.cocentre)
+
+
+def _loop_in_identity_component(alpha, model, rng):
+    """Oracle: route B on one map, as in_identity_component was before its
+    kernels took stacks, with the membership test above."""
+    a = model.hopf.algebra
+    n = a.dim
+    rows = np.tensordot(alpha.matrix, ba.left_mult_tensor(a), axes=(0, 0)) \
+        - ba.right_mult_tensor(a)
+    null = ba.null_space(np.vstack([ba.realify_complex_linear(rows.reshape(n * n, n)),
+                                    model.constant_stack]))
+    if null.shape[1] == 0:
+        return False, {"reason": "no kappa-symmetric intertwiner"}
+    cands = ba.real_vec_to_coords(null @ rng.standard_normal((16, null.shape[1])).T)
+    ratio = ba.smallest_svs(a, cands.T) / np.maximum(1.0, np.linalg.norm(cands, axis=0))
+    best = int(np.argmax(ratio))
+    if not ratio[best] > 1e-6:
+        return False, {"reason": "no invertible kappa-symmetric intertwiner"}
+
+    def unitarise(w):
+        trace = np.trace(w.conj().swapaxes(-1, -2) @ w, axis1=-2, axis2=-1).real
+        return w / np.sqrt(trace / w.shape[-1])[:, None, None]
+    v = a.from_coords(cands[:, best]).blockwise(unitarise)
+    if not _loop_in_group(model, v, 1e-7 * max(1.0, v.norm())):
+        return False, {"reason": "the unitarised intertwiner leaves the group"}
+    return True, {"witness": v}
+
+
+def _loop_harness(wb, samples, seed, tol=DEFAULT_TOL):
+    """Oracle: the consistency harness one sample at a time, one
+    classify_biinner call (route A) and one route B call per sample.
+    Yields, after each sample, its report so far and the state of the
+    generator the draws came from."""
+    h, model = wb.hopf, wb.model
+    rng = np.random.default_rng(seed)
+    a = h.algebra
+    confusion = np.zeros((2, 2), dtype=int)
+    mismatches = []
+    positives_identity = True
+    worst_comm = 0.0
+    for k in range(samples):
+        mode = k % 5
+        if mode <= 2:
+            u = ba.random_unitary(a, rng)
+        elif mode == 3:
+            u = ba.random_central_unitary(a, rng)
+        else:
+            if model.dim > 0:
+                x = model.random_element(rng)
+                u = exp_element((0.5 + rng.random()) * x)
+            else:
+                u = ba.random_central_unitary(a, rng)
+        alpha = AlgebraMap.ad(u, tol)
+        verdict = classify_biinner(alpha, h, wb.dual, wb.mu, None, tol)
+        route_a = verdict.is_biinner
+        route_b, _ = _loop_in_identity_component(alpha, model, rng)
+        confusion[int(route_a), int(route_b)] += 1
+        if route_a != route_b:
+            mismatches.append({"sample": k, "route_a": route_a, "route_b": route_b})
+        if route_a:
+            if not alpha.is_identity(1e-7):
+                positives_identity = False
+            worst_comm = max(worst_comm, verdict.certificates["commutation"]["residual"])
+        yield (ConsistencyReport(confusion.copy(), k + 1, model.dim, positives_identity,
+                                 worst_comm, list(mismatches)),
+               rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_stacked_harness_matches_the_per_sample_loop(workbenches, seed, monkeypatch):
+    """Chunked stacks against the loop on the 11 workbenches, at sample
+    counts that are not multiples of the chunk or of the 5-sample mode
+    cycle: the same confusion matrix, mismatches, positives and Lie
+    dimension, the same final state of the shared generator, and the same
+    worst commutation residual up to 1e-15.  A run of n samples is the
+    first n samples of a longer run, so one loop of 50 gives every oracle."""
+    made = []
+    real = np.random.default_rng
+
+    def spy(*args):
+        made.append((args, real(*args)))
+        return made[-1][1]
+    for key, wb in workbenches.items():
+        loop = list(_loop_harness(wb, 50, seed))
+        for samples in (1, 7, 23, 50):
+            want, want_state = loop[samples - 1]
+            made.clear()
+            monkeypatch.setattr(np.random, "default_rng", spy)
+            got = brute_force_biinner_consistency(wb.hopf, wb.dual, wb.mu, wb.model,
+                                                  samples=samples, seed=seed)
+            monkeypatch.undo()
+            shared = [g for args, g in made if args == (seed,)]
+            assert len(shared) == 1, key
+            assert shared[0].bit_generator.state == want_state, (key, samples)
+            assert got.confusion.tolist() == want.confusion.tolist(), (key, samples)
+            assert got.mismatches == want.mismatches, (key, samples)
+            assert got.positives_are_identity == want.positives_are_identity, (key, samples)
+            assert got.lie_dim == want.lie_dim and got.samples == samples
+            assert abs(got.worst_commutation - want.worst_commutation) <= 1e-15, (key, samples)
+
+
+def test_stacked_routes_match_the_single_map_api_on_hard_maps(
+        workbenches, group_likes, outer_automorphisms, hard_samples):
+    """Criterion 12's maps (group-likes, group-likes times planted members
+    of G_c, the outer automorphisms of C(S3) and C(D4)) as one stack per
+    workbench: route A's kernel gives each map classify_biinner's verdict
+    and refusal reason, and route B's kernel, on the candidates drawn in
+    order, in_identity_component's verdict and the loop oracle's."""
+    rng = np.random.default_rng(1212)
+    seen = set()
+    for key, wb in workbenches.items():
+        maps = hard_samples(wb, group_likes[key], rng) + outer_automorphisms.get(key, [])
+        ms = np.array([m.matrix for m in maps])
+
+        refusal, _, _ = biinner._route_a(ms, wb.hopf, wb.dual, DEFAULT_TOL)
+        reasons = [ROUTE_A_REFUSALS[r] if r >= 0 else "bi-inner" for r in refusal]
+        assert reasons == [classify_biinner(m, wb.hopf, wb.dual).reason for m in maps], key
+        seen.update(reasons)
+
+        draw, single, loop = (np.random.default_rng(99) for _ in range(3))
+        cands = [biinner._intertwiner_candidates(m, wb.model, draw) for m in ms]
+        has = np.array([c is not None for c in cands])
+        refusal = np.zeros(len(maps), int)
+        if has.any():
+            refusal[has] = biinner._route_b(wb.model, np.array([c for c in cands if c is not None]))[0]
+        got = [(bool(r < 0), ROUTE_B_REFUSALS[r] if r >= 0 else None) for r in refusal]
+        for calls in ((in_identity_component, single), (_loop_in_identity_component, loop)):
+            fn, gen = calls
+            want = [fn(m, wb.model, gen) for m in maps]
+            assert got == [(ok, info.get("reason")) for ok, info in want], (key, fn.__name__)
+    assert {"bi-inner", "not inner on the algebra", "dual action is not inner"} <= seen
+
+
+def test_group_defects_match_the_product_pairs(workbenches):
+    """The defects route B's membership test reads off model.constant_stack
+    are the kappa-twist defect and the cocentre commutator norms of the
+    product-pair oracle, on random elements, unitaries and planted members."""
+    rng = np.random.default_rng(1213)
+    for key, wb in workbenches.items():
+        a, model = wb.hopf.algebra, wb.model
+        xs = [ba.random_element(a, rng), ba.random_unitary(a, rng),
+              ba.random_central_unitary(a, rng), exp_element(model.random_element(rng))]
+        got = biinner._group_defects(model, np.array([x.coords() for x in xs]))
+        for x, row in zip(xs, got):
+            want = [wb.hopf.ksym_defect(x)] + [(x * c - c * x).norm() for c in model.cocentre]
+            assert np.allclose(row, want, rtol=1e-12, atol=1e-14), key
+        # route B's gate on them: candidates that are all the unit pass it, a
+        # random (not kappa-symmetric) invertible element leaves the group
+        cands = np.array([[a.unit_coords()] * 16, [ba.random_element(a, rng).coords()] * 16])
+        assert biinner._route_b(model, cands)[0].tolist() == [-1, 2], key
+
+
+def test_harness_memory_does_not_grow_with_samples(kp):
+    """The harness holds one chunk's stacks at a time: its tracemalloc peak
+    on kp at 640 samples exceeds the one at 64 by less than one chunk's
+    temporaries, measured as the peak of one full chunk over that of one
+    sample.  (Holding every sample's map and candidates until the end would
+    add about 1.9 MB at 640 samples.)"""
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            brute_force_biinner_consistency(kp.hopf, kp.dual, kp.mu, kp.model,
+                                            samples=samples, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    peak(biinner.CHUNK)
+    chunk = peak(biinner.CHUNK) - peak(1)
+    assert peak(640) - peak(64) <= chunk
+
+
+def test_harness_reports_a_positive_that_moves(kp, group_likes, monkeypatch):
+    """kp's moving group-likes are bi-inner on both routes; handed one as
+    every sample, the harness counts all positives and reports that they
+    are not all the identity."""
+    g = next(u for u in group_likes["kp"] if not AlgebraMap.ad(u).is_identity(1e-7))
+    alpha = AlgebraMap.ad(g)
+
+    class EverySample:          # the harness conjugates by u: hand it alpha
+        ad = staticmethod(lambda u, tol: alpha)
+    monkeypatch.setattr(biinner, "AlgebraMap", EverySample)
+    rep = brute_force_biinner_consistency(kp.hopf, kp.dual, kp.mu, kp.model,
+                                          samples=11, seed=3)
+    assert rep.confusion.tolist() == [[0, 0], [0, 11]]
+    assert not rep.positives_are_identity and rep.worst_commutation < 1e-8

@@ -523,7 +523,7 @@ def test_sandwich_matrix_matches_block_diag(workbenches, kp):
         left, right = ba.random_element(a, rng), ba.random_unitary(a, rng)
         want = scipy.linalg.block_diag(*[np.kron(lb, rb.T)
                                          for lb, rb in zip(left.blocks, right.blocks)])
-        got = morphisms._sandwich_matrix(left, right)
+        got = morphisms._sandwich_matrix(a, left.coords(), right.coords())
         assert got.tobytes() == want.tobytes()
 
 
