@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blockalg as ba
+from . import morphisms
 from .blockalg import AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig
 from .duality import DualHopfAlgebra
 from .errors import DimensionMismatch, NotInLieAlgebra, PreconditionFailed
@@ -513,7 +514,7 @@ def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
         for j in np.flatnonzero(route_a != route_b):
             mismatches.append({"sample": start + int(j), "route_a": bool(route_a[j]),
                                "route_b": bool(route_b[j])})
-        moved = np.linalg.norm(ms[route_a] - np.eye(n), axis=(1, 2)) > 1e-7 * n
-        positives_identity &= not moved.any()
+        positives_identity &= all(morphisms.AlgebraMap(a, a, m).is_identity(1e-7)
+                                  for m in ms[route_a])
     return ConsistencyReport(confusion, samples, model.dim,
                              positives_identity, worst_comm, mismatches)

@@ -124,8 +124,9 @@ def _hopf_residuals(m: np.ndarray, h_source: HopfAlgebra, h_target: HopfAlgebra)
     qp = (m @ first).reshape(lead + (nt, nt, ns))       # axes [q, p, x]
     lhs = kron_coefficients(h_target.algebra, h_target.coproduct @ m)
 
-    def norm(x):
-        return np.sqrt((np.abs(x) ** 2).sum(axis=(-3, -2, -1)))
+    def norm(x):        # np.linalg.norm of each map's (nt, nt, ns) array
+        return np.array([np.linalg.norm(r) for r in x.reshape((-1,) + x.shape[-3:])]
+                        ).reshape(lead)
     scale = np.maximum(1.0, norm(lhs))
     hopf, co_anti = norm(lhs - qp.swapaxes(-3, -2)) / scale, norm(lhs - qp) / scale
     return (hopf, co_anti) if lead else (float(hopf), float(co_anti))

@@ -10,7 +10,7 @@ from fqg.biinner import (ROUTE_A_REFUSALS, ROUTE_B_REFUSALS, ConsistencyReport,
                          classify_biinner, exp_element, in_identity_component,
                          sample_identity_component)
 from fqg.blockalg import DEFAULT_TOL
-from fqg.errors import NotInLieAlgebra
+from fqg.errors import DimensionMismatch, NotInLieAlgebra
 from fqg.groups import symmetric
 from fqg.hopf import function_algebra, ksymmetric_basis
 from fqg.morphisms import (AlgebraMap, hopf_flags_fast, induced_dual_action,
@@ -356,6 +356,15 @@ def test_verdict_serialises_to_json(workbenches):
     doc = v.to_dict()
     json.dumps(doc)
     assert doc["is_biinner"] and doc["certificates"]["exp_membership"]
+
+
+def test_classify_biinner_refuses_a_map_on_another_algebra(gs3, fs3):
+    # C(S3) and C[S3] both have dimension 6; the identity of C(S3) is no
+    # endomorphism of C[S3], whatever its matrix would pass
+    alpha = AlgebraMap.identity(fs3.hopf.algebra)
+    assert alpha.matrix.shape == (gs3.hopf.algebra.dim,) * 2
+    with pytest.raises(DimensionMismatch, match="endomorphism"):
+        classify_biinner(alpha, gs3.hopf, gs3.dual)
 
 
 def test_harness_route_a_refuses_an_outer_hopf_automorphism(fs3, outer_automorphisms,
