@@ -30,7 +30,7 @@ from . import morphisms
 from .blockalg import AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig
 from .duality import DualHopfAlgebra
 from .errors import DimensionMismatch, NotInLieAlgebra, PreconditionFailed
-from .hopf import HopfAlgebra, cocentre_basis
+from .hopf import HopfAlgebra
 from .morphisms import (AlgebraMap, hopf_flags, induced_dual_action,
                         induced_dual_matrices, inner_implementers)
 from .multunitary import (MultiplicativeUnitary, commutation_test,
@@ -41,23 +41,31 @@ from .multunitary import (MultiplicativeUnitary, commutation_test,
 class BiInnerGroupModel:
     """Model of G_c, the unitary group behind the bi-inner maps.
 
-    lie_basis spans {X : X* = -X, kappa(X*) = X, [X, c] = 0 for cocentral c}
-    over the reals and lie_real holds its realified coordinates as
-    orthonormal columns; sign_patterns enumerates the central +-1 elements
-    of G_c (one sign per antipode-fixed block, bit i of the index flipping
-    the i-th fixed block).
-    constant_stack is the realified matrix of the alpha-independent
-    constraints (kappa-symmetry, then the commutators with the cocentre
-    basis), reused by every intertwiner null space and membership test.
+    constant_stack is the realified matrix of the constraints of G_c
+    (kappa-symmetry, then the commutators with the cocentre basis), which
+    every intertwiner null space and membership test reads.  lie_basis spans
+    {X : X* = -X, kappa(X*) = X, [X, c] = 0 for cocentral c} over the reals
+    and lie_real holds its realified coordinates as orthonormal columns.
+    fixed_blocks indexes the blocks whose central projection kappa fixes;
+    a sign on each of them gives a central +-1 element of G_c.
     """
 
     hopf: HopfAlgebra
     lie_basis: list[AlgebraElement]
     lie_real: np.ndarray
     cocentre: list[AlgebraElement]
-    kappa_block_map: list[int]
-    sign_patterns: list[AlgebraElement]
+    fixed_blocks: np.ndarray
     constant_stack: np.ndarray
+
+    @property
+    def sign_patterns(self) -> np.ndarray:
+        """The (2^k, N) coordinates of the central +-1 elements of G_c over
+        the k fixed blocks: bit i of row r flips fixed block i."""
+        a = self.hopf.algebra
+        k = len(self.fixed_blocks)
+        sign = np.ones((1 << k, a.nblocks))
+        sign[:, self.fixed_blocks] = 1.0 - 2.0 * (np.arange(1 << k)[:, None] >> np.arange(k) & 1)
+        return sign[:, a.layout.block_of] * a.unit_coords()
 
     @property
     def dim(self) -> int:
@@ -85,7 +93,7 @@ def _commutator_stack(a: BlockAlgebra, elements: list[AlgebraElement]) -> np.nda
 def build_group_model(h: HopfAlgebra) -> BiInnerGroupModel:
     a = h.algebra
     n = a.dim
-    coc = cocentre_basis(h)
+    coc = h.cocentre
 
     # kappa(w*) - w = K S conj(w) - w is real-linear; commutators are complex
     ks = h.antipode @ h.star_mat
@@ -98,19 +106,9 @@ def build_group_model(h: HopfAlgebra) -> BiInnerGroupModel:
     null = ba.null_space(np.vstack([skew_real, constant_stack]))
     lie = [a.from_coords(ba.real_vec_to_coords(null[:, i])) for i in range(null.shape[1])]
 
-    # antipode action on the minimal central projections
     units = a.block_unit_coords()
-    hits = np.linalg.norm((h.antipode @ units)[:, :, None] - units[:, None, :], axis=0) < 1e-8
-    kmap = [int(np.argmax(row)) if row.any() else -1 for row in hits]
-
-    fixed_blocks = [b for b, c in enumerate(kmap) if c == b]
-    unit = a.unit_coords()
-    patterns = []
-    for bits in range(1 << len(fixed_blocks)):
-        sign = np.ones(a.nblocks)
-        sign[[b for i, b in enumerate(fixed_blocks) if bits >> i & 1]] = -1.0
-        patterns.append(a.from_coords(sign[a.layout.block_of] * unit))
-    model = BiInnerGroupModel(h, lie, null, coc, kmap, patterns, constant_stack)
+    fixed = np.flatnonzero(np.linalg.norm(h.antipode @ units - units, axis=0) < 1e-8)
+    model = BiInnerGroupModel(h, lie, null, coc, fixed, constant_stack)
 
     # closure under the commutator bracket
     for i, x in enumerate(lie):
@@ -160,14 +158,13 @@ def exp_element(x: AlgebraElement) -> AlgebraElement:
 def sample_identity_component(model: BiInnerGroupModel, x: AlgebraElement,
                               t: float) -> AlgebraElement:
     """exp(t x) for x in the Lie algebra: a kappa-symmetric unitary commuting
-    with the cocentre."""
+    with the cocentre, certified by the membership rule of G_c."""
     if model.project_defect(x) > 1e-7 * max(1.0, x.norm()):
         raise NotInLieAlgebra("element outside the computed Lie algebra")
     v = exp_element(t * x)
-    h = model.hopf
-    defect = h.ksym_defect(v)
-    if defect >= 1e-7 * max(1.0, v.norm()):
-        raise NotInLieAlgebra(f"exp(t x) is not kappa-symmetric: defect {defect:.3e}")
+    member, worst = _membership(model, v.coords()[None])
+    if not member[0]:
+        raise NotInLieAlgebra(f"exp(t x) leaves G_c: defect {worst[0]:.3e}")
     return v
 
 
@@ -194,6 +191,14 @@ def _group_defects(model: BiInnerGroupModel, v: np.ndarray) -> np.ndarray:
     twist = np.linalg.norm(res[:, :2 * n], axis=-1)
     comm = np.linalg.norm(res[:, 2 * n:].reshape(k, 2, len(model.cocentre), n), axis=(1, 3))
     return np.column_stack([twist, comm])
+
+
+def _membership(model: BiInnerGroupModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The membership rule of G_c on a (k, N) coordinate stack: which
+    elements meet every constraint to 1e-7 max(1, |v|), and the largest
+    constraint defect of each."""
+    worst = _group_defects(model, v).max(axis=1)
+    return worst <= 1e-7 * np.maximum(1.0, ba.norms(v)), worst
 
 
 def _intertwiner_candidates(m: np.ndarray, model: BiInnerGroupModel,
@@ -232,9 +237,7 @@ def _route_b(model: BiInnerGroupModel, cands: np.ndarray) -> tuple[np.ndarray, n
     # unitarise: w*w is central, so the polar part is per-block scaling
     v = np.zeros((len(cands), a.dim), complex)
     v[invertible] = a.layout.apply(cands[rows, best][invertible], _unitarise)
-    # membership: every constraint of G_c holds to 1e-7 max(1, |v|)
-    member = np.all(_group_defects(model, v) <= 1e-7 * np.maximum(1.0, ba.norms(v))[:, None],
-                    axis=1)
+    member = _membership(model, v)[0]
     refusal = np.where(invertible, -1, 1)
     refusal[invertible & ~member] = 2
     return refusal, v

@@ -72,6 +72,11 @@ class HopfAlgebra:
         return g
 
     @cached_property
+    def cocentre(self) -> list[AlgebraElement]:
+        """cocentre_basis of this algebra, computed once."""
+        return cocentre_basis(self)
+
+    @cached_property
     def star_mat(self) -> np.ndarray:
         """Matrix S with coords(x*) = S @ conj(coords(x))."""
         n = self.algebra.dim
@@ -195,7 +200,7 @@ def verify_axioms(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> AxiomRe
     s = h.star_mat
     res["antipode_star"] = float(np.max(np.linalg.norm(
         h.antipode @ s - s @ h.antipode.conj(), axis=0)))
-    res["haar_kappa_invariant"] = _vecrel(h.haar @ h.antipode - h.haar)
+    res["haar_kappa_invariant"] = float(np.linalg.norm(h.haar @ h.antipode - h.haar))
 
     return AxiomReport(res, tol.eq_tol)
 
@@ -204,10 +209,6 @@ def _rel(diff: np.ndarray, *refs: np.ndarray) -> float:
     d = float(np.linalg.norm(diff))
     scale = max([1.0] + [float(np.linalg.norm(r)) for r in refs])
     return d / scale
-
-
-def _vecrel(v: np.ndarray) -> float:
-    return float(np.linalg.norm(v))
 
 
 # ---------------------------------------------------------------------------

@@ -114,11 +114,12 @@ def _hard_samples(wb: Workbench, us: list[AlgebraElement],
     """Ad of every group-like u, and of u times two planted members of G_c
     (a sign pattern times an exponential of the Lie algebra)."""
     model = wb.model
+    patterns = model.sign_patterns
     out = []
     for u in us:
         out.append(AlgebraMap.ad(u))
         for _ in range(2):
-            z = model.sign_patterns[int(rng.integers(len(model.sign_patterns)))]
+            z = wb.hopf.algebra.from_coords(patterns[int(rng.integers(len(patterns)))])
             member = z * exp_element(model.random_element(rng)) if model.dim else z
             out.append(AlgebraMap.ad(u * member))
     return out

@@ -11,7 +11,7 @@ from fqg.biinner import (ROUTE_A_REFUSALS, ROUTE_B_REFUSALS, ConsistencyReport,
                          sample_identity_component)
 from fqg.blockalg import DEFAULT_TOL
 from fqg.errors import DimensionMismatch, NotInLieAlgebra
-from fqg.groups import symmetric
+from fqg.groups import by_name, symmetric
 from fqg.hopf import function_algebra, ksymmetric_basis
 from fqg.morphisms import (AlgebraMap, hopf_flags_fast, induced_dual_action,
                            inner_implementer)
@@ -95,11 +95,48 @@ def test_function_algebra_lie_dims(workbenches):
 
 def test_sign_patterns_are_ksymmetric_central_unitaries(workbenches):
     for wb in workbenches.values():
-        for z in wb.model.sign_patterns:
+        for z in map(wb.hopf.algebra.from_coords, wb.model.sign_patterns):
             assert wb.hopf.ksym_defect(z) < 1e-12
             assert (z * z.adjoint() - wb.hopf.algebra.unit()).norm() < 1e-12
             x = ba.random_element(wb.hopf.algebra, RNG)
             assert (z * x - x * z).norm() < 1e-10
+
+
+def _sign_pattern_loop(h):
+    """The central +-1 elements of G_c as the group model listed them before
+    it held only the fixed blocks: the antipode's block map from the block
+    units, then one element per subset of the fixed blocks."""
+    a = h.algebra
+    units = a.block_unit_coords()
+    hits = np.linalg.norm((h.antipode @ units)[:, :, None] - units[:, None, :], axis=0) < 1e-8
+    kmap = [int(np.argmax(row)) if row.any() else -1 for row in hits]
+    fixed_blocks = [b for b, c in enumerate(kmap) if c == b]
+    unit = a.unit_coords()
+    patterns = []
+    for bits in range(1 << len(fixed_blocks)):
+        sign = np.ones(a.nblocks)
+        sign[[b for i, b in enumerate(fixed_blocks) if bits >> i & 1]] = -1.0
+        patterns.append(a.from_coords(sign[a.layout.block_of] * unit))
+    return fixed_blocks, patterns
+
+
+def test_sign_patterns_match_the_subset_loop(workbenches):
+    models = {key: wb.model for key, wb in workbenches.items()}
+    models["function:S4"] = build_group_model(function_algebra(symmetric(4)))
+    for key, model in models.items():
+        fixed, patterns = _sign_pattern_loop(model.hopf)
+        assert model.fixed_blocks.tolist() == fixed, key
+        stack = model.sign_patterns
+        assert len(stack) == 2 ** len(model.fixed_blocks), key
+        assert stack.tobytes() == np.array([z.coords() for z in patterns]).tobytes(), key
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "S3", "D4", "S4", "dihedral:16"])
+def test_fixed_blocks_of_a_function_algebra_are_the_involutions(name):
+    # kappa maps delta_g to delta_(g^-1), so it fixes the block of g iff g g = e
+    g = by_name(name)
+    model = build_group_model(function_algebra(g))
+    assert model.fixed_blocks.tolist() == [x for x in range(g.order) if g.mul(x, x) == 0]
 
 
 # -- exponentials ---------------------------------------------------------------
@@ -136,6 +173,17 @@ def test_sample_refuses_non_ksymmetric_exponential(workbenches, monkeypatch):
     monkeypatch.setattr(biinner, "exp_element", lambda _: bad)
     with pytest.raises(NotInLieAlgebra, match="defect"):
         sample_identity_component(wb.model, x, 0.5)
+
+
+def test_sample_refuses_an_exponential_off_the_cocentre(gs3, monkeypatch):
+    # lambda of a transposition is a kappa-symmetric unitary, but it does not
+    # commute with the cocentre (all of C[S3]): the membership rule of G_c
+    # refuses it by its commutators
+    bad = _lam(gs3, 1)
+    assert gs3.hopf.ksym_defect(bad) < 1e-12
+    monkeypatch.setattr(biinner, "exp_element", lambda _: bad)
+    with pytest.raises(NotInLieAlgebra, match="defect"):
+        sample_identity_component(gs3.model, gs3.model.random_element(RNG), 0.5)
 
 
 def test_small_t_derivative_of_conjugation(workbenches):
@@ -214,7 +262,7 @@ def test_group_closure_of_ksymmetric_unitaries(workbenches):
     rng = np.random.default_rng(88)
     for key, wb in workbenches.items():
         if wb.model.dim == 0:
-            samples = wb.model.sign_patterns[:3]
+            samples = [wb.hopf.algebra.from_coords(z) for z in wb.model.sign_patterns[:3]]
         else:
             samples = [exp_element(wb.model.random_element(rng)) for _ in range(3)]
         for u in samples:
@@ -279,10 +327,11 @@ def test_members_times_sign_patterns_with_ten_fixed_blocks():
     # member times any of them is a member, with a witness implementing it
     h = function_algebra(symmetric(4))
     model = build_group_model(h)
-    assert len(model.sign_patterns) == 1024
+    patterns = model.sign_patterns
+    assert len(patterns) == 1024
     rng = np.random.default_rng(4)
     for _ in range(5):
-        z = model.sign_patterns[int(rng.integers(1024))]
+        z = h.algebra.from_coords(patterns[int(rng.integers(1024))])
         alpha = AlgebraMap.ad(z * exp_element(model.random_element(rng)))
         ok, info = in_identity_component(alpha, model, rng=rng)
         assert ok

@@ -227,7 +227,7 @@ def test_dual_sandwich_per_block_tags(kp):
     # automorphism of the Kac-Paljutkin algebra
     from fqg.kacpaljutkin import _generators
     x, _, _ = _generators(kp.hopf.algebra)
-    sw, _, _ = dual_sandwich(x, kp.hopf, kp.dual)
+    sw, _, _ = dual_sandwich(x, kp.dual)
     tags, residuals = per_block_jordan_decomposition(sw)
     assert len(tags) == 5
     assert max(residuals) < 1e-9
@@ -243,7 +243,7 @@ def test_per_block_dichotomy_fails_off_the_unitary_locus(kp):
     c = kp.hopf.algebra.element([np.eye(1)] * 4 + [np.diag([2.0, 1.0])])
     assert kp.hopf.ksym_defect(c) < 1e-12
     assert all((c * z - z * c).norm() < 1e-12 for z in kp.model.cocentre)
-    sw, _, _ = dual_sandwich(c, kp.hopf, kp.dual)
+    sw, _, _ = dual_sandwich(c, kp.dual)
     with pytest.raises(NeitherAutoNorAnti):
         per_block_jordan_decomposition(sw)
 
@@ -278,9 +278,9 @@ def test_per_block_tags_match_the_pair_loop(workbenches):
     rng = np.random.default_rng(79)
     from fqg.kacpaljutkin import _generators
     kp = workbenches["kp"]
-    maps = [dual_sandwich(_generators(kp.hopf.algebra)[0], kp.hopf, kp.dual)[0],
+    maps = [dual_sandwich(_generators(kp.hopf.algebra)[0], kp.dual)[0],
             dual_sandwich(kp.hopf.algebra.element([np.eye(1)] * 4 + [np.diag([2.0, 1.0])]),
-                          kp.hopf, kp.dual)[0],
+                          kp.dual)[0],
             AlgebraMap(BlockAlgebra((2,)), BlockAlgebra((2,)), np.diag([1.0, 2.0, 2.0, 1.0]))]
     for wb in workbenches.values():
         for a in (wb.hopf.algebra, wb.dual.hopf.algebra):
@@ -348,13 +348,13 @@ def test_composition_convention_covariant(gs3):
 # -- dual sandwich ------------------------------------------------------------------
 
 def test_dual_sandwich_unit_is_identity(kp):
-    sw, a, b = dual_sandwich(kp.hopf.algebra.unit(), kp.hopf, kp.dual)
+    sw, a, b = dual_sandwich(kp.hopf.algebra.unit(), kp.dual)
     assert sw.is_identity()
 
 
 def test_dual_sandwich_matches_induced_action(gs3):
     c = _lam(gs3, 1)
-    sw, a, b = dual_sandwich(c, gs3.hopf, gs3.dual)
+    sw, a, b = dual_sandwich(c, gs3.dual)
     ah = induced_dual_action(AlgebraMap.ad(c), gs3.dual)
     assert sw.distance_to(ah) < 1e-10
     # a and b are the Fourier images
@@ -365,19 +365,13 @@ def test_dual_sandwich_matches_induced_action(gs3):
 def test_dual_sandwich_preserves_selfadjoint_invertibles(kp):
     rng = np.random.default_rng(8)
     c = _random_ksym_cocentre_commuting(kp, rng)
-    sw, fc, fcinv = dual_sandwich(c, kp.hopf, kp.dual)
+    sw, fc, fcinv = dual_sandwich(c, kp.dual)
     assert fc.is_selfadjoint() and fcinv.is_selfadjoint()
     for _ in range(20):
         y = ba.random_selfadjoint_invertible(kp.dual.hopf.algebra, rng)
         im = sw(y)
         assert (im - im.adjoint()).norm() < 1e-9
         assert im.smallest_sv() > 1e-8
-
-
-def test_dual_sandwich_requires_cocentre_fixing_on_request(gs3):
-    with pytest.raises(PreconditionFailed):
-        dual_sandwich(_lam(gs3, 1), gs3.hopf, gs3.dual,
-                      require_cocentre_fixing=True)
 
 
 # -- inner implementers ---------------------------------------------------------------
@@ -547,6 +541,18 @@ def test_inner_implementer_refuses_a_block_without_intertwiner(monkeypatch):
     assert seen == [1]
 
 
+def test_inner_implementer_refuses_a_leak_between_blocks():
+    """Ad(u) on C + M_2 with e_{1,0,1} leaking into the 1x1 block: the block
+    units stay fixed and every diagonal block has a unitary intertwiner, so
+    only the final residual gate sees that the map is not Ad(u)."""
+    a = BlockAlgebra((1, 2))
+    m = AlgebraMap.ad(ba.random_unitary(a, np.random.default_rng(5))).matrix
+    m[0, 2] += 0.5
+    ok, coords = morphisms.inner_implementers(m[None], a)
+    assert not ok[0] and not coords.any()
+    assert inner_implementer(AlgebraMap(a, a, m)) is None
+
+
 # -- proposition pipeline ---------------------------------------------------------------
 
 def test_pipeline_unit_is_hopf_auto(workbenches):
@@ -582,7 +588,8 @@ def test_pipeline_perturbation_branch_z2(gz2):
 def test_pipeline_on_unitary_group_elements(kp):
     """Kappa-symmetric unitaries commuting with the cocentre (the sign
     patterns of the group model) classify cleanly."""
-    for v in kp.model.sign_patterns[:8]:
+    for z in kp.model.sign_patterns[:8]:
+        v = kp.hopf.algebra.from_coords(z)
         res = proposition_pipeline(v, kp.hopf, kp.dual)
         assert res.verdict == "hopf_auto"
         rep = classify_map(AlgebraMap.ad(v), kp.hopf, kp.hopf)

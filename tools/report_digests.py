@@ -9,7 +9,9 @@ from the `src/` next to this directory, and writes one entry per report:
 the sha256 of the report text, the sha256 of the report with its float
 leaves blanked out (every verdict, flag, count and confusion matrix) and the
 float leaves themselves by path.  The default algebras are the 11 bundled
-workbenches: kp and the group and function algebras of Z2, Z3, Z4, S3, D4.
+workbenches (kp and the group and function algebras of Z2, Z3, Z4, S3, D4)
+and the group and function algebras of dihedral:6, which at N = 12 are the
+largest that `fqg biinner` accepts.
 
 --compare lists the reports of A and B that differ, whether their non-float
 content differs, and the largest move of a float leaf; it exits 1 when any
@@ -30,7 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GROUPS = ["Z2", "Z3", "Z4", "S3", "D4"]
 SEEDS = (1, 7)
-ALGEBRAS = ["kp"] + [f"{kind}:{g}" for kind in ("group", "function") for g in GROUPS]
+ALGEBRAS = ["kp"] + [f"{kind}:{g}" for kind in ("group", "function")
+                     for g in GROUPS + ["dihedral:6"]]
 
 
 def algebra_args(key: str) -> list[str]:
