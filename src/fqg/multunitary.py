@@ -8,8 +8,12 @@ construction aborts instead of silently flipping to another variant.
 In the matrix-unit GNS basis rep(A) is block-diagonal over the column
 classes (the coordinates of one column of one block), so the second leg of
 V maps each class into itself.  The stored V is projected on that pattern,
-with the discarded round-off certified, and the pentagon certificate sums
-its residual class by class: O(N^6 sum_b d_b^3) instead of O(N^8).
+with the discarded round-off certified.  The first leg lies in the image of
+the dual, which in a suitable orthonormal basis W (first_leg_basis) is
+block-diagonal over the dual's column classes, so the pentagon certificate
+sums its residual over pairs of classes, one of each leg:
+O(N^3 sum_b dh_b^4 sum_b d_b^3) for the block sizes dh_b of the dual and
+d_b of A, instead of O(N^8).
 """
 
 from __future__ import annotations
@@ -144,6 +148,18 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     ||E||_F / (sigma_n(X) sigma_n(S) - ||E||_F), using
     sigma_n(V') >= sigma_n(X) sigma_n(S) for the stacks X and S of the X_k
     and the S_k; second_leg_span_distance is that bound, capped at 1.
+
+    The pentagon certificate is read on Vt = (W (x) 1) V (W* (x) 1), W from
+    first_leg_basis (pentagon_certificates), with the defects
+    eps = first_leg_basis_defect = ||W*W - 1||_F and
+    delta = first_leg_class_defect = ||Vt - Pi^(Vt)||_F / max(1, ||Vt||_F),
+    where Pi^ drops what leaves the dual's column classes on the first leg.
+    For the unitary polar factor U of W, ||W - U||_2 <= eps, so Pi^(Vt)
+    differs from (U (x) 1) V (U* (x) 1), whose pentagon residual is V's
+    own, by at most (delta (1 + eps)^2 + eps (2 + eps)) ||V||_F.  The
+    residual moves by at most (2 ||V||_2 + 1) ||V||_2 times that relative
+    change, so the certified pentagon is within about 3 (delta + 2 eps) of
+    V's own residual, to first order in the two defects.
     """
     h = gns.hopf
     if dual.base is not h:
@@ -152,11 +168,20 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
 
     # V on element coordinates: column (i, j) = kron coords of
     # delta(e_i)(1 (x) e_j); since (x (x) y)(1 (x) e_j) = x (x) (y e_j), this
-    # is delta(e_i) with its second leg multiplied on the right by e_j
-    v_el = np.einsum('pqi,jrq->prij', h.coproduct_kron,
-                     ba.right_mult_tensor(h.algebra)).reshape(n * n, n * n)
+    # is delta(e_i) with its second leg multiplied on the right by e_j:
+    # v_el[p, r, i, j] = sum_q dk[p, q, i] R[j, r, q], one product of the
+    # (p i, q) and (q, r j) matrices.  For each (r, j) only one q has
+    # e_q e_j = e_r, so every entry is a single term, in any order of summation
+    rmul = ba.right_mult_tensor(h.algebra)
+    v_el = (h.coproduct_kron.transpose(0, 2, 1).reshape(n * n, n)
+            @ rmul.transpose(2, 1, 0).reshape(n, n * n))
+    v_el = v_el.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     w2 = np.kron(gns.onb, gns.onb)
-    v_full = w2 @ v_el @ np.linalg.inv(w2)
+    w2_inv = np.linalg.inv(w2)
+    v_full = w2 @ v_el
+    del w2, v_el
+    v_full = v_full @ w2_inv
+    del w2_inv
 
     # the second leg lies in rep(A), which preserves every column class;
     # what V has outside that pattern is round-off, and is dropped so that
@@ -165,16 +190,20 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     cert = {}
     cert["column_class_defect"] = (float(np.linalg.norm(v_full - v))
                                    / max(1.0, float(np.linalg.norm(v_full))))
+    del v_full
     if cert["column_class_defect"] > 1e-8:
         raise LegMismatch(f"V leaves the column classes of rep(A): "
                           f"{cert['column_class_defect']:.2e}")
-    cert["unitarity"] = float(np.linalg.norm(v.conj().T @ v - np.eye(n * n))) / n
+    # V, and with it V*V - 1, is block-diagonal over the leg-2 classes
+    sq = 0.0
+    for cls in _class_stacks(h.algebra):
+        g, m = cls.shape
+        vk = _leg2_blocks(v, n, cls).reshape(g, n * m, n * m)
+        gram = vk.conj().transpose(0, 2, 1) @ vk - np.eye(n * m)
+        sq += float(np.vdot(gram, gram).real)
+    cert["unitarity"] = float(np.sqrt(sq)) / n
     if cert["unitarity"] > tol.eq_tol * 100:
         raise NotUnitary(f"V fails unitarity: {cert['unitarity']:.2e}")
-
-    cert["pentagon"] = pentagon_residual(v, n)
-    if cert["pentagon"] > 1e-8:
-        raise PentagonFailed(f"pentagon residual {cert['pentagon']:.2e}")
 
     # decompose V = sum_k X_k (x) rep(e_k): second legs span the GNS image of A
     sbasis = gns.rep_basis
@@ -182,6 +211,7 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     flat = sbasis.reshape(n, n * n)
     xmat, res, *_ = np.linalg.lstsq(flat.T, v_schmidt.T, rcond=None)
     fit = float(np.linalg.norm(flat.T @ xmat - v_schmidt.T))
+    del v_schmidt
     cert["second_leg_membership"] = fit / max(1.0, float(np.linalg.norm(v)))
     if cert["second_leg_membership"] > 1e-8:
         raise LegMismatch("V does not lie in B(H) (x) rep(A)")
@@ -218,6 +248,20 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     cert["pairing_via_v"] = float(np.linalg.norm(dual.from_dual_mat @ q - np.eye(n))) / n
     if cert["pairing_via_v"] > 1e-7:
         raise LegMismatch("V does not implement the duality pairing")
+
+    # the pentagon, split over the classes of both legs in the first-leg
+    # basis W of the dual's matrix units
+    cert.update(pentagon_certificates(
+        v, first_leg_basis(flat_hat.reshape(n, n, n), dual.hopf.algebra),
+        dual.hopf.algebra, h.algebra))
+    if cert["first_leg_basis_defect"] > 1e-8:
+        raise LegMismatch(f"first-leg basis is not orthonormal: "
+                          f"{cert['first_leg_basis_defect']:.2e}")
+    if cert["first_leg_class_defect"] > 1e-8:
+        raise LegMismatch(f"V leaves the column classes of the dual on its first leg: "
+                          f"{cert['first_leg_class_defect']:.2e}")
+    if cert["pentagon"] > 1e-8:
+        raise PentagonFailed(f"pentagon residual {cert['pentagon']:.2e}")
     return MultiplicativeUnitary(gns, dual, v, sbasis, shat, cert)
 
 
@@ -226,9 +270,16 @@ def column_classes(a: BlockAlgebra) -> np.ndarray:
     of block b share one label, the coordinate of their top entry.
     rep(A) maps each class into itself."""
     label = np.empty(a.dim, int)
-    for idx in a.layout.by_size.values():
-        label[idx] = idx[:, :1, :]
+    for cls in _class_stacks(a):
+        label[cls] = cls[:, :1]
     return label
+
+
+def _class_stacks(a: BlockAlgebra) -> list[np.ndarray]:
+    """The column classes of a stacked by size: one (count, m) array of
+    coordinates per block size m, row (b, q) holding column q of block b."""
+    return [idx.transpose(0, 2, 1).reshape(-1, idx.shape[1])
+            for idx in a.layout.by_size.values()]
 
 
 def project_on_column_classes(v: np.ndarray, a: BlockAlgebra) -> np.ndarray:
@@ -240,62 +291,100 @@ def project_on_column_classes(v: np.ndarray, a: BlockAlgebra) -> np.ndarray:
     return np.where(keep, v.reshape(n, n, n, n), 0).reshape(n * n, n * n)
 
 
-def leg2_classes(v: np.ndarray, n: int) -> list[np.ndarray]:
-    """The classes of leg-2 indices that v couples, stacked by size.
-
-    Leg-2 index r is coupled to j when some V[(a, r), (i, j)] is nonzero;
-    the classes are the connected components of that relation, read from
-    the exact zeros of v.  Returns one (count, size) index array per class
-    size, in order of first appearance."""
-    coupled = (v.reshape(n, n, n, n) != 0).any(axis=(0, 2))
-    reach = coupled | coupled.T | np.eye(n, dtype=bool)
-    while True:
-        wider = reach @ reach
-        if np.array_equal(wider, reach):
-            break
-        reach = wider
-    by_size: dict[int, list[np.ndarray]] = {}
-    for root in dict.fromkeys(reach.argmax(axis=1)):
-        members = np.flatnonzero(reach[root])
-        by_size.setdefault(len(members), []).append(members)
-    return [np.stack(g) for g in by_size.values()]
+def _leg2_blocks(v: np.ndarray, n: int, cls: np.ndarray) -> np.ndarray:
+    """V with both leg-2 indices in one class K of cls, for every K: the
+    (count, n, m, n, m) stack [K, row1, row2, col1, col2]."""
+    sub = v.reshape(n, n, n, n)[:, cls[:, :, None], :, cls[:, None, :]]
+    return sub.transpose(0, 3, 1, 4, 2)
 
 
-def pentagon_residual(v: np.ndarray, n: int) -> float:
-    """Frobenius norm of V12 V13 V23 - V23 V12 on H (x) H (x) H, divided by
-    max(1, ||V12||_F) = max(1, sqrt(n) ||V||_F).
+def first_leg_basis(slices: np.ndarray, a_hat: BlockAlgebra) -> np.ndarray:
+    """The unitary W with W pi(e) W* the left multiplication by e on the
+    matrix-unit coordinates of a_hat, for the first-leg slices
+    slices[i] = pi(e_i) of the dual basis, a *-representation of a_hat
+    with multiplicity m on each block of size m.
 
-    Exact, but never forms an n^3 x n^3 matrix.  V13 and V23 map leg 3
-    within the classes of leg2_classes(v), and V12 does not touch it, so
-    the pentagon operator is block-diagonal over those classes and its
-    squared norm is the sum over them.  Both sides are applied to
-    e_i (x) I (x) I_K, one first-leg index i at a time with the classes K of
-    one size m stacked, and the squared norms are summed: O(n^6 sum_K m^2)
-    time and O(n^3 sum_K m^2) memory.  For an unpartitioned v this is the
-    single class K = {0..n-1} (O(n^8) time, O(n^5) memory); for a
-    multiplicative unitary of A, Pi(V) has one class per column of each
-    block b of size d_b, so sum_K m^2 = sum_b d_b^3.
+    For each block b of size m, the columns of Q_b are an orthonormal basis
+    of the range of the rank-m projection pi(e_(b,0,0)) (one batched eigh
+    per block size), and row (b, r, q) of W is eta* with
+    eta = pi(e_(b,r,0)) Q_b[:, q].  Then pi(e_(b,r,s)) maps eta_(b,s,q) to
+    eta_(b,r,q), so W pi(a_hat) W* preserves every column class of a_hat."""
+    n = a_hat.dim
+    eta = np.empty((n, n), complex)
+    for m, idx in a_hat.layout.by_size.items():
+        _, vecs = np.linalg.eigh(slices[idx[:, 0, 0]])
+        # eta[:, (b, r, q)] = pi(e_(b,r,0)) Q_b[:, q]
+        eta[:, idx] = (slices[idx[:, :, 0]] @ vecs[:, None, :, -m:]).transpose(2, 0, 1, 3)
+    return eta.conj().T
+
+
+def pentagon_certificates(v: np.ndarray, w: np.ndarray, first: BlockAlgebra,
+                          second: BlockAlgebra) -> dict:
+    """pentagon_residual of V in the first-leg basis W, with the two defects
+    that bound its distance from V's own residual (see
+    build_multiplicative_unitary): first_leg_basis_defect and
+    first_leg_class_defect, the norm of Vt = (W (x) 1) V (W* (x) 1) outside
+    first's column classes on its first leg over max(1, ||Vt||_F)."""
+    n = second.dim
+    basis_defect = float(np.linalg.norm(w.conj().T @ w - np.eye(n)))
+    vt = np.matmul(w.conj(), (w @ v.reshape(n, n ** 3)).reshape(n * n, n, n))
+    label = column_classes(first)
+    off = vt.reshape(n, n, n, n).transpose(0, 2, 1, 3)[label[:, None] != label]
+    class_defect = float(np.linalg.norm(off)) / max(1.0, float(np.linalg.norm(vt)))
+    del off
+    return {"first_leg_basis_defect": basis_defect,
+            "first_leg_class_defect": class_defect,
+            "pentagon": pentagon_residual(v, vt.reshape(n * n, n * n), first, second)}
+
+
+def pentagon_residual(v: np.ndarray, vt: np.ndarray, first: BlockAlgebra,
+                      second: BlockAlgebra) -> float:
+    """Frobenius norm of Vt12 Vt13 V23 - V23 Vt12 on H (x) H (x) H, divided
+    by max(1, ||V12||_F) = max(1, sqrt(n) ||V||_F), where
+    Vt = (W (x) 1) V (W* (x) 1); for unitary W this operator is
+    W1 (V12 V13 V23 - V23 V12) W1*, so it has V's pentagon residual.
+
+    V keeps its second leg inside the column classes of second (A), and Vt
+    its first leg inside those of first (the dual), so the operator is
+    block-diagonal over (class of first on leg 1) x (class of second on
+    leg 3), with leg 2 whole; only the entries of Vt inside first's classes
+    are read.  The squared norms of the blocks are summed, the pairs of
+    classes of one size stacked and chunked so that no temporary exceeds
+    about n^4 / 4 entries: O(n^3 sum_b dh_b^4 sum_b d_b^3) time for block
+    sizes dh_b of first and d_b of second, never an n^3 x n^3 matrix.
     """
-    v4 = v.reshape(n, n, n, n)                 # axes (row1, row2, col1, col2)
-    vt = v4.transpose(1, 3, 0, 2)              # axes (row2, col2, row1, col1)
+    n = second.dim
+    vt4 = vt.reshape(n, n, n, n)               # axes (row1, row2, col1, col2)
+    budget = n ** 4 // 4
     total = 0.0
-    for cls in leg2_classes(v, n):
-        g, m = cls.shape
-        # sub[g, c, l, b, k] = <e_b e_(K c)|V|e_k e_(K l)>
-        sub = vt[cls[:, :, None], cls[:, None, :]]
-        # V23 on leg 3 in K: v23[g, k, (b, j, l)] = <e_b e_(K k)|V|e_j e_(K l)>
-        v23 = sub.transpose(0, 1, 3, 4, 2).reshape(g, m, n * n * m)
-        for i in range(n):
-            # V13 on e_i, leg 3 in K: w13[g, (a, c), k] = <e_a e_(K c)|V|e_i e_(K k)>
-            w13 = sub[..., i].transpose(0, 3, 1, 2).reshape(g, n * m, m)
-            # V13 V23 at [g, a, c, b, j, l], then V12 on (a, b)
-            left = (w13 @ v23).reshape(g, n, m, n, n, m)
-            left = v @ left.transpose(1, 3, 0, 2, 4, 5).reshape(n * n, -1)
-            # V23 V12: sum_k <e_a e_k|V|e_i e_j> <e_b e_(K c)|V|e_k e_(K l)>
-            # at [a, j, g, c, l, b]
-            right = np.tensordot(v4[:, :, i], sub, axes=(1, 4))
-            left -= right.transpose(0, 5, 2, 3, 1, 4).reshape(n * n, -1)
-            total += float(np.vdot(left, left).real)
+    for hat in _class_stacks(first):
+        mh = hat.shape[1]
+        # Vt12 on leg 1 in class G: t12[G, c', b', c, b] = <e_(G c') e_b'|Vt|e_(G c) e_b>
+        t12 = vt4[hat[:, :, None], :, hat[:, None, :]].transpose(0, 1, 3, 2, 4)
+        for cls in _class_stacks(second):
+            g, m = cls.shape
+            # V23 on leg 3 in class K: v23[K, b', k', b, k] = <e_b' e_(K k')|V|e_b e_(K k)>
+            v23 = _leg2_blocks(v, n, cls)
+            step = max(1, budget // (mh * m * n) ** 2)
+            for start in range(0, len(hat) * g, step):
+                gi, ki = np.divmod(np.arange(start, min(start + step, len(hat) * g)), g)
+                size = len(gi)
+                gh, kk, a12, a23 = hat[gi], cls[ki], t12[gi], v23[ki]
+                # Vt13 on (G, K): a13[p, c1, k', c, k2] = <e_(G c1) e_(K k')|Vt|e_(G c) e_(K k2)>
+                a13 = vt4[gh[:, :, None, None, None], kk[:, None, :, None, None],
+                          gh[:, None, None, :, None], kk[:, None, None, None, :]]
+                # Vt13 V23 at [p, c1, k', c, b1, b, k], regrouped as (c1, b1) x (k', c, b, k)
+                y = (a13.reshape(size, mh * m * mh, m)
+                     @ a23.transpose(0, 2, 1, 3, 4).reshape(size, m, n * n * m))
+                y = y.reshape(size, mh, m, mh, n, n, m).transpose(0, 1, 4, 2, 3, 5, 6)
+                # Vt12 Vt13 V23 at [p, c', b', k', c, b, k]
+                left = a12.reshape(size, mh * n, mh * n) @ y.reshape(size, mh * n, -1)
+                # V23 Vt12: sum_b2 v23[b', k', b2, k] t12[c', b2, c, b] at [p, k, b', k', c', c, b]
+                right = (a23.transpose(0, 4, 1, 2, 3).reshape(size, m * n * m, n)
+                         @ a12.transpose(0, 2, 1, 3, 4).reshape(size, n, mh * mh * n))
+                diff = (left.reshape(size, mh, n, m, mh, n, m)
+                        - right.reshape(size, m, n, m, mh, mh, n).transpose(0, 4, 2, 3, 5, 6, 1))
+                total += float(np.vdot(diff, diff).real)
     norm = max(1.0, float(np.sqrt(n) * np.linalg.norm(v)))
     return float(np.sqrt(total)) / norm
 
@@ -321,33 +410,31 @@ def fixed_and_cofixed(mu: MultiplicativeUnitary) -> FixedSpaces:
     n = mu.dim
     v = mu.matrix
     # stack conditions over a basis of the other leg: w[:, :, k] is
-    # (V - 1) restricted to xi (x) e_k, w[:, k, :] to e_k (x) eta
+    # (V - 1) restricted to xi (x) e_k, w[:, k, :] to e_k (x) eta; the thin
+    # QR of each n^3 x n stack keeps its singular values and null space
     w = (v - np.eye(n * n)).reshape(n * n, n, n)
     rows_fixed = w.transpose(2, 0, 1).reshape(n ** 3, n)
     rows_cofixed = w.transpose(1, 0, 2).reshape(n ** 3, n)
-    fixed = ba.null_space(rows_fixed)
-    cofixed = ba.null_space(rows_cofixed)
+    fixed = ba.null_space(np.linalg.qr(rows_fixed, mode="r"))
+    cofixed = ba.null_space(np.linalg.qr(rows_cofixed, mode="r"))
 
     # quoted eigenvector property: rep(A) maps cofixed vectors to multiples,
     # dual slices map fixed vectors to multiples
-    worst = 0.0
-    for j in range(cofixed.shape[1]):
-        vec = cofixed[:, j]
-        for k in range(n):
-            img = mu.sbasis[k] @ vec
-            worst = max(worst, _off_ray(img, vec))
-    for j in range(fixed.shape[1]):
-        vec = fixed[:, j]
-        for k in range(n):
-            img = mu.shat_basis[k] @ vec
-            worst = max(worst, _off_ray(img, vec))
+    worst = max(_off_ray(mu.sbasis, cofixed), _off_ray(mu.shat_basis, fixed))
     return FixedSpaces(fixed, cofixed, worst)
 
 
-def _off_ray(img: np.ndarray, vec: np.ndarray) -> float:
-    """Norm of the component of img orthogonal to vec."""
-    vn = vec / np.linalg.norm(vec)
-    return float(np.linalg.norm(img - (vn.conj() @ img) * vn))
+def _off_ray(ops: np.ndarray, vecs: np.ndarray) -> float:
+    """Largest norm of the component of op vec orthogonal to vec, over the
+    (k, n, n) stack ops and the columns vec of vecs."""
+    if vecs.shape[1] == 0:
+        return 0.0
+    vn = vecs / np.linalg.norm(vecs, axis=0)
+    img = ops @ vecs                                 # [k, :, j] = ops[k] @ vecs[:, j]
+    # (vn* img)[k, j] as the diagonal of vn* @ img[k], a BLAS dot per entry
+    coef = np.diagonal(vn.conj().T @ img, axis1=1, axis2=2)
+    off = img - coef[:, None, :] * vn
+    return float(np.linalg.norm(off, axis=1).max())
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ from fqg.groups import by_name, cyclic
 from fqg.hopf import function_algebra, group_algebra
 from fqg.duality import build_dual
 from fqg.multunitary import (GnsSpace, build_gns, build_multiplicative_unitary,
-                             column_classes, commutation_test, fixed_and_cofixed,
-                             leg2_classes, pair_from_commutant, path_in_commutant,
-                             pentagon_residual,
-                             solve_commutant_partner, split_simple_tensor,
-                             unitary_fractional_power)
+                             column_classes, commutation_test, first_leg_basis,
+                             fixed_and_cofixed, pair_from_commutant, path_in_commutant,
+                             pentagon_certificates, solve_commutant_partner,
+                             split_simple_tensor, unitary_fractional_power)
 
 RNG = np.random.default_rng(606)
 
@@ -167,12 +166,108 @@ def _dense_pentagon_residual(v, n):
     return float(np.linalg.norm(pent)) / max(1.0, float(np.linalg.norm(v12)))
 
 
+def leg2_classes(v, n):
+    """Oracle: the classes of leg-2 indices that v couples, stacked by size.
+
+    Leg-2 index r is coupled to j when some V[(a, r), (i, j)] is nonzero;
+    the classes are the connected components of that relation, read from
+    the exact zeros of v.  Returns one (count, size) index array per class
+    size, in order of first appearance."""
+    coupled = (v.reshape(n, n, n, n) != 0).any(axis=(0, 2))
+    reach = coupled | coupled.T | np.eye(n, dtype=bool)
+    while True:
+        wider = reach @ reach
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    by_size = {}
+    for root in dict.fromkeys(reach.argmax(axis=1)):
+        members = np.flatnonzero(reach[root])
+        by_size.setdefault(len(members), []).append(members)
+    return [np.stack(g) for g in by_size.values()]
+
+
+def pentagon_residual(v, n):
+    """Oracle: the pentagon residual split over the leg-3 classes only.
+
+    V13 and V23 map leg 3 within the classes of leg2_classes(v), and V12
+    does not touch it, so the pentagon operator is block-diagonal over those
+    classes.  Both sides are applied to e_i (x) I (x) I_K, one first-leg
+    index i at a time with the classes K of one size m stacked: O(n^6
+    sum_K m^2) time.  For an unpartitioned v this is the single class
+    K = {0..n-1}."""
+    v4 = v.reshape(n, n, n, n)                 # axes (row1, row2, col1, col2)
+    vt = v4.transpose(1, 3, 0, 2)              # axes (row2, col2, row1, col1)
+    total = 0.0
+    for cls in leg2_classes(v, n):
+        g, m = cls.shape
+        # sub[g, c, l, b, k] = <e_b e_(K c)|V|e_k e_(K l)>
+        sub = vt[cls[:, :, None], cls[:, None, :]]
+        # V23 on leg 3 in K: v23[g, k, (b, j, l)] = <e_b e_(K k)|V|e_j e_(K l)>
+        v23 = sub.transpose(0, 1, 3, 4, 2).reshape(g, m, n * n * m)
+        for i in range(n):
+            # V13 on e_i, leg 3 in K: w13[g, (a, c), k] = <e_a e_(K c)|V|e_i e_(K k)>
+            w13 = sub[..., i].transpose(0, 3, 1, 2).reshape(g, n * m, m)
+            # V13 V23 at [g, a, c, b, j, l], then V12 on (a, b)
+            left = (w13 @ v23).reshape(g, n, m, n, n, m)
+            left = v @ left.transpose(1, 3, 0, 2, 4, 5).reshape(n * n, -1)
+            # V23 V12: sum_k <e_a e_k|V|e_i e_j> <e_b e_(K c)|V|e_k e_(K l)>
+            # at [a, j, g, c, l, b]
+            right = np.tensordot(v4[:, :, i], sub, axes=(1, 4))
+            left -= right.transpose(0, 5, 2, 3, 1, 4).reshape(n * n, -1)
+            total += float(np.vdot(left, left).real)
+    norm = max(1.0, float(np.sqrt(n) * np.linalg.norm(v)))
+    return float(np.sqrt(total)) / norm
+
+
+def _first_leg_slices(mu):
+    """The first-leg slices rep_dual(ehat_i) of the dual basis, (n, n, n)."""
+    return np.tensordot(mu.dual.from_dual_mat, mu.shat_basis, axes=(0, 0))
+
+
+def _two_leg_certificates(mu, v=None):
+    """pentagon_certificates of v (default: mu's V) in mu's first-leg basis."""
+    dual_alg, a = mu.dual.hopf.algebra, mu.gns.hopf.algebra
+    w = first_leg_basis(_first_leg_slices(mu), dual_alg)
+    return pentagon_certificates(mu.matrix if v is None else v, w, dual_alg, a)
+
+
 def test_pentagon_residual_matches_dense_oracle(workbenches):
     for key, wb in workbenches.items():
         n = wb.mu.dim
-        got = pentagon_residual(wb.mu.matrix, n)
-        assert abs(got - _dense_pentagon_residual(wb.mu.matrix, n)) < 1e-13, key
-        assert got == wb.mu.certificates["pentagon"], key
+        want = _dense_pentagon_residual(wb.mu.matrix, n)
+        assert abs(pentagon_residual(wb.mu.matrix, n) - want) < 1e-13, key
+        assert abs(wb.mu.certificates["pentagon"] - want) < 1e-13, key
+
+
+@pytest.fixture(scope="module")
+def mus_n12_to_24():
+    """V of the group and function algebras of dihedral:6, dihedral:8 and S4."""
+    out = {}
+    for g in ("dihedral:6", "dihedral:8", "S4"):
+        for kind, build in (("group", group_algebra), ("function", function_algebra)):
+            h = build(by_name(g))
+            out[f"{kind}:{g}"] = build_multiplicative_unitary(build_gns(h), build_dual(h))
+    return out
+
+
+def test_two_leg_pentagon_matches_the_single_leg_oracle(mus_n12_to_24):
+    for key, mu in mus_n12_to_24.items():
+        c = mu.certificates
+        assert abs(c["pentagon"] - pentagon_residual(mu.matrix, mu.dim)) < 1e-13, key
+        assert c["first_leg_basis_defect"] < 1e-13, key
+        assert c["first_leg_class_defect"] < 1e-13, key
+
+
+def test_first_leg_basis_takes_the_slices_to_left_multiplication(workbenches):
+    """W rep_dual(e) W* is the dual's left multiplication on its matrix-unit
+    coordinates, for every dual basis element e."""
+    for key, wb in workbenches.items():
+        mu, dual_alg = wb.mu, wb.dual.hopf.algebra
+        slices = _first_leg_slices(mu)
+        w = first_leg_basis(slices, dual_alg)
+        got = w @ slices @ w.conj().T
+        assert np.abs(got - ba.left_mult_tensor(dual_alg)).max() < 1e-12, key
 
 
 def test_pentagon_split_keeps_an_off_pattern_coupling(kp):
@@ -223,13 +318,34 @@ def test_pentagon_residual_detects_non_pentagonal_unitary(workbenches, key):
     want = _dense_pentagon_residual(bad, n)
     assert got > 1e-3 and want > 1e-3
     assert abs(got - want) < 1e-13 * max(1.0, want)
+    # the two-leg certificate refuses it too: its first leg leaves the
+    # dual's classes, or what is left has a large residual
+    c = _two_leg_certificates(mu, bad)
+    assert c["first_leg_class_defect"] > 1e-8 or c["pentagon"] > 1e-3
+
+
+@pytest.mark.parametrize("key", ["kp", "group:S3", "function:D4"])
+def test_two_leg_pentagon_matches_dense_off_the_pentagon(workbenches, key):
+    """V times a unitary of the leg algebras on either side keeps both legs
+    in their classes but breaks the pentagon; the split residual is still
+    the dense one."""
+    wb = workbenches[key]
+    mu, n = wb.mu, wb.mu.dim
+    rng = np.random.default_rng(4343)
+    t = mu.rep(ba.random_unitary(wb.hopf.algebra, rng))
+    t_hat = mu.rep_dual(ba.random_unitary(wb.dual.hopf.algebra, rng))
+    for bad in (mu.matrix @ np.kron(np.eye(n), t), np.kron(t_hat, np.eye(n)) @ mu.matrix):
+        c = _two_leg_certificates(mu, bad)
+        want = _dense_pentagon_residual(bad, n)
+        assert c["first_leg_class_defect"] < 1e-13 and want > 1e-3
+        assert abs(c["pentagon"] - want) < 1e-13 * max(1.0, want)
 
 
 @pytest.mark.parametrize("residual, fails", [(2e-8, True), (0.5e-8, False)])
 def test_pentagon_gate_threshold(monkeypatch, residual, fails):
     h = function_algebra(cyclic(3))
     d, gns = build_dual(h), build_gns(h)
-    monkeypatch.setattr(multunitary, "pentagon_residual", lambda v, n: residual)
+    monkeypatch.setattr(multunitary, "pentagon_residual", lambda v, vt, first, second: residual)
     if fails:
         with pytest.raises(PentagonFailed):
             build_multiplicative_unitary(gns, d)
@@ -257,6 +373,37 @@ def test_column_class_gate(gs3, angle, fails):
     else:
         c = build_multiplicative_unitary(gns, gs3.dual).certificates
         assert 1e-14 < c["column_class_defect"] < 1e-8
+        assert c["pentagon"] < 1e-8
+
+
+@pytest.mark.parametrize("angle, fails", [(1e-5, True), (1e-11, False)])
+def test_first_leg_class_gate(gs3, monkeypatch, angle, fails):
+    """A first-leg basis rotated by exp(i angle H) no longer takes the
+    slices into the dual's column classes."""
+    rot = _rotated_gns(gs3.gns, angle).onb @ gs3.gns.onb_inv
+    keep = multunitary.first_leg_basis
+    monkeypatch.setattr(multunitary, "first_leg_basis", lambda s, a: rot @ keep(s, a))
+    if fails:
+        with pytest.raises(LegMismatch, match="column classes of the dual"):
+            build_multiplicative_unitary(gs3.gns, gs3.dual)
+    else:
+        c = build_multiplicative_unitary(gs3.gns, gs3.dual).certificates
+        assert 1e-14 < c["first_leg_class_defect"] < 1e-8
+        assert c["first_leg_basis_defect"] < 1e-13
+        assert c["pentagon"] < 1e-8
+
+
+@pytest.mark.parametrize("scale, fails", [(1e-5, True), (1e-11, False)])
+def test_first_leg_basis_gate(gs3, monkeypatch, scale, fails):
+    keep = multunitary.first_leg_basis
+    monkeypatch.setattr(multunitary, "first_leg_basis",
+                        lambda s, a: (1 + scale) * keep(s, a))
+    if fails:
+        with pytest.raises(LegMismatch, match="not orthonormal"):
+            build_multiplicative_unitary(gs3.gns, gs3.dual)
+    else:
+        c = build_multiplicative_unitary(gs3.gns, gs3.dual).certificates
+        assert 1e-11 < c["first_leg_basis_defect"] < 1e-8
         assert c["pentagon"] < 1e-8
 
 
@@ -290,8 +437,8 @@ def test_multiplicative_unitary_memory_at_dim_16():
 
 def test_multiplicative_unitary_at_dim_24():
     # the split pentagon makes N = 24 a Tier-1 rung: the former O(N^8)
-    # slices took ~14 s and a 385 MiB peak (2-core machine), the split ~2 s
-    # and 67 MiB
+    # slices took ~14 s and a 385 MiB peak (2-core machine), the split over
+    # leg 2 ~2 s and 67 MiB, the split over both legs ~0.15 s and 25 MiB
     h = group_algebra(by_name("S4"))
     d, gns = build_dual(h), build_gns(h)
     tracemalloc.start()
@@ -302,6 +449,21 @@ def test_multiplicative_unitary_at_dim_24():
         tracemalloc.stop()
     assert mu.certificates["pentagon"] < 1e-10
     assert peak < 128 * 2 ** 20, f"peak {peak / 2 ** 20:.0f} MiB"
+
+
+def test_multiplicative_unitary_memory_at_dim_32():
+    # the pentagon's stacks once dominated the build (11.1 times the bytes of
+    # V on C[D16]); split over both legs and chunked they stay below it
+    h = group_algebra(by_name("dihedral:16"))
+    d, gns = build_dual(h), build_gns(h)
+    tracemalloc.start()
+    try:
+        mu = build_multiplicative_unitary(gns, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mu.certificates["pentagon"] < 1e-8
+    assert peak <= 6 * mu.matrix.nbytes, f"peak {peak / mu.matrix.nbytes:.1f} x V"
 
 
 # -- fixed and cofixed vectors -----------------------------------------------------
