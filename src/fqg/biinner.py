@@ -298,8 +298,7 @@ class BiInnerVerdict:
         return out
 
 
-def _unitary_in_span(sols: list[AlgebraElement], rng: np.random.Generator,
-                     tol: float = 1e-8):
+def _unitary_in_span(sols: list[AlgebraElement], rng: np.random.Generator):
     """A unitary element of a *-closed solution space, by polar projection."""
     if not sols:
         return None
@@ -313,7 +312,7 @@ def _unitary_in_span(sols: list[AlgebraElement], rng: np.random.Generator,
         u = w.blockwise(_polar_unitary)
         # the polar part must stay inside the solution space
         resid, *_ = np.linalg.lstsq(span, u.coords(), rcond=None)
-        if np.linalg.norm(span @ resid - u.coords()) < tol * max(1.0, u.norm()):
+        if np.linalg.norm(span @ resid - u.coords()) < 1e-8 * max(1.0, u.norm()):
             return u
     return None
 

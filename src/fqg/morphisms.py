@@ -281,7 +281,7 @@ def dual_sandwich(c: AlgebraElement, d: DualHopfAlgebra,
     mat = d.fourier_mat @ ad_c.matrix @ d.fourier_inv
     sandwich = AlgebraMap(d.hopf.algebra, d.hopf.algebra, mat)
     # convention linchpin: compare with the pairing-invariance dual
-    pairing_dual = d.to_dual_mat @ np.linalg.inv(ad_c.matrix).T @ d.from_dual_mat
+    pairing_dual = induced_dual_matrices(ad_c.matrix[None], d)[0]
     defect = float(np.linalg.norm(mat - pairing_dual)) / max(1.0, np.linalg.norm(mat))
     if defect > tol.eq_tol * 1e3:
         raise ConventionMismatch(f"sandwich vs pairing dual defect {defect:.2e}")

@@ -5,6 +5,11 @@ and certified by unitarity, the pentagon equation and the leg-algebra spans.
 The convention is fixed here, in one place; if a certificate fails the
 construction aborts instead of silently flipping to another variant.
 
+V is formed on element coordinates in closed form and conjugated into the
+GNS basis one leg at a time, O(N^5).  Each leg keeps one represented basis,
+GnsSpace.rep_basis for A and MultiplicativeUnitary.rep_dual_basis for the
+dual: rep and rep_dual contract them, and leg_inverse inverts either.
+
 In the matrix-unit GNS basis rep(A) is block-diagonal over the column
 classes (the coordinates of one column of one block), so the second leg of
 V maps each class into itself.  The stored V is projected on that pattern,
@@ -60,28 +65,23 @@ class GnsSpace:
 
     def rep(self, x: AlgebraElement) -> np.ndarray:
         """Left multiplication by x as an operator on the GNS space."""
-        left = np.tensordot(x.coords(), ba.left_mult_tensor(self.hopf.algebra), axes=(0, 0))
-        return self.onb @ left @ self.onb_inv
+        return np.tensordot(x.coords(), self.rep_basis, axes=(0, 0))
 
     @cached_property
     def rep_basis(self) -> np.ndarray:
         """rep of every basis element, shape (N, N, N)."""
         return self.onb @ ba.left_mult_tensor(self.hopf.algebra) @ self.onb_inv
 
-    def rep_coords(self, v: np.ndarray) -> np.ndarray:
-        return np.tensordot(v, self.rep_basis, axes=(0, 0))
 
-    @cached_property
-    def rep_pinv(self) -> np.ndarray:
-        flat = self.rep_basis.reshape(self.dim, -1).T
-        return np.linalg.pinv(flat)
-
-    def rep_inverse(self, op: np.ndarray, tol: float = 1e-8):
-        """Coordinates of the element represented by op, or None."""
-        c = self.rep_pinv @ op.reshape(-1)
-        if np.linalg.norm(self.rep_coords(c) - op) > tol * max(1.0, np.linalg.norm(op)):
-            return None
-        return c
+def leg_inverse(stack: np.ndarray, op: np.ndarray):
+    """Coordinates c with sum_k c_k stack[k] = op for the represented basis
+    stack of one leg, or None when op lies off its span by more than
+    1e-8 max(1, ||op||_F)."""
+    flat = stack.reshape(len(stack), -1).T
+    c, *_ = np.linalg.lstsq(flat, op.reshape(-1), rcond=None)
+    if np.linalg.norm(flat @ c - op.reshape(-1)) > 1e-8 * max(1.0, np.linalg.norm(op)):
+        return None
+    return c
 
 
 def build_gns(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> GnsSpace:
@@ -105,8 +105,7 @@ class MultiplicativeUnitary:
     gns: GnsSpace
     dual: DualHopfAlgebra
     matrix: np.ndarray                   # unitary on H (x) H, kron ordering
-    sbasis: np.ndarray                   # rep of the base algebra basis
-    shat_basis: np.ndarray               # first-leg coefficients X_k
+    rep_dual_basis: np.ndarray           # first-leg slice of every dual basis element
     certificates: dict = field(default_factory=dict)
 
     @property
@@ -123,16 +122,8 @@ class MultiplicativeUnitary:
         return self.gns.rep(x)
 
     def rep_dual(self, xhat: AlgebraElement) -> np.ndarray:
-        """Represent an element of the dual inside the second-leg slice algebra."""
-        row = self.dual.from_dual_mat @ xhat.coords()
-        return np.tensordot(row, self.shat_basis, axes=(0, 0))
-
-    def rep_dual_inverse(self, op: np.ndarray, tol: float = 1e-8):
-        flat = self.shat_basis.reshape(self.dim, -1).T
-        row, *_ = np.linalg.lstsq(flat, op.reshape(-1), rcond=None)
-        if np.linalg.norm(flat @ row - op.reshape(-1)) > tol * max(1.0, np.linalg.norm(op)):
-            return None
-        return self.dual.hopf.algebra.from_coords(self.dual.to_dual_mat @ row)
+        """Represent an element of the dual inside the first-leg slice algebra."""
+        return np.tensordot(xhat.coords(), self.rep_dual_basis, axes=(0, 0))
 
 
 def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
@@ -169,19 +160,22 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     # V on element coordinates: column (i, j) = kron coords of
     # delta(e_i)(1 (x) e_j); since (x (x) y)(1 (x) e_j) = x (x) (y e_j), this
     # is delta(e_i) with its second leg multiplied on the right by e_j:
-    # v_el[p, r, i, j] = sum_q dk[p, q, i] R[j, r, q], one product of the
+    # V_el[p, i, r, j] = sum_q dk[p, q, i] R[j, r, q], one product of the
     # (p i, q) and (q, r j) matrices.  For each (r, j) only one q has
     # e_q e_j = e_r, so every entry is a single term, in any order of summation
     rmul = ba.right_mult_tensor(h.algebra)
-    v_el = (h.coproduct_kron.transpose(0, 2, 1).reshape(n * n, n)
-            @ rmul.transpose(2, 1, 0).reshape(n, n * n))
-    v_el = v_el.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    w2 = np.kron(gns.onb, gns.onb)
-    w2_inv = np.linalg.inv(w2)
-    v_full = w2 @ v_el
-    del w2, v_el
-    v_full = v_full @ w2_inv
-    del w2_inv
+    t = (h.coproduct_kron.transpose(0, 2, 1).reshape(n * n, n)
+         @ rmul.transpose(2, 1, 0).reshape(n, n * n))
+    # V = (O (x) O) V_el (O^-1 (x) O^-1) for O = onb, one leg at a time:
+    # four O(n^5) products taking t from [p, i, r, j] through [a, i, r, j],
+    # [a, c, r, j] and [a, c, r, d] to [a, c, b, d]
+    onb, onb_inv = gns.onb, gns.onb_inv
+    t = onb @ t.reshape(n, n ** 3)
+    t = np.matmul(onb_inv.T, t.reshape(n, n, n * n))
+    t = t.reshape(n ** 3, n) @ onb_inv
+    t = np.matmul(onb, t.reshape(n * n, n, n))
+    v_full = t.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    del t
 
     # the second leg lies in rep(A), which preserves every column class;
     # what V has outside that pattern is round-off, and is dropped so that
@@ -206,9 +200,8 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
         raise NotUnitary(f"V fails unitarity: {cert['unitarity']:.2e}")
 
     # decompose V = sum_k X_k (x) rep(e_k): second legs span the GNS image of A
-    sbasis = gns.rep_basis
     v_schmidt = v.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    flat = sbasis.reshape(n, n * n)
+    flat = gns.rep_basis.reshape(n, n * n)
     xmat, res, *_ = np.linalg.lstsq(flat.T, v_schmidt.T, rcond=None)
     fit = float(np.linalg.norm(flat.T @ xmat - v_schmidt.T))
     del v_schmidt
@@ -229,10 +222,10 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
         raise LegMismatch("second legs do not span rep(A)")
 
     # the slice map must be a unital *-isomorphism from the dual onto
-    # span{X_k}; row i of flat_hat is rep_dual of the i-th dual basis element,
-    # one vector-matrix product per row so that each rounds as rep_dual does
-    rows = np.ascontiguousarray(dual.from_dual_mat.T)[:, None]
-    flat_hat = (rows @ shat.reshape(n, n * n))[:, 0]
+    # span{X_k}; the first-leg slice of the i-th dual basis element is
+    # sum_k beta(e_k, ehat_i) X_k
+    rep_dual_basis = np.tensordot(dual.from_dual_mat, shat, axes=(0, 0))
+    flat_hat = rep_dual_basis.reshape(n, n * n)
     hom = ba.hom_residuals(flat_hat.T, dual.hopf.algebra, BlockAlgebra((n,)))
     cert["dual_rep_multiplicative"] = hom["multiplicative"]
     cert["dual_rep_star"] = hom["star_preserving"]
@@ -252,7 +245,7 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     # the pentagon, split over the classes of both legs in the first-leg
     # basis W of the dual's matrix units
     cert.update(pentagon_certificates(
-        v, first_leg_basis(flat_hat.reshape(n, n, n), dual.hopf.algebra),
+        v, first_leg_basis(rep_dual_basis, dual.hopf.algebra),
         dual.hopf.algebra, h.algebra))
     if cert["first_leg_basis_defect"] > 1e-8:
         raise LegMismatch(f"first-leg basis is not orthonormal: "
@@ -262,7 +255,7 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
                           f"{cert['first_leg_class_defect']:.2e}")
     if cert["pentagon"] > 1e-8:
         raise PentagonFailed(f"pentagon residual {cert['pentagon']:.2e}")
-    return MultiplicativeUnitary(gns, dual, v, sbasis, shat, cert)
+    return MultiplicativeUnitary(gns, dual, v, rep_dual_basis, cert)
 
 
 def column_classes(a: BlockAlgebra) -> np.ndarray:
@@ -420,7 +413,7 @@ def fixed_and_cofixed(mu: MultiplicativeUnitary) -> FixedSpaces:
 
     # quoted eigenvector property: rep(A) maps cofixed vectors to multiples,
     # dual slices map fixed vectors to multiples
-    worst = max(_off_ray(mu.sbasis, cofixed), _off_ray(mu.shat_basis, fixed))
+    worst = max(_off_ray(mu.gns.rep_basis, cofixed), _off_ray(mu.rep_dual_basis, fixed))
     return FixedSpaces(fixed, cofixed, worst)
 
 
@@ -497,21 +490,22 @@ def solve_commutant_partner(u: AlgebraElement, mu: MultiplicativeUnitary):
     so V(W (x) T) = sum_j Y_j W (x) S_j and (W (x) T)V = sum_j W Z_j (x) S_j
     where Y_j = sum_k (e_k u)_j X_k and Z_j = sum_k (u e_k)_j X_k: the
     equation holds exactly when Y_j W = W Z_j for every j.  Over
-    W = sum_c w_c Xhat_c, Xhat_c the first-leg slice of the c-th dual basis
-    element, that is an n^3 x n system in w.  One thin QR reduces it to its
-    n x n triangular factor, which has the same singular values and null
-    space, and no inverse of u is needed.
+    W = sum_c w_c Xhat_c, Xhat_c = rep_dual_basis[c] the first-leg slice of
+    the c-th dual basis element, that is an n^3 x n system in w.  One thin
+    QR reduces it to its n x n triangular factor, which has the same
+    singular values and null space, and no inverse of u is needed.
     """
     n = mu.dim
     a = mu.gns.hopf.algebra
     # Xhat_c at [c, p, q]; Y_j and Z_j at [j, p, q], from the coefficients
     # (e_k u)_j = R_u[j, k] and (u e_k)_j = L_u[j, k] of right and left
-    # multiplication by u
-    xhat = np.tensordot(mu.dual.from_dual_mat, mu.shat_basis, axes=(0, 0))
-    ys = np.tensordot(np.tensordot(u.coords(), ba.right_mult_tensor(a), axes=(0, 0)),
-                      mu.shat_basis, axes=(1, 0))
-    zs = np.tensordot(np.tensordot(u.coords(), ba.left_mult_tensor(a), axes=(0, 0)),
-                      mu.shat_basis, axes=(1, 0))
+    # multiplication by u, times to_dual_mat^T: X_k = sum_c to_dual_mat[c, k] Xhat_c
+    xhat = mu.rep_dual_basis
+    to_hat = mu.dual.to_dual_mat.T
+    ys = np.tensordot(np.tensordot(u.coords(), ba.right_mult_tensor(a), axes=(0, 0)) @ to_hat,
+                      xhat, axes=(1, 0))
+    zs = np.tensordot(np.tensordot(u.coords(), ba.left_mult_tensor(a), axes=(0, 0)) @ to_hat,
+                      xhat, axes=(1, 0))
     # Y_j Xhat_c at [j, p, c, q] and Xhat_c Z_j at [c, p, j, q]
     yx = (ys.reshape(n * n, n) @ xhat.transpose(1, 0, 2).reshape(n, n * n)).reshape((n,) * 4)
     xz = (xhat.reshape(n * n, n) @ zs.transpose(1, 0, 2).reshape(n, n * n)).reshape((n,) * 4)
@@ -525,15 +519,15 @@ def solve_commutant_partner(u: AlgebraElement, mu: MultiplicativeUnitary):
 # simple tensors in the commutant and the connecting path
 # ---------------------------------------------------------------------------
 
-def split_simple_tensor(op: np.ndarray, n: int, gap_ratio: float = 1e6):
+def split_simple_tensor(op: np.ndarray, n: int):
     """Split a rank-one operator T = X (x) Y on C^n (x) C^n.
 
     Raises NotSimpleTensor unless the operator-Schmidt spectrum has a
-    dominant gap (sigma_1/sigma_2 > gap_ratio).
+    dominant gap (sigma_1/sigma_2 > 1e6).
     """
     schmidt = op.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     u_s, sv, vh_s = np.linalg.svd(schmidt)
-    if len(sv) > 1 and sv[0] < gap_ratio * sv[1]:
+    if len(sv) > 1 and sv[0] < 1e6 * sv[1]:
         raise NotSimpleTensor(f"operator-Schmidt ratio {sv[0]/max(sv[1],1e-300):.2e}")
     x = u_s[:, 0].reshape(n, n) * np.sqrt(sv[0])
     y = vh_s[0, :].reshape(n, n) * np.sqrt(sv[0])
@@ -558,13 +552,14 @@ def pair_from_commutant(op: np.ndarray, mu: MultiplicativeUnitary,
     xop, yop = split_simple_tensor(op, n)
     _check_unitary(xop, tol, "first factor")
     _check_unitary(yop, tol, "second factor")
-    u_coords = mu.gns.rep_inverse(yop)
+    u_coords = leg_inverse(mu.gns.rep_basis, yop)
     if u_coords is None:
         raise NotSimpleTensor("second factor is not in the base leg algebra")
     u = mu.gns.hopf.algebra.from_coords(u_coords)
-    uhat = mu.rep_dual_inverse(xop)
-    if uhat is None:
+    uhat_coords = leg_inverse(mu.rep_dual_basis, xop)
+    if uhat_coords is None:
         raise NotSimpleTensor("first factor is not in the dual leg algebra")
+    uhat = mu.dual.hopf.algebra.from_coords(uhat_coords)
     alpha = AlgebraMap.ad(u, tol)
     alpha_hat = AlgebraMap.ad(uhat, tol)
     # pairing invariance: beta(u x u*, uhat yhat uhat*) = beta(x, yhat)

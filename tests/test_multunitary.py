@@ -14,8 +14,8 @@ from fqg.hopf import function_algebra, group_algebra
 from fqg.duality import build_dual
 from fqg.multunitary import (GnsSpace, build_gns, build_multiplicative_unitary,
                              column_classes, commutation_test, first_leg_basis,
-                             fixed_and_cofixed, pair_from_commutant, path_in_commutant,
-                             pentagon_certificates, solve_commutant_partner,
+                             fixed_and_cofixed, leg_inverse, pair_from_commutant,
+                             path_in_commutant, pentagon_certificates, solve_commutant_partner,
                              split_simple_tensor, unitary_fractional_power)
 
 RNG = np.random.default_rng(606)
@@ -94,10 +94,11 @@ def test_closed_form_v_matches_elementwise_products(workbenches):
                 v_el[h.perm2, i * n + j] = (di * ba.tensor_element(one, basis[j])).coords()
         w2 = np.kron(wb.gns.onb, wb.gns.onb)
         oracle = w2 @ v_el @ np.linalg.inv(w2)
-        # the stored V is the oracle projected on the column classes, and
-        # what the projection drops is round-off
+        # the stored V, conjugated leg by leg, is the oracle projected on the
+        # column classes up to round-off, and what the projection drops is
+        # round-off
         projected = multunitary.project_on_column_classes(oracle, h.algebra)
-        assert np.array_equal(projected, wb.mu.matrix), key
+        assert np.abs(projected - wb.mu.matrix).max() <= 1e-14, key
         assert np.linalg.norm(oracle - projected) <= 1e-28, key
 
 
@@ -141,10 +142,19 @@ def test_dual_rep_and_pairing_certificates_match_basis_loops(workbenches):
         assert abs(c["dual_rep_multiplicative"] - worst_m) <= 1e-13, key
         assert abs(c["dual_rep_star"] - worst_s) <= 1e-13, key
         flat_hat = np.array(reps).reshape(n, n * n)
-        q = np.linalg.lstsq(flat_hat.T, mu.shat_basis.reshape(n, n * n).T, rcond=None)[0]
+        q = np.linalg.lstsq(flat_hat.T, _schmidt_first_legs(mu).T, rcond=None)[0]
         beta = np.array([[d.pairing(wb.hopf.algebra.basis_element(j), x) for j in range(n)]
                          for x in basis])
         assert c["pairing_via_v"] == float(np.linalg.norm(beta.T @ q - np.eye(n))) / n, key
+
+
+def _schmidt_first_legs(mu):
+    """The first legs X_k of V = sum_k X_k (x) rep(e_k), as the build fits
+    them: rows X_k of an (n, n^2) matrix."""
+    n = mu.dim
+    v_schmidt = mu.matrix.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    flat = mu.gns.rep_basis.reshape(n, n * n)
+    return np.linalg.lstsq(flat.T, v_schmidt.T, rcond=None)[0]
 
 
 def test_gns_certificate_refuses_a_broken_representation(gs3, monkeypatch):
@@ -220,15 +230,10 @@ def pentagon_residual(v, n):
     return float(np.sqrt(total)) / norm
 
 
-def _first_leg_slices(mu):
-    """The first-leg slices rep_dual(ehat_i) of the dual basis, (n, n, n)."""
-    return np.tensordot(mu.dual.from_dual_mat, mu.shat_basis, axes=(0, 0))
-
-
 def _two_leg_certificates(mu, v=None):
     """pentagon_certificates of v (default: mu's V) in mu's first-leg basis."""
     dual_alg, a = mu.dual.hopf.algebra, mu.gns.hopf.algebra
-    w = first_leg_basis(_first_leg_slices(mu), dual_alg)
+    w = first_leg_basis(mu.rep_dual_basis, dual_alg)
     return pentagon_certificates(mu.matrix if v is None else v, w, dual_alg, a)
 
 
@@ -264,7 +269,7 @@ def test_first_leg_basis_takes_the_slices_to_left_multiplication(workbenches):
     coordinates, for every dual basis element e."""
     for key, wb in workbenches.items():
         mu, dual_alg = wb.mu, wb.dual.hopf.algebra
-        slices = _first_leg_slices(mu)
+        slices = mu.rep_dual_basis
         w = first_leg_basis(slices, dual_alg)
         got = w @ slices @ w.conj().T
         assert np.abs(got - ba.left_mult_tensor(dual_alg)).max() < 1e-12, key
@@ -524,11 +529,9 @@ def test_fixed_cofixed_invariant_under_commuting_conjugation(kp):
     t = np.kron(mu.rep_dual(one_hat), mu.rep(one))
     v_conj = t.conj().T @ mu.matrix @ t
     fx0 = fixed_and_cofixed(mu)
-    import dataclasses
-    mu2 = dataclasses.replace  # not a dataclass copy path; rebuild manually
     from fqg.multunitary import MultiplicativeUnitary
-    mu_c = MultiplicativeUnitary(mu.gns, mu.dual, v_conj, mu.sbasis,
-                                 mu.shat_basis, dict(mu.certificates))
+    mu_c = MultiplicativeUnitary(mu.gns, mu.dual, v_conj, mu.rep_dual_basis,
+                                 dict(mu.certificates))
     fx1 = fixed_and_cofixed(mu_c)
     # same spaces up to phase
     for a, b in [(fx0.fixed, fx1.fixed), (fx0.cofixed, fx1.cofixed)]:
@@ -566,8 +569,7 @@ def _commutant_partner_loop(u, mu):
     t = mu.rep(u)
     cols = []
     for k in range(n):
-        xk = np.tensordot(mu.dual.from_dual_mat[:, k], mu.shat_basis, axes=(0, 0))
-        big = np.kron(xk, t)
+        big = np.kron(mu.rep_dual_basis[k], t)
         cols.append((mu.matrix @ big - big @ mu.matrix).reshape(-1))
     return ba.null_space(np.array(cols).T)
 
@@ -632,7 +634,7 @@ def _dense_leg_span(mu):
     n = mu.dim
     slices = mu.matrix.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
     rank, qa, _ = ba.numerical_rank(slices.T)
-    rank_s, qb, _ = ba.numerical_rank(mu.sbasis.reshape(n, n * n).T)
+    rank_s, qb, _ = ba.numerical_rank(mu.gns.rep_basis.reshape(n, n * n).T)
     if rank != rank_s:
         return rank, 1.0
     qa, qb = qa[:, :rank], qb[:, :rank]
@@ -648,8 +650,8 @@ def test_leg_span_certificate_matches_dense_formula(workbenches):
 
 
 def _recording_factorisations(monkeypatch):
-    """Record the input shape of every numpy svd and qr call."""
-    shapes = {"svd": [], "qr": []}
+    """Record the input shape of every numpy svd, qr and inv call."""
+    shapes = {"svd": [], "qr": [], "inv": []}
 
     def recording(name, fn):
         def wrapped(mat, *args, **kwargs):
@@ -661,6 +663,7 @@ def _recording_factorisations(monkeypatch):
     for mod in (np.linalg, linalg):
         monkeypatch.setattr(mod, "svd", recording("svd", linalg.svd))
         monkeypatch.setattr(mod, "qr", recording("qr", linalg.qr))
+        monkeypatch.setattr(mod, "inv", recording("inv", linalg.inv))
     return shapes
 
 
@@ -677,6 +680,35 @@ def test_build_factorises_nothing_of_n_squared_size(kp, monkeypatch):
         build_multiplicative_unitary(gns, dual)
         assert shapes["svd"], n
         assert max(min(s[-2:]) for s in shapes["svd"] + shapes["qr"]) < n * n, shapes
+
+
+def test_build_inverts_nothing_larger_than_n_by_n(monkeypatch):
+    """V's basis change is conjugation by onb leg by leg: no inverse of the
+    n^2 x n^2 matrix kron(onb, onb) is taken."""
+    h = group_algebra(by_name("S4"))
+    gns, dual = build_gns(h), build_dual(h)
+    shapes = _recording_factorisations(monkeypatch)
+    mu = build_multiplicative_unitary(gns, dual)
+    assert mu.dim == 24
+    assert all(max(s[-2:]) <= mu.dim for s in shapes["inv"]), shapes["inv"]
+
+
+def test_leg_inverse_recovers_both_legs(workbenches):
+    """leg_inverse on rep_basis and on rep_dual_basis returns the
+    coordinates of a represented element, and None for an operator
+    orthogonal to the leg's span."""
+    rng = np.random.default_rng(15)
+    for key, wb in workbenches.items():
+        mu, n = wb.mu, wb.mu.dim
+        for alg, stack, rep in ((wb.hopf.algebra, mu.gns.rep_basis, mu.rep),
+                                (wb.dual.hopf.algebra, mu.rep_dual_basis, mu.rep_dual)):
+            x = ba.random_element(alg, rng)
+            got = leg_inverse(stack, rep(x))
+            assert got is not None and np.abs(got - x.coords()).max() <= 1e-12, key
+            flat = stack.reshape(n, n * n).T
+            z = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+            off = z - flat @ np.linalg.lstsq(flat, z, rcond=None)[0]
+            assert leg_inverse(stack, (off / np.linalg.norm(off)).reshape(n, n)) is None, key
 
 
 def test_commutant_factorises_nothing_above_n_cubed_rows(workbenches, monkeypatch):

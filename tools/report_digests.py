@@ -11,9 +11,9 @@ leaves blanked out (every verdict, flag, count and confusion matrix) and the
 float leaves themselves by path.  The default algebras are the 11 bundled
 workbenches (kp and the group and function algebras of Z2, Z3, Z4, S3, D4),
 the group and function algebras of dihedral:6, which at N = 12 are the
-largest that `fqg biinner` accepts, and those of dihedral:8 (N = 16), whose
-verify reports carry the largest pentagon certificate of the set and whose
-biinner entries record the refusal above N = 12.
+largest that `fqg biinner` accepts, and those of dihedral:8 (N = 16) and S4
+(N = 24, the rung of the verify benchmark's size probe), whose biinner
+entries record the refusal above N = 12.
 
 --compare lists the reports of A and B that differ, whether their non-float
 content differs, and the largest move of a float leaf; it exits 1 when any
@@ -35,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GROUPS = ["Z2", "Z3", "Z4", "S3", "D4"]
 SEEDS = (1, 7)
 ALGEBRAS = ["kp"] + [f"{kind}:{g}" for kind in ("group", "function")
-                     for g in GROUPS + ["dihedral:6", "dihedral:8"]]
+                     for g in GROUPS + ["dihedral:6", "dihedral:8", "S4"]]
 
 
 def algebra_args(key: str) -> list[str]:
