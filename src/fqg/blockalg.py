@@ -475,20 +475,6 @@ def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return ab.from_coords(np.kron(x.coords(), y.coords())[tensor_perm(x.algebra, y.algebra)])
 
 
-def tensor_map(m1: np.ndarray, m2: np.ndarray, p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
-    """Matrix of L1 (x) L2 on tensor coordinates.
-
-    m1: coords(A)->coords(B), m2: coords(C)->coords(D); p_in = tensor_perm(A, C),
-    p_out = tensor_perm(B, D).
-    """
-    return np.kron(m1, m2)[np.ix_(p_out, p_in)]
-
-
-def tensor_functional_row(r1: np.ndarray, r2: np.ndarray, p_in: np.ndarray) -> np.ndarray:
-    """Row vector of f(x)g on coords of the tensor algebra."""
-    return np.kron(r1, r2)[p_in]
-
-
 @lru_cache(maxsize=None)
 def flip_perm(a: BlockAlgebra) -> np.ndarray:
     """Permutation F on coords(A(x)A) with sigma(w) = w[F], sigma(x(x)y) = y(x)x."""
@@ -517,36 +503,43 @@ def hom_residuals(m: np.ndarray, source, target: BlockAlgebra, *,
     unital, the norm of phi(1) - 1.  Only anti=True adds anti_multiplicative
     and jordan, the defects against phi(e_j) phi(e_i) and (for
     phi(e_i e_j + e_j e_i)) their sum.  Per pair the squared defects are
-    summed over the blocks of the target, which are multiplied in one batch
-    per block size.
+    summed over the blocks of the target.  For each target block size one
+    matmul of the (k, n d, d) stack of blocks of the phi(e_i) by its
+    (k, d, n d) reshape gives all pair products; phi(e_i e_j) is read off phi
+    at the composable pairs of a block source, for an abstract one off phi @ mult.
 
     m may also be a (..., target dim, source dim) stack of maps: then each
     residual is an array over the stack instead of a float.
     """
     n = source.dim
+    m = np.asarray(m, dtype=complex)
     lead = m.shape[:-2]
-    mult, adj, unit_s, unit_t, target_blocks = _hom_structure(source, target)
-    star = m[..., adj] if adj.ndim == 1 else m @ adj   # phi(e_i*), column i
+    i, j, prod, adj, unit_s, unit_t, target_blocks = _hom_structure(source, target)
     sq = np.zeros(lead + (3 if anti else 1, n, n))
     sq_s = np.zeros(lead + (n,))
-    # one residual array at a time: each is as large as all pairs' images
+    # one pair array at a time: each is as large as all pairs' images
     for idx in target_blocks:
         k, d = idx.shape[:2]
-        blk = np.moveaxis(m[..., idx, :], -1, -3)    # (..., k, n, d, d): blocks of phi(e_i)
-        pair = blk[..., :, None, :, :] @ blk[..., None, :, :, :]   # (..., k, n, n, d, d)
-        # blocks of phi(e_i e_j): these rows of phi times the multiplication matrix
-        want = np.moveaxis((m[..., idx.reshape(-1), :] @ mult).reshape(lead + (k, d, d, n, n)),
-                           (-2, -1), (-4, -3))
-        defect = want - pair
-        sq[..., 0, :, :] += (np.abs(defect) ** 2).sum(axis=(-5, -2, -1))
+        rows = m[..., idx, :]                        # (..., k, d, d, n): [b, r, s, i]
+        blk = np.moveaxis(rows, -1, -3)              # (..., k, n, d, d): blocks of phi(e_i)
+        pair = (blk.reshape(lead + (k, n * d, d))
+                @ blk.swapaxes(-3, -2).reshape(lead + (k, d, n * d))
+                ).reshape(lead + (k, n, d, n, d))    # [b, i, r, j, s]: (phi(e_i) phi(e_j))_rs
+        # blocks of phi(e_i e_j) at the listed pairs, shaped as pair[..., :, i, :, j, :]
+        want = np.moveaxis(rows[..., prod] if prod.dtype.kind == "i" else rows @ prod, -1, 0)
+        if anti:
+            flip = pair.swapaxes(-4, -2).copy()      # phi(e_j) phi(e_i) at [b, i, r, j, s]
+            flip[..., :, i, :, j, :] -= want
+            sq[..., 1, :, :] += _sq_norms(flip, "kirjs", "ij")
+        pair[..., :, i, :, j, :] -= want             # the multiplicative defects
+        sq[..., 0, :, :] += _sq_norms(pair, "kirjs", "ij")
         if anti:
             # the Jordan defect of (i, j) is the sum of the (i, j) and (j, i) ones
-            defect = defect + defect.swapaxes(-4, -3)
-            sq[..., 2, :, :] += (np.abs(defect) ** 2).sum(axis=(-5, -2, -1))
-            defect = want - pair.swapaxes(-4, -3)
-            sq[..., 1, :, :] += (np.abs(defect) ** 2).sum(axis=(-5, -2, -1))
-        want = np.moveaxis(star[..., idx, :], -1, -3)
-        sq_s += (np.abs(want - blk.conj().swapaxes(-2, -1)) ** 2).sum(axis=(-4, -2, -1))
+            sq[..., 2, :, :] += _sq_norms(pair + pair.swapaxes(-4, -2), "kirjs", "ij")
+        del pair
+        star = rows[..., adj] if adj.dtype.kind == "i" else rows @ adj    # phi(e_i*) at i
+        defect = np.moveaxis(star, -1, -3) - blk.conj().swapaxes(-2, -1)
+        sq_s += _sq_norms(defect, "kirs", "i")
     worst = np.sqrt(np.max(sq, axis=(-2, -1)))
     res = {"multiplicative": worst[..., 0]}
     if anti:
@@ -557,16 +550,24 @@ def hom_residuals(m: np.ndarray, source, target: BlockAlgebra, *,
     return res if lead else {k: float(v) for k, v in res.items()}
 
 
+def _sq_norms(x: np.ndarray, axes: str, out: str) -> np.ndarray:
+    """Sums of |x|^2 over the trailing axes (einsum letters) not in out: the
+    squared real and imaginary parts of a float view of x, no temporary."""
+    v = np.ascontiguousarray(x).view(np.float64)
+    return np.einsum(f"...{axes},...{axes}->...{out}", v, v)
+
+
 def _hom_structure(source, target: BlockAlgebra):
-    """What hom_residuals reads of its two algebras: the multiplication
-    matrix, the source's star (a permutation of a BlockAlgebra's
-    coordinates, else the matrix of coords(e_i*)), both units and the
+    """What hom_residuals reads of its two algebras: the pairs i, j with
+    e_i e_j possibly nonzero and their products (the k of e_i e_j = e_k in a
+    BlockAlgebra, else the multiplication matrix), the source's star (a
+    permutation, else the matrix of coords(e_i*)), both units and the
     target's blocks by size."""
     if isinstance(source, BlockAlgebra):
         return _block_hom_structure(source, target)
     n = source.dim
-    return (source.left_mult.transpose(1, 0, 2).reshape(n, n * n), source.star,
-            source.unit, target.unit_coords(), list(target.layout.by_size.values()))
+    return (*np.divmod(np.arange(n * n), n), source.left_mult.transpose(1, 0, 2).reshape(n, n * n),
+            source.star, source.unit, target.unit_coords(), list(target.layout.by_size.values()))
 
 
 @lru_cache(maxsize=None)
@@ -574,7 +575,7 @@ def _block_hom_structure(source: BlockAlgebra, target: BlockAlgebra):
     """_hom_structure of two block algebras, built once per pair: for small
     algebras it costs more than the residuals, and the sampling harnesses
     ask about thousands of maps on one algebra."""
-    return (mult_matrix(source), source.layout.adjoint, source.unit_coords(),
+    return (*unit_products(source), source.layout.adjoint, source.unit_coords(),
             target.unit_coords(), list(target.layout.by_size.values()))
 
 

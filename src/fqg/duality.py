@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import blockalg as ba
-from .blockalg import AlgebraElement, DEFAULT_TOL, ToleranceConfig, tensor_perm, tensor_map
+from .blockalg import AlgebraElement, DEFAULT_TOL, ToleranceConfig, tensor_perm
 from .errors import NotFaithful, NotInjective, NotSelfAdjoint, NotStarHom
 from .hopf import HopfAlgebra, compute_haar, verify_axioms
 from .wedderburn import AbstractStarAlgebra, wedderburn
@@ -121,8 +121,6 @@ class DualHopfAlgebra:
 def build_dual(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
                seed: int = 0x0D0A1) -> DualHopfAlgebra:
     """Construct the dual quantum group of h and certify its axioms."""
-    n = h.algebra.dim
-
     # abstract convolution algebra on coefficient rows: left[a][:, b] is the
     # row of (f_a (x) f_b) o delta for the dual basis f_a, i.e. the kron
     # coefficients dk[a, b, :] of delta
@@ -142,8 +140,7 @@ def build_dual(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
     # row j of gamma holds f_j(e_a e_b) on kron coordinates (a, b) for the
     # functional f_j of dual basis element j.  Kept C-ordered: the axiom
     # residuals of the dual read its last bits through the memory layout
-    dual_perm = tensor_perm(dual_alg, dual_alg)
-    phi2 = tensor_map(phi, phi, np.arange(n * n), dual_perm)
+    phi2 = np.kron(phi, phi)[tensor_perm(dual_alg, dual_alg)]
     gamma = phi_inv.T @ ba.mult_matrix(h.algebra)
     dual_coproduct = np.ascontiguousarray(ba.matvec(phi2, gamma).T)
     dual_counit = h.algebra.unit().coords() @ phi_inv

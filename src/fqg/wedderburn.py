@@ -11,7 +11,9 @@ blocks by building a system of matrix units:
 2. Split the centre into minimal idempotents (eigenvectors of multiplication
    by a generic central element).
 3. Inside each block corner, diagonalise a generic self-adjoint element to
-   get minimal projections, then join them with partial isometries.
+   get minimal projections, then join them with partial isometries.  Only
+   the random draws go block by block: corner ranks, matrix units and
+   their extraction rows are stacked, one matrix-vector product per element.
 4. Certify the resulting isomorphism through blockalg.hom_residuals: unital,
    *-preserving and multiplicative on all basis pairs, up to 1e-7.
 """
@@ -46,13 +48,17 @@ class AbstractStarAlgebra:
         return self.left_mult.shape[0]
 
     def lmat(self, v: np.ndarray) -> np.ndarray:
-        return np.tensordot(v, self.left_mult, axes=(0, 0))
+        """Left multiplication by v, or a stack of them for v (..., n), with
+        the bits of one element alone (blockalg.matvec)."""
+        n = self.dim
+        return ba.matvec(self.left_mult.reshape(n, n * n).T, v).reshape(v.shape[:-1] + (n, n))
 
     def mult(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.lmat(u) @ v
 
     def star_of(self, v: np.ndarray) -> np.ndarray:
-        return self.star @ np.conj(v)
+        """Coordinates of v*, or of each element of a stack v (..., n)."""
+        return ba.matvec(self.star, np.conj(v))
 
     def trace_row(self) -> np.ndarray:
         return np.trace(self.left_mult, axis1=1, axis2=2)
@@ -72,16 +78,14 @@ def _minimal_central_idempotents(alg, centre, gram_w, rng):
     # orthonormalise the centre w.r.t. the GNS inner product
     q, _ = np.linalg.qr(gram_w @ centre)
     zon = np.linalg.lstsq(gram_w, q, rcond=None)[0]
-    # generic self-adjoint central element
-    c1 = rng.standard_normal(k)
-    c2 = rng.standard_normal(k)
-    zs = np.zeros(alg.dim, complex)
-    for i in range(k):
-        zi = zon[:, i]
-        zs = zs + c1[i] * 0.5 * (zi + alg.star_of(zi)) \
-                + c2[i] * 0.5j * (zi - alg.star_of(zi))
+    # generic self-adjoint central element sum_i c1_i (z_i + z_i*)/2 + c2_i i (z_i - z_i*)/2,
+    # its 2k terms added in turn as by a loop over i: the idempotents keep
+    # their bits, and so the order of blocks of equal size (_wedderburn_once)
+    z, zstar = zon.T, alg.star_of(zon.T)
+    c1, c2 = rng.standard_normal(k)[:, None], rng.standard_normal(k)[:, None]
+    zs = np.stack([c1 * 0.5 * (z + zstar), c2 * 0.5j * (z - zstar)], 1).reshape(2 * k, -1).sum(0)
     # multiplication by zs restricted to the centre, in the ON basis
-    img = np.column_stack([alg.mult(zs, zon[:, j]) for j in range(k)])
+    img = ba.matvec(alg.lmat(zs), zon.T).T
     b = (gram_w @ zon).conj().T @ (gram_w @ img)
     b = 0.5 * (b + b.conj().T)
     vals, vecs = np.linalg.eigh(b)
@@ -104,6 +108,23 @@ def _minimal_central_idempotents(alg, centre, gram_w, rng):
     return idems
 
 
+def _corner_blocks(alg, idems):
+    """(d, p, corner) for each central idempotent p: the rank d^2 of L_p and
+    its leading left singular vectors, which span pA; one stacked SVD."""
+    ranks, u_corners, _ = ba.numerical_rank(alg.lmat(np.array(idems)))
+    dims = np.rint(np.sqrt(ranks)).astype(int)
+    if np.any(dims * dims != ranks):
+        raise WedderburnRetry(f"corner rank {ranks[dims * dims != ranks][0]} is not a square")
+    return [(int(d), p, u[:, :r]) for d, p, u, r in zip(dims, idems, u_corners, ranks)]
+
+
+def _unit_rows(alg, us, tr_l):
+    """Rows r d + s: tr(e_sr .) for the matrix units e_sr = u_s* u_r of the
+    partial isometries us (d, n), from the rows tr_l[a] = tr(e_a .)."""
+    units = ba.matvec(alg.lmat(alg.star_of(us)), us[:, None])    # [r, s]: e_sr
+    return units.reshape(-1, us.shape[1]) @ tr_l
+
+
 def wedderburn(alg: AbstractStarAlgebra, *, seed: int = _DEFAULT_SEED,
                max_tries: int = 8) -> WedderburnResult:
     rng = np.random.default_rng(seed)
@@ -120,11 +141,8 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
     n = alg.dim
     tr = alg.trace_row()
 
-    # GNS inner product <a,b> = tr(a* b); Cholesky gives the ON frame.  Row i
-    # is tr @ lmat(e_i*), with column i of star as e_i*: one vector-matrix
-    # product per basis element, as lmat computes it
-    lmats = ba.matvec(alg.left_mult.reshape(n, n * n).T, alg.star.T).reshape(n, n, n)
-    gram = tr @ lmats
+    # GNS inner product <a,b> = tr(a* b), row i tr @ lmat(e_i*); Cholesky gives the ON frame
+    gram = tr @ alg.lmat(alg.star.T)
     gram = 0.5 * (gram + gram.conj().T)
     try:
         chol = np.linalg.cholesky(gram)
@@ -136,15 +154,6 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
     rep_flat = rep.reshape(n, n * n).T      # columns vec(rep(e_a))
     rep_pinv = np.linalg.pinv(rep_flat)
 
-    def to_coords(op: np.ndarray) -> np.ndarray:
-        c = rep_pinv @ op.reshape(-1)
-        if np.linalg.norm(rep_flat @ c - op.reshape(-1)) > 1e-7 * max(1.0, np.linalg.norm(op)):
-            raise WedderburnRetry("operator not in the algebra image")
-        return c
-
-    def rep_of(v: np.ndarray) -> np.ndarray:
-        return np.tensordot(v, rep, axes=(0, 0))
-
     # centre = null space of all commutators with basis elements: row block a
     # is right minus left multiplication by e_a, the right one read off
     # left_mult as [k, j] -> left_mult[j, k, a]
@@ -154,18 +163,13 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
 
     idems = _minimal_central_idempotents(alg, centre, w, rng)
 
-    # block dimensions from corner ranks; the corner is spanned by the
-    # leading left singular vectors of left multiplication by p
-    blocks = []
-    for p in idems:
-        r, u_corner, _ = ba.numerical_rank(alg.lmat(p))
-        d = int(round(np.sqrt(r)))
-        if d * d != r:
-            raise WedderburnRetry(f"corner rank {r} is not a perfect square")
-        blocks.append((d, p, u_corner[:, :r]))
+    blocks = _corner_blocks(alg, idems)
+    # tr(p) = d^2 for a block of size d, so the second key orders blocks of
+    # equal size by the round-off of the idempotents
     blocks.sort(key=lambda t: (t[0], float(np.real(tr @ t[1]))))
 
     target = BlockAlgebra(tuple(d for d, _, _ in blocks))
+    tr_l = tr @ alg.left_mult     # row a: the functional tr(e_a .)
     phi = np.zeros((n, n), complex)
     row = 0
     for d, p, corner in blocks:
@@ -174,27 +178,23 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
             y = corner @ (rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d))
             y = alg.mult(alg.mult(p, y), p)
             y = 0.5 * (y + alg.star_of(y))
-            lam, vecs = np.linalg.eigh(rep_of(y))
-            nz = np.abs(lam) > 1e-6 * max(1.0, np.max(np.abs(lam)))
-            vals = lam[nz]
-            uniq = []
-            for v in np.sort(vals):
-                if not uniq or v - uniq[-1][-1] > 1e-5:
-                    uniq.append([v])
-                else:
-                    uniq[-1].append(v)
+            lam, vecs = np.linalg.eigh((y @ rep.reshape(n, n * n)).reshape(n, n))
+            vals = np.sort(lam[np.abs(lam) > 1e-6 * max(1.0, np.max(np.abs(lam)))])
+            # clusters of the nonzero eigenvalues, split at gaps above 1e-5
+            gaps = np.diff(vals)
+            uniq = np.split(vals, np.flatnonzero(gaps > 1e-5) + 1)
             if len(uniq) == d and all(len(c) == d for c in uniq) and (
-                    d == 1 or min(c[0] - pr[-1] for pr, c in zip(uniq, uniq[1:])) > 1e-4):
+                    d == 1 or gaps[gaps > 1e-5].min() > 1e-4):
                 break
         else:
             raise WedderburnRetry("no generic corner element found")
         qs = []
-        for cluster in uniq:
-            sel = np.zeros(n, dtype=bool)
-            for v in cluster:
-                sel |= np.isclose(lam, v, rtol=0, atol=1e-9 * max(1.0, abs(v)) + 1e-9)
-            pr = vecs[:, sel] @ vecs[:, sel].conj().T
-            qs.append(to_coords(pr))
+        for c in uniq:
+            sel = (np.abs(lam[:, None] - c) <= 1e-9 * np.maximum(1.0, np.abs(c)) + 1e-9).any(axis=1)
+            proj = (vecs[:, sel] @ vecs[:, sel].conj().T).reshape(-1)
+            qs.append(rep_pinv @ proj)
+            if np.linalg.norm(rep_flat @ qs[-1] - proj) > 1e-7 * max(1.0, np.linalg.norm(proj)):
+                raise WedderburnRetry("operator not in the algebra image")
         # partial isometries u_r : q_r -> q_1
         us = [qs[0]]
         t_block = np.real(tr @ qs[0])
@@ -211,11 +211,8 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
             if np.linalg.norm(ww - mu * qs[r]) > 1e-6 * max(1.0, mu):
                 raise WedderburnRetry("partial isometry defect")
             us.append(wv / np.sqrt(mu))
-        # matrix units and coefficient-extraction rows
-        for r in range(d):
-            for s in range(d):
-                e_sr = alg.mult(alg.star_of(us[s]), us[r])   # e_{sr}
-                phi[row + r * d + s, :] = (tr @ alg.lmat(e_sr)) / t_block
+        # coefficient-extraction rows of the matrix units
+        phi[row:row + d * d] = _unit_rows(alg, np.array(us), tr_l) / t_block
         row += d * d
 
     iso_inv = np.linalg.inv(phi)

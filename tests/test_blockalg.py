@@ -10,6 +10,7 @@ from fqg.blockalg import (BlockAlgebra, ToleranceConfig, centre_basis, invert,
 from fqg.errors import NotInvertible, NotSelfAdjoint, ShapeMismatch
 from fqg.groups import by_name
 from fqg.hopf import function_algebra
+from fqg.wedderburn import AbstractStarAlgebra
 
 RNG = np.random.default_rng(1234)
 
@@ -302,6 +303,119 @@ def test_hom_residuals_are_largest_pair_defects():
     assert abs(got["multiplicative"] - want_m) < 1e-12 * want_m
     assert abs(got["star_preserving"] - want_s) < 1e-12 * want_s
     assert abs(got["unital"] - (phi(a.unit()) - b.unit()).norm()) < 1e-12
+
+
+HOM_KEYS = ("multiplicative", "anti_multiplicative", "jordan", "star_preserving", "unital")
+
+
+def _pair_loop_hom_residuals(m, source, target):
+    """All five residuals of hom_residuals from one product of images per
+    basis pair, kept as the oracle of its one-matmul kernel; source is a
+    BlockAlgebra or an AbstractStarAlgebra."""
+    if isinstance(source, BlockAlgebra):
+        def mult(x, y):
+            return ba.products(source, x, y)
+        star, unit = (lambda x: ba.adjoints(source, x)), source.unit_coords()
+    else:
+        mult, star, unit = source.mult, source.star_of, source.unit
+    eye = np.eye(source.dim)
+    img = [m @ e for e in eye]
+    res = dict.fromkeys(HOM_KEYS, 0.0)
+    for i, ei in enumerate(eye):
+        res["star_preserving"] = max(res["star_preserving"], np.linalg.norm(
+            m @ star(ei) - ba.adjoints(target, img[i])))
+        for j, ej in enumerate(eye):
+            ij, ji = ba.products(target, img[i], img[j]), ba.products(target, img[j], img[i])
+            want, want_ji = m @ mult(ei, ej), m @ mult(ej, ei)
+            for key, defect in (("multiplicative", want - ij), ("anti_multiplicative", want - ji),
+                                ("jordan", want + want_ji - ij - ji)):
+                res[key] = max(res[key], np.linalg.norm(defect))
+    res["unital"] = np.linalg.norm(m @ unit - target.unit_coords())
+    return res
+
+
+def _abstract_copy(a, rng):
+    """a's structure constants in a random basis t, as the Wedderburn engine
+    receives an algebra, and t, the *-isomorphism from it onto a."""
+    n = a.dim
+    t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + n * np.eye(n)
+    tinv = np.linalg.inv(t)
+    left = tinv @ np.tensordot(t.T, ba.left_mult_tensor(a), axes=(1, 0)) @ t
+    star = tinv @ np.eye(n)[a.layout.adjoint] @ t.conj()
+    return AbstractStarAlgebra(left, star, tinv @ a.unit_coords()), t
+
+
+def _random_map(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _hom_kernel_case(case):
+    """(maps, source, target) of one input of the kernel: maps is a list of
+    single maps, or one (k, target dim, source dim) stack."""
+    rng = np.random.default_rng(17)
+    if case == "block":
+        h = function_algebra(by_name("S3"))
+        src, tgt = BlockAlgebra((2, 1, 1)), BlockAlgebra((1, 2, 2))
+        return [(h.coproduct, h.algebra, h.square),
+                (_random_map(rng, (tgt.dim, src.dim)), src, tgt)]
+    if case == "abstract":
+        a = BlockAlgebra((1, 2))
+        alg, t = _abstract_copy(a, rng)
+        return [(t, alg, a), (t + 0.1 * _random_map(rng, t.shape), alg, a)]
+    src, tgt = BlockAlgebra((1, 2)), BlockAlgebra((2, 1))
+    return [(_random_map(rng, (3, tgt.dim, src.dim)), src, tgt)]
+
+
+@pytest.mark.parametrize("anti", [False, True])
+@pytest.mark.parametrize("case", ["block", "abstract", "stack"])
+def test_hom_kernel_matches_the_pair_loop(case, anti):
+    """Both sides sum the same squared entries of products of two columns of
+    m, in other orders, so they agree to 1e-13 max(1, ||m||^2): a few ulps
+    of the largest squared defect over each (1 + 2 + 4 + 8)-fold sum."""
+    for m, source, target in _hom_kernel_case(case):
+        got = ba.hom_residuals(m, source, target, anti=anti)
+        keys = HOM_KEYS if anti else ("multiplicative", "star_preserving", "unital")
+        assert set(got) == set(keys)
+        for k, mk in enumerate(m if m.ndim == 3 else [m]):
+            want = _pair_loop_hom_residuals(mk, source, target)
+            bound = 1e-13 * max(1.0, np.linalg.norm(mk) ** 2)
+            for key in keys:
+                value = got[key][k] if m.ndim == 3 else got[key]
+                assert abs(value - want[key]) <= bound, (case, key)
+
+
+def _ad_shear(a):
+    g = a.element([np.array([[1.0, 1.0], [0.0, 1.0]])])
+    return np.column_stack([(g * a.from_coords(e) * invert(g)).coords() for e in np.eye(a.dim)])
+
+
+@pytest.mark.parametrize("case", ["transpose", "non_unital", "not_star"])
+def test_hom_residuals_fail_by_order_one(case):
+    """Maps that break one property by O(1), as one map and as a stack of
+    two copies: the transpose of M_2 is anti-multiplicative and not
+    multiplicative (e_12 e_21 = e_11 goes to e_11, e_21 e_12 to e_22), C^2 ->
+    M_2, (a, b) -> diag(a, 0), is a non-unital *-homomorphism, and
+    conjugation by a shear of M_2 is a unital homomorphism that does not
+    preserve the adjoint."""
+    m2 = BlockAlgebra((2,))
+    exact = {}
+    if case == "transpose":
+        m, source, exact = np.eye(4)[m2.layout.adjoint], m2, {"multiplicative": np.sqrt(2)}
+    elif case == "non_unital":
+        m, source, exact = np.zeros((4, 2)), BlockAlgebra((1, 1)), {"unital": 1.0}
+        m[0, 0] = 1.0
+    else:
+        m, source = _ad_shear(m2), m2
+    fails = set(exact) or {"star_preserving", "anti_multiplicative"}
+    oracle = _pair_loop_hom_residuals(m, source, m2)
+    for got in (ba.hom_residuals(m, source, m2, anti=True),
+                {k: v[1] for k, v in ba.hom_residuals(np.stack([m, m]), source, m2,
+                                                      anti=True).items()}):
+        assert {k for k, v in got.items() if v > 1e-14} == fails, case
+        for key in fails:
+            assert got[key] >= 0.5 and abs(got[key] - oracle[key]) <= 1e-13, (case, key)
+        for key, value in exact.items():
+            assert abs(got[key] - value) <= 1e-15, (case, key)
 
 
 def test_realify_antilinear_writes_no_negative_zero():

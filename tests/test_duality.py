@@ -10,6 +10,7 @@ from fqg.errors import (NotFaithful, NotInjective, NotInvertible,
 from fqg.groups import cyclic, symmetric
 from fqg.hopf import counit_support, function_algebra, group_algebra, verify_axioms
 from fqg.morphisms import AlgebraMap, classify_map
+from tensor_maps import tensor_functional_row, tensor_map
 
 RNG = np.random.default_rng(2024)
 
@@ -44,7 +45,7 @@ def _loop_dual_coproduct(d):
     the multiplication matrix on tensor coordinates."""
     h, n = d.base, d.base.algebra.dim
     dual_alg = d.hopf.algebra
-    phi2 = ba.tensor_map(d.to_dual_mat, d.to_dual_mat, np.arange(n * n),
+    phi2 = tensor_map(d.to_dual_mat, d.to_dual_mat, np.arange(n * n),
                          ba.tensor_perm(dual_alg, dual_alg))
     mult_mat = ba.mult_matrix(h.algebra)[:, h.perm2]
     iperm2 = ba.inverse_perm(h.perm2)
@@ -98,7 +99,7 @@ def test_dual_multiplication_is_convolution_of_functionals(fs3):
         prod = d.to_dual(f) * d.to_dual(g)
         x = ba.random_element(h.algebra, RNG)
         lhs = d.pairing(x, prod)
-        fg_row = ba.tensor_functional_row(f.row, g.row, h.perm2)
+        fg_row = tensor_functional_row(f.row, g.row, h.perm2)
         rhs = fg_row @ (h.coproduct @ x.coords())
         assert abs(lhs - rhs) < 1e-10
 
@@ -312,7 +313,7 @@ def test_pullback_along_coproduct_is_convolution_engine(fs3):
     from fqg.hopf import HopfAlgebra
     a2 = h.square
     # only the Haar row of the tensor square matters for Functional storage
-    haar2 = ba.tensor_functional_row(h.haar, h.haar, h.perm2)
+    haar2 = tensor_functional_row(h.haar, h.haar, h.perm2)
     h2 = HopfAlgebra(a2, np.zeros((a2.dim ** 2, a2.dim)), np.zeros(a2.dim),
                      np.eye(a2.dim), haar2, name="square")
     rng = np.random.default_rng(11)
@@ -410,7 +411,7 @@ def test_pullback_flags_faithfulness_failure():
     h = function_algebra(cyclic(2))
     from fqg.hopf import HopfAlgebra
     a2 = h.square
-    haar2 = ba.tensor_functional_row(h.haar, h.haar, h.perm2)
+    haar2 = tensor_functional_row(h.haar, h.haar, h.perm2)
     h2 = HopfAlgebra(a2, np.zeros((a2.dim ** 2, a2.dim)), np.zeros(a2.dim),
                      np.eye(a2.dim), haar2, name="square")
     c = h.algebra.element([[[3.0]], [[-1.0]]])

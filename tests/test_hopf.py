@@ -11,6 +11,7 @@ from fqg.hopf import (AxiomReport, HopfAlgebra, cocentre_basis, compute_haar,
                       counit_support, function_algebra, group_algebra,
                       kron_coefficients, ksymmetric_basis, verify_axioms,
                       with_computed_haar)
+from tensor_maps import tensor_functional_row, tensor_map
 
 RNG = np.random.default_rng(77)
 
@@ -168,21 +169,21 @@ def _verify_axioms_oracle(h, tol=ba.DEFAULT_TOL):
 
     p_l = ba.tensor_perm(h.square, a)
     p_r = ba.tensor_perm(a, h.square)
-    lhs = ba.tensor_map(h.coproduct, eye, h.perm2, p_l) @ h.coproduct
-    rhs = ba.tensor_map(eye, h.coproduct, h.perm2, p_r) @ h.coproduct
+    lhs = tensor_map(h.coproduct, eye, h.perm2, p_l) @ h.coproduct
+    rhs = tensor_map(eye, h.coproduct, h.perm2, p_r) @ h.coproduct
     res["coassociativity"] = _rel(lhs - rhs, lhs, rhs)
 
     triv = BlockAlgebra((1,))
     p_ca = ba.tensor_perm(triv, a)
     p_ac = ba.tensor_perm(a, triv)
-    left = ba.tensor_map(h.counit.reshape(1, n), eye, h.perm2, p_ca) @ h.coproduct
-    right = ba.tensor_map(eye, h.counit.reshape(1, n), h.perm2, p_ac) @ h.coproduct
+    left = tensor_map(h.counit.reshape(1, n), eye, h.perm2, p_ca) @ h.coproduct
+    right = tensor_map(eye, h.counit.reshape(1, n), h.perm2, p_ac) @ h.coproduct
     res["counit_left"] = _rel(left - eye, left, eye)
     res["counit_right"] = _rel(right - eye, right, eye)
 
     unit_eps = np.outer(unit, h.counit)
-    lhs = mult_mat @ ba.tensor_map(h.antipode, eye, h.perm2, h.perm2) @ h.coproduct
-    rhs = mult_mat @ ba.tensor_map(eye, h.antipode, h.perm2, h.perm2) @ h.coproduct
+    lhs = mult_mat @ tensor_map(h.antipode, eye, h.perm2, h.perm2) @ h.coproduct
+    rhs = mult_mat @ tensor_map(eye, h.antipode, h.perm2, h.perm2) @ h.coproduct
     res["antipode_left"] = _rel(lhs - unit_eps, lhs, unit_eps)
     res["antipode_right"] = _rel(rhs - unit_eps, rhs, unit_eps)
 
@@ -203,8 +204,8 @@ def _verify_axioms_oracle(h, tol=ba.DEFAULT_TOL):
     eig = np.linalg.eigvalsh(gram)
     res["haar_positive"] = max(0.0, -float(eig[0]))
     res["haar_faithful"] = 1.0 if eig[0] <= tol.inv_tol * max(1.0, eig[-1]) else 0.0
-    left_inv = ba.tensor_map(eye, h.haar.reshape(1, n), h.perm2, p_ac) @ h.coproduct
-    right_inv = ba.tensor_map(h.haar.reshape(1, n), eye, h.perm2, p_ca) @ h.coproduct
+    left_inv = tensor_map(eye, h.haar.reshape(1, n), h.perm2, p_ac) @ h.coproduct
+    right_inv = tensor_map(h.haar.reshape(1, n), eye, h.perm2, p_ca) @ h.coproduct
     target = np.outer(unit, h.haar)
     res["haar_invariance_right"] = _rel(left_inv - target, left_inv, target)
     res["haar_invariance_left"] = _rel(right_inv - target, right_inv, target)
@@ -320,7 +321,7 @@ def _structure_oracle_cases(workbenches):
         h = workbenches[key].hopf
         sq = h.square
         m = sq.dim
-        haar2 = ba.tensor_functional_row(h.haar, h.haar, h.perm2)
+        haar2 = tensor_functional_row(h.haar, h.haar, h.perm2)
         cases.append((f"{key} (x) {key}",
                       HopfAlgebra(sq, np.zeros((m * m, m)), np.zeros(m), np.eye(m), haar2)))
     return cases
@@ -533,8 +534,8 @@ def _loop_compute_haar(algebra, coproduct):
     unit, eye = algebra.unit().coords(), np.eye(n)
 
     def residual_op(t):
-        right = ba.tensor_map(eye, t.reshape(1, n), perm, p_ac) @ coproduct
-        left = ba.tensor_map(t.reshape(1, n), eye, perm, p_ca) @ coproduct
+        right = tensor_map(eye, t.reshape(1, n), perm, p_ac) @ coproduct
+        left = tensor_map(t.reshape(1, n), eye, perm, p_ca) @ coproduct
         target = np.outer(unit, t)
         return np.concatenate([(right - target).reshape(-1), (left - target).reshape(-1)])
 

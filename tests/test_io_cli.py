@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fqg import blockalg as ba
+from fqg import blockalg as ba, cli
 from fqg.cli import main
 from fqg.errors import ParseError
 from fqg.groups import cyclic
@@ -100,6 +100,20 @@ def test_cli_spectrum_preservation_placements(argv, validated, capsys):
     assert info["validated_placement"] == validated
     assert 0 < info["trials"] <= 50
     assert max(info["agreeing"].values()) <= info["trials"]
+
+
+@pytest.mark.parametrize("scalar, info", [(1 / 6 - 1.3e-18j, "scalar 0.166667"),
+                                          (0.5 + 0.25j, "scalar 0.5+0.25j")])
+def test_cli_counit_scalar_prints_an_imaginary_part_above_round_off(scalar, info, monkeypatch,
+                                                                     capsys):
+    """The imaginary part of the counit-support scalar is printed only when
+    it exceeds eq_tol max(1, |scalar|): below that it is round-off, which
+    moves with the last bits of the dual."""
+    monkeypatch.setattr(cli, "fourier_of_counit_support", lambda h, d, tol: (scalar, 0.0))
+    main(["verify", "--group", "Z2", "--json", "--seed", "7"])
+    doc = json.loads(capsys.readouterr().out)
+    check, = [c for c in doc["checks"] if c["name"] == "fourier_counit_support_scalar"]
+    assert check["info"] == info
 
 
 def test_cli_corrupted_file_nonzero_exit(tmp_path, capsys):

@@ -13,6 +13,7 @@ from fqg.morphisms import (AlgebraMap, classify_map, dual_sandwich,
                            hopf_flags_fast, induced_dual_action,
                            inner_implementer, per_block_jordan_decomposition,
                            perturbation_inverse_residual, proposition_pipeline)
+from tensor_maps import tensor_map
 
 RNG = np.random.default_rng(31337)
 
@@ -127,7 +128,7 @@ def _hopf_kron_oracle(phi, h):
     """classify_map's former Hopf residuals, through the n^2 x n^2 matrix of
     phi (x) phi."""
     lhs = h.coproduct @ phi.matrix
-    rhs = ba.tensor_map(phi.matrix, phi.matrix, h.perm2, h.perm2) @ h.coproduct
+    rhs = tensor_map(phi.matrix, phi.matrix, h.perm2, h.perm2) @ h.coproduct
     scale = max(1.0, np.linalg.norm(lhs))
     return {"hopf": float(np.linalg.norm(lhs - rhs)) / scale,
             "co_anti_hopf": float(np.linalg.norm(lhs - rhs[h.flip, :])) / scale}

@@ -194,3 +194,133 @@ def test_certificate_matches_the_pair_loop(case, s4_wedderburns):
     got = max(ba.hom_residuals(phi, alg, wd.algebra).values())
     want = _pair_loop_residual(alg, phi, wd.algebra)
     assert got > 1e-7 and abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+# -- the stacked steps against the former loops ------------------------------
+
+def _tensordot_lmat(alg, v):
+    """The former AbstractStarAlgebra.lmat, one tensordot per element."""
+    if v.ndim == 2:
+        return np.array([_tensordot_lmat(alg, x) for x in v])
+    return np.tensordot(v, alg.left_mult, axes=(0, 0))
+
+
+def _loop_minimal_central_idempotents(alg, centre, gram_w, rng):
+    """The former central idempotents: the central element and its image
+    on the centre one column at a time."""
+    k = centre.shape[1]
+    q, _ = np.linalg.qr(gram_w @ centre)
+    zon = np.linalg.lstsq(gram_w, q, rcond=None)[0]
+    c1 = rng.standard_normal(k)
+    c2 = rng.standard_normal(k)
+    zs = np.zeros(alg.dim, complex)
+    for i in range(k):
+        zi = zon[:, i]
+        zs = zs + c1[i] * 0.5 * (zi + alg.star_of(zi)) + c2[i] * 0.5j * (zi - alg.star_of(zi))
+    img = np.column_stack([alg.mult(zs, zon[:, j]) for j in range(k)])
+    b = (gram_w @ zon).conj().T @ (gram_w @ img)
+    vals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
+    if k > 1 and np.min(np.diff(vals)) < 1e-6 * max(1.0, np.max(np.abs(vals))):
+        raise WedderburnRetry("central spectrum not separated")
+    idems = []
+    for j in range(k):
+        w = zon @ vecs[:, j]
+        scale = np.vdot(w, alg.mult(w, w)) / np.vdot(w, w)
+        if abs(scale) < 1e-8:
+            raise WedderburnRetry("degenerate central eigenvector")
+        idems.append(w / scale)
+    return idems
+
+
+def _loop_corner_blocks(alg, idems):
+    """The former corner rank, one SVD per central idempotent."""
+    blocks = []
+    for p in idems:
+        r, u_corner, _ = ba.numerical_rank(_tensordot_lmat(alg, p))
+        d = int(round(np.sqrt(r)))
+        if d * d != r:
+            raise WedderburnRetry(f"corner rank {r} is not a perfect square")
+        blocks.append((d, p, u_corner[:, :r]))
+    return blocks
+
+
+def _loop_unit_rows(alg, us, tr_l):
+    """The former matrix units and extraction rows, one (r, s) at a time."""
+    d, n = us.shape
+    tr = alg.trace_row()
+    rows = np.empty((d * d, n), complex)
+    for r in range(d):
+        for s in range(d):
+            e_sr = _tensordot_lmat(alg, alg.star_of(us[s])) @ us[r]
+            rows[r * d + s] = tr @ _tensordot_lmat(alg, e_sr)
+    return rows
+
+
+def _abstract_case(case, s4_wedderburns):
+    if case == "S4-dual":
+        return s4_wedderburns[1][0]    # the convolution algebra of C[S4]: 24 blocks of size 1
+    return _certified(case, s4_wedderburns)[0]
+
+
+def _spy(monkeypatch, name, seen, real=None):
+    real = real or getattr(wd_module, name)
+
+    def spy(*args):
+        out = real(*args)
+        seen.append((args, list(out)))    # the caller sorts the blocks in place
+        return out
+    monkeypatch.setattr(wd_module, name, spy)
+
+
+CASES = ["m2+m3", "c4", "kp-dual", "group:S4", "S4-dual"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_stacked_corners_and_unit_rows_match_the_loops(case, s4_wedderburns, monkeypatch):
+    """Each stacked step of one decomposition against its former loop on
+    the same input.  The corners are equal bit for bit: the stacked left
+    multiplications make one matrix-vector product per idempotent, as the
+    tensordot did, and the stacked SVD factors each matrix alone.  That
+    matters: a corner whose singular values are equal has no preferred
+    basis, and round-off would rotate it and the corner element drawn in
+    it.  The extraction rows read tr(e_a .) once for all units, which sums
+    in another order, so they agree within 1e-12."""
+    alg = _abstract_case(case, s4_wedderburns)
+    corners, rows = [], []
+    _spy(monkeypatch, "_corner_blocks", corners)
+    _spy(monkeypatch, "_unit_rows", rows)
+    wd_module._wedderburn_once(alg, np.random.default_rng(11))
+    (args, got), = corners
+    want = _loop_corner_blocks(*args)
+    assert [d for d, _, _ in got] == [d for d, _, _ in want]
+    for (_, p, u), (_, q, v) in zip(got, want):
+        assert p is q and u.tobytes() == v.tobytes()
+    assert [len(us) for (_, us, _), _ in rows] == sorted(d for d, _, _ in got)
+    for args, got_rows in rows:
+        want = _loop_unit_rows(*args)
+        assert np.abs(got_rows - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_stacked_decomposition_draws_as_the_loops(case, s4_wedderburns, monkeypatch):
+    """With every stacked step swapped back for its former loop, one
+    decomposition from the same generator takes the same draws: the
+    generator ends in the same state, the central idempotents are equal bit
+    for bit (their trace, which ties in exact arithmetic, orders blocks of
+    equal size) and phi moves by the round-off of the extraction rows."""
+    alg = _abstract_case(case, s4_wedderburns)
+    idems = []
+    _spy(monkeypatch, "_minimal_central_idempotents", idems)
+    rng = np.random.default_rng(11)
+    got = wd_module._wedderburn_once(alg, rng)
+    monkeypatch.setattr(AbstractStarAlgebra, "lmat", _tensordot_lmat)
+    _spy(monkeypatch, "_minimal_central_idempotents", idems, _loop_minimal_central_idempotents)
+    for name, loop in (("_corner_blocks", _loop_corner_blocks), ("_unit_rows", _loop_unit_rows)):
+        monkeypatch.setattr(wd_module, name, loop)
+    loop_rng = np.random.default_rng(11)
+    want = wd_module._wedderburn_once(alg, loop_rng)
+    assert rng.bit_generator.state == loop_rng.bit_generator.state
+    (_, new_idems), (_, loop_idems) = idems
+    assert np.array(new_idems).tobytes() == np.array(loop_idems).tobytes()
+    assert got.algebra == want.algebra
+    assert np.abs(got.iso - want.iso).max() <= 1e-12 * np.abs(want.iso).max()
