@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,8 +34,8 @@ from .errors import DimensionMismatch, NotInLieAlgebra, PreconditionFailed
 from .hopf import HopfAlgebra
 from .morphisms import (AlgebraMap, hopf_flags, induced_dual_action,
                         induced_dual_matrices, inner_implementers)
-from .multunitary import (MultiplicativeUnitary, commutation_test,
-                          path_in_commutant, solve_commutant_partner)
+from .multunitary import (MultiplicativeUnitary, partner_null_spaces, partner_residuals,
+                          partner_systems, path_in_commutant)
 
 
 @dataclass(eq=False)
@@ -43,7 +44,8 @@ class BiInnerGroupModel:
 
     constant_stack is the realified matrix of the constraints of G_c
     (kappa-symmetry, then the commutators with the cocentre basis), which
-    every intertwiner null space and membership test reads.  lie_basis spans
+    every membership test reads, and whose null space constraint_span holds
+    every intertwiner route B draws.  lie_basis spans
     {X : X* = -X, kappa(X*) = X, [X, c] = 0 for cocentral c} over the reals
     and lie_real holds its realified coordinates as orthonormal columns.
     fixed_blocks indexes the blocks whose central projection kappa fixes;
@@ -70,6 +72,17 @@ class BiInnerGroupModel:
     @property
     def dim(self) -> int:
         return len(self.lie_basis)
+
+    @cached_property
+    def constraint_span(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """kc, the columns of an orthonormal real basis K (2N, k) of
+        null(constant_stack) as complex coordinates (N, k): a real basis of
+        the elements that meet every constraint of G_c.  Then L_a kc and
+        R_a kc for every basis element e_a, each (N, N, k).  Formed when
+        route B first asks for it."""
+        a = self.hopf.algebra
+        kc = ba.real_vec_to_coords(ba.null_space(self.constant_stack))
+        return kc, ba.left_mult_tensor(a) @ kc, ba.right_mult_tensor(a) @ kc
 
     def project_defect(self, x: AlgebraElement) -> float:
         """Distance of x from the real span of the Lie basis."""
@@ -201,21 +214,29 @@ def _membership(model: BiInnerGroupModel, v: np.ndarray) -> tuple[np.ndarray, np
     return worst <= 1e-7 * np.maximum(1.0, ba.norms(v)), worst
 
 
+def _intertwiner_null(m: np.ndarray, model: BiInnerGroupModel) -> np.ndarray:
+    """Orthonormal real coordinates (k, d) over model.constraint_span of the
+    intertwiners w of the map with matrix m that meet the constraints of
+    G_c: the null space of the intertwiner condition alpha(e_k) w - w e_k = 0
+    restricted to that span, a realified 2N^2 x k system (k <= 2N) instead
+    of the (2N^2 + rows of constant_stack) x 2N one."""
+    n = m.shape[0]
+    _, lk, rk = model.constraint_span
+    # alpha(e_k) w - w e_k for w = kc x, row block k: sum_a m[a, k] L_a kc - R_k kc
+    rows = (np.tensordot(m, lk, axes=(0, 0)) - rk).reshape(n * n, -1)
+    return ba.null_space(np.concatenate([rows.real, rows.imag]))
+
+
 def _intertwiner_candidates(m: np.ndarray, model: BiInnerGroupModel,
                             rng: np.random.Generator) -> np.ndarray | None:
     """16 random intertwiners of the map with matrix m that meet the
     constraints of G_c, as the rows of a (16, N) array, or None when there is
     none.  The draw takes 16 normals from rng per dimension of their space."""
-    a = model.hopf.algebra
-    n = a.dim
-    # intertwiner condition alpha(e_k) w - w e_k = 0, row block k of the stack
-    rows = np.tensordot(m, ba.left_mult_tensor(a), axes=(0, 0)) - ba.right_mult_tensor(a)
-    stack = np.vstack([ba.realify_complex_linear(rows.reshape(n * n, n)),
-                       model.constant_stack])
-    null = ba.null_space(stack)
+    null = _intertwiner_null(m, model)
     if null.shape[1] == 0:
         return None
-    return ba.real_vec_to_coords(null @ rng.standard_normal((16, null.shape[1])).T).T
+    kc = model.constraint_span[0]
+    return (kc @ (null @ rng.standard_normal((16, null.shape[1])).T)).T
 
 
 def _unitarise(w: np.ndarray) -> np.ndarray:
@@ -298,25 +319,6 @@ class BiInnerVerdict:
         return out
 
 
-def _unitary_in_span(sols: list[AlgebraElement], rng: np.random.Generator):
-    """A unitary element of a *-closed solution space, by polar projection."""
-    if not sols:
-        return None
-    a = sols[0].algebra
-    span = np.column_stack([s.coords() for s in sols])
-    for _ in range(12):
-        coef = rng.standard_normal(len(sols)) + 1j * rng.standard_normal(len(sols))
-        w = a.from_coords(span @ coef)
-        if not w.is_invertible(1e-6):
-            continue
-        u = w.blockwise(_polar_unitary)
-        # the polar part must stay inside the solution space
-        resid, *_ = np.linalg.lstsq(span, u.coords(), rcond=None)
-        if np.linalg.norm(span @ resid - u.coords()) < 1e-8 * max(1.0, u.norm()):
-            return u
-    return None
-
-
 def _polar_unitary(w: np.ndarray) -> np.ndarray:
     """Unitary polar factor of each matrix in a stack."""
     uu, _, vvh = np.linalg.svd(w)
@@ -353,21 +355,69 @@ def _route_a(ms: np.ndarray, h: HopfAlgebra, d: DualHopfAlgebra,
     return refusal, us, uhats
 
 
-def _commutant_partner(u: AlgebraElement, mu: MultiplicativeUnitary,
-                       rng: np.random.Generator, tol: ToleranceConfig):
-    """A unitary uhat with uhat (x) u in the commutant of V, drawn from rng,
-    and its commutation certificate; None when there is none."""
-    partner = _unitary_in_span(solve_commutant_partner(u, mu), rng)
-    if partner is None:
-        return None
-    return partner, commutation_test(partner, u, mu, tol)
+# The partner draw's seed: classify_biinner's default, and the fresh
+# generator of every harness sample, so that both draw the same partner.
+PARTNER_SEED = 0xB11
+
+
+def _commutant_partners(us: np.ndarray, mu: MultiplicativeUnitary, tol: ToleranceConfig,
+                        rng: np.random.Generator | None = None):
+    """Route A's commutant step on a (k, N) stack of inner implementers u:
+    for each, a unitary uhat of the dual with uhat (x) u in the commutant of
+    V, drawn from the partner's solution space, and the certified residual
+    of the pair (multunitary.partner_residuals).
+
+    The solution spaces come from one stacked solve in the dual's
+    coordinates (partner_systems, partner_null_spaces).  A draw takes
+    complex Gaussian coefficients over a space's orthonormal basis, keeps
+    the combination if it is invertible (smallest singular value above
+    1e-6), takes its blockwise polar part and keeps that if it stays in the
+    space (to 1e-8 max(1, |uhat|)); a map gets 12 draws.  With rng given (a
+    stack of one) the coefficients come from rng.  Otherwise every map takes
+    them from a fresh default_rng(PARTNER_SEED): maps with spaces of one
+    dimension then draw the same coefficients until they succeed, so each
+    dimension's maps run together on one generator.
+
+    Returns found (bool, k), uhats (k, N; zero where none was found) and the
+    residuals (k; zero where none was found).
+    """
+    ahat = mu.dual.hopf.algebra
+    n = ahat.dim
+    yz, systems = partner_systems(us, mu)
+    rank, vh = partner_null_spaces(systems)
+    found = np.zeros(len(us), bool)
+    uhats = np.zeros((len(us), n), complex)
+    for dim in sorted(set((n - rank).tolist()) - {0}):
+        group = np.flatnonzero(n - rank == dim)
+        span = vh[group, n - dim:].conj().swapaxes(-1, -2)      # orthonormal columns
+        draw = rng if rng is not None else np.random.default_rng(PARTNER_SEED)
+        todo = np.arange(len(group))
+        for _ in range(12):
+            if not len(todo):
+                break
+            coef = draw.standard_normal(dim) + 1j * draw.standard_normal(dim)
+            w = span[todo] @ coef
+            inv = np.flatnonzero(ba.smallest_svs(ahat, w) > 1e-6)
+            polar = ahat.layout.apply(w[inv], _polar_unitary)
+            # the polar part must stay inside the solution space
+            sp = span[todo[inv]]
+            off = polar - ba.matvec(sp, ba.matvec(sp.conj().swapaxes(-1, -2), polar))
+            inside = ba.norms(off) < 1e-8 * np.maximum(1.0, ba.norms(polar))
+            hit = group[todo[inv[inside]]]
+            uhats[hit], found[hit] = polar[inside], True
+            todo = np.delete(todo, inv[inside])
+    resid = np.zeros(len(us))
+    if found.any():
+        resid[found] = partner_residuals(yz[found], systems[found], uhats[found],
+                                         us[found], mu, tol)
+    return found, uhats, resid
 
 
 def classify_biinner(alpha: AlgebraMap, h: HopfAlgebra, d: DualHopfAlgebra,
                      mu: MultiplicativeUnitary | None = None,
                      model: BiInnerGroupModel | None = None,
                      tol: ToleranceConfig = DEFAULT_TOL,
-                     seed: int = 0xB11) -> BiInnerVerdict:
+                     seed: int = PARTNER_SEED) -> BiInnerVerdict:
     """Definitional bi-inner classification with certificates: the
     consistency harness's route A on a stack of one map.
 
@@ -387,10 +437,11 @@ def classify_biinner(alpha: AlgebraMap, h: HopfAlgebra, d: DualHopfAlgebra,
     uhat = d.hopf.algebra.from_coords(uhats[0])
     certs: dict = {}
     if mu is not None:
-        found = _commutant_partner(u, mu, rng, tol)
-        if found is None:
+        found, uhats, resid = _commutant_partners(us[:1], mu, tol, rng)
+        if not found[0]:
             return BiInnerVerdict(False, "no unitary commutant partner", u=u, uhat=uhat)
-        uhat, certs["commutation"] = found
+        uhat = d.hopf.algebra.from_coords(uhats[0])
+        certs["commutation"] = {"residual": float(resid[0])}
         alpha_hat = induced_dual_action(alpha, d, tol, check=False).matrix
         certs["partner_implements_dual"] = min(
             float(np.linalg.norm(AlgebraMap.ad(uhat, tol).matrix - alpha_hat)),
@@ -453,20 +504,24 @@ def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
     classes are populated.  Samples run in chunks of CHUNK, in two phases:
 
     * in order, one sample at a time: draw u, form alpha = Ad(u), take route
-      B's intertwiner null space and draw its 16 candidates.  This stays
-      sequential because the null space's dimension says how many normals
-      the candidate draw takes from rng, which moves every later draw;
+      B's intertwiner null space (inside the model's constraint_span) and
+      draw its 16 candidates.  This stays sequential because the null
+      space's dimension says how many normals the candidate draw takes from
+      rng, which moves every later draw;
     * on the chunk's stacks: route A's gates (classify_biinner's) on the
       maps and route B's conditioning, unitarisation and membership test
-      (in_identity_component's) on the candidates.  Then each map that
-      passes route A's gates asks the commutant of V for its partner, per
-      sample, with the generator classify_biinner would seed.
+      (in_identity_component's) on the candidates.  Then the maps that
+      pass route A's gates ask the commutant of V for their partners as one
+      stack (_commutant_partners: one solve in the dual's coordinates, the
+      draw classify_biinner's seed gives each map, and the Gram-form
+      certificate whose worst value the report reads).
 
     So each sample gets the verdicts and draws that classify_biinner and
     in_identity_component, called on it one after another with the shared
     rng, would give it, and memory stays at one chunk's stacks whatever
-    the sample count.  Route A's certificates that the report does not read
-    (path residuals, partner_implements_dual) are not computed.
+    the sample count.  The commutant step forms no operator on H.  Route
+    A's certificates that the report does not read (path residuals,
+    partner_implements_dual) are not computed.
     """
     require_desk_scale(h)
     model = model or build_group_model(h)
@@ -502,13 +557,10 @@ def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
         refusal, us, _ = _route_a(ms, h, d, tol)
         route_a = refusal < 0
         if mu is not None:
-            for j in np.flatnonzero(route_a):
-                found = _commutant_partner(a.from_coords(us[j]), mu,
-                                           np.random.default_rng(0xB11), tol)
-                if found is None:
-                    route_a[j] = False
-                else:
-                    worst_comm = max(worst_comm, found[1]["residual"])
+            live = np.flatnonzero(route_a)
+            found, _, resid = _commutant_partners(us[live], mu, tol)
+            route_a[live[~found]] = False
+            worst_comm = max(worst_comm, float(resid.max(initial=0.0)))
         route_b = np.zeros(count, bool)
         route_b[has_cands] = _route_b(model, cands[has_cands])[0] < 0
 

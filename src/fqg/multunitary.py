@@ -72,6 +72,14 @@ class GnsSpace:
         """rep of every basis element, shape (N, N, N)."""
         return self.onb @ ba.left_mult_tensor(self.hopf.algebra) @ self.onb_inv
 
+    @cached_property
+    def rep_defects(self) -> dict:
+        """hom_residuals of rep: how far it is from a unital
+        *-representation of A on the GNS space."""
+        n = self.dim
+        return ba.hom_residuals(self.rep_basis.reshape(n, n * n).T, self.hopf.algebra,
+                                BlockAlgebra((n,)))
+
 
 def leg_inverse(stack: np.ndarray, op: np.ndarray):
     """Coordinates c with sum_k c_k stack[k] = op for the represented basis
@@ -93,8 +101,7 @@ def build_gns(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> GnsSpace:
     onb = chol.conj().T
     gns = GnsSpace(h, gram, onb, np.linalg.inv(onb))
     # representation must be a unital *-homomorphism for the inner product
-    n = gns.dim
-    hom = ba.hom_residuals(gns.rep_basis.reshape(n, n * n).T, h.algebra, BlockAlgebra((n,)))
+    hom = gns.rep_defects
     if max(hom["multiplicative"], hom["star_preserving"], hom["unital"]) > 1e-8:
         raise HaarNotFaithful("GNS representation defect")
     return gns
@@ -116,6 +123,16 @@ class MultiplicativeUnitary:
     def norm(self) -> float:
         """Frobenius norm of V."""
         return float(np.linalg.norm(self.matrix))
+
+    @cached_property
+    def leg_grams(self) -> tuple[np.ndarray, np.ndarray]:
+        """The trace Gram matrices of the represented bases of both legs:
+        Ghat[a, b] = tr(Xhat_a* Xhat_b) over rep_dual_basis and
+        G[j, k] = tr(S_j* S_k) over S_k = rep(e_k), so that
+        ||rep_dual(x)||_F^2 = x* Ghat x and ||rep(x)||_F^2 = x* G x."""
+        n = self.dim
+        flats = (self.rep_dual_basis.reshape(n, n * n), self.gns.rep_basis.reshape(n, n * n))
+        return tuple(f.conj() @ f.T for f in flats)
 
     # -- representations of both legs -----------------------------------------
     def rep(self, x: AlgebraElement) -> np.ndarray:
@@ -479,40 +496,129 @@ def commutation_test(uhat: AlgebraElement, u: AlgebraElement,
     return {"residual": _tensor_commutator_residual(mu, t_hat, t)}
 
 
-def solve_commutant_partner(u: AlgebraElement, mu: MultiplicativeUnitary):
-    """All W in the first-leg algebra with V(W (x) rep(u)) = (W (x) rep(u))V.
+def partner_systems(us: np.ndarray, mu: MultiplicativeUnitary) -> tuple[np.ndarray, np.ndarray]:
+    """The commutant-partner systems of a (k, n) stack us of coordinates of
+    u in A, in the dual's own coordinates.
 
-    Returns an orthonormal basis (list of dual-coefficient rows); the linear
-    system is solved over span{X_k} so central scalar mismatches cannot hide.
+    V = sum_k X_k (x) S_k + E with S_k = rep(e_k), the certified Schmidt
+    fit, and X_k = rep_dual(t_k) for the dual coordinates
+    t_k = to_dual_mat[:, k] (to_dual_mat inverts the from_dual_mat that
+    forms the slices).  With T = rep(u), S_k T = sum_j (e_k u)_j S_j and
+    T S_k = sum_j (u e_k)_j S_j, so for W = rep_dual(w)
+        [V - E, W (x) T] = sum_j (Y_j W - W Z_j) (x) S_j,
+    Y_j = rep_dual(y_j), Z_j = rep_dual(z_j) with y_j = sum_k (e_k u)_j t_k
+    and z_j = sum_k (u e_k)_j t_k.  The S_j are independent and rep_dual is
+    a faithful *-representation (leg_dim_first = n and the dual-rep
+    certificate), so the commutator vanishes exactly when y_j w = w z_j in
+    the dual for every j: the n^2 x n system
+    system[j] = sum_a y_j[a] Lhat_a - z_j[a] Rhat_a over the dual's left and
+    right multiplication tensors, built in O(n^4) with no operator on H and
+    no inverse of u.
 
-    V = sum_k X_k (x) S_k with S_k = rep(e_k) linearly independent.  With
-    T = rep(u), S_k T = sum_j (e_k u)_j S_j and T S_k = sum_j (u e_k)_j S_j,
-    so V(W (x) T) = sum_j Y_j W (x) S_j and (W (x) T)V = sum_j W Z_j (x) S_j
-    where Y_j = sum_k (e_k u)_j X_k and Z_j = sum_k (u e_k)_j X_k: the
-    equation holds exactly when Y_j W = W Z_j for every j.  Over
-    W = sum_c w_c Xhat_c, Xhat_c = rep_dual_basis[c] the first-leg slice of
-    the c-th dual basis element, that is an n^3 x n system in w.  One thin
-    QR reduces it to its n x n triangular factor, which has the same
-    singular values and null space, and no inverse of u is needed.
+    Returns yz, the (k, n, 2n) stack [y_j | z_j], and the (k, n^2, n) stack
+    of systems, row (j, p) and column c: system[j] w = c_j = y_j w - w z_j.
     """
-    n = mu.dim
-    a = mu.gns.hopf.algebra
-    # Xhat_c at [c, p, q]; Y_j and Z_j at [j, p, q], from the coefficients
-    # (e_k u)_j = R_u[j, k] and (u e_k)_j = L_u[j, k] of right and left
-    # multiplication by u, times to_dual_mat^T: X_k = sum_c to_dual_mat[c, k] Xhat_c
-    xhat = mu.rep_dual_basis
-    to_hat = mu.dual.to_dual_mat.T
-    ys = np.tensordot(np.tensordot(u.coords(), ba.right_mult_tensor(a), axes=(0, 0)) @ to_hat,
-                      xhat, axes=(1, 0))
-    zs = np.tensordot(np.tensordot(u.coords(), ba.left_mult_tensor(a), axes=(0, 0)) @ to_hat,
-                      xhat, axes=(1, 0))
-    # Y_j Xhat_c at [j, p, c, q] and Xhat_c Z_j at [c, p, j, q]
-    yx = (ys.reshape(n * n, n) @ xhat.transpose(1, 0, 2).reshape(n, n * n)).reshape((n,) * 4)
-    xz = (xhat.reshape(n * n, n) @ zs.transpose(1, 0, 2).reshape(n, n * n)).reshape((n,) * 4)
-    system = yx.transpose(0, 1, 3, 2) - xz.transpose(2, 1, 3, 0)
-    null = ba.null_space(np.linalg.qr(system.reshape(n ** 3, n), mode="r"))
-    return [mu.dual.hopf.algebra.from_coords(null[:, i])
-            for i in range(null.shape[1])]
+    a, ahat = mu.gns.hopf.algebra, mu.dual.hopf.algebra
+    n = a.dim
+    # (e_k u)_j = R_u[j, k] and (u e_k)_j = L_u[j, k], times to_dual_mat^T
+    yz = np.concatenate([np.tensordot(us, mult(a), axes=(-1, 0)) @ mu.dual.to_dual_mat.T
+                         for mult in (ba.right_mult_tensor, ba.left_mult_tensor)], axis=-1)
+    hat = np.concatenate([ba.left_mult_tensor(ahat), -ba.right_mult_tensor(ahat)])
+    return yz, (yz @ hat.reshape(2 * n, n * n)).reshape(-1, n * n, n)
+
+
+def partner_null_spaces(systems: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Null spaces of a stack of partner systems: (rank, vh) with the null
+    space of system m spanned by the rows vh[m, rank[m]:] conjugated.  One
+    thin QR per system reduces it to its n x n triangular factor, which has
+    the same singular values and null space."""
+    rank, _, vh = ba.numerical_rank(np.linalg.qr(systems, mode="r"))
+    return rank, vh
+
+
+def solve_commutant_partner(u: AlgebraElement, mu: MultiplicativeUnitary):
+    """All W in the first-leg algebra with V(W (x) rep(u)) = (W (x) rep(u))V,
+    as an orthonormal basis of dual elements w with W = rep_dual(w): the
+    partner kernel (partner_systems, partner_null_spaces) on a stack of one
+    u, which need not be unitary.  The system is solved over the whole
+    dual, so central scalar mismatches cannot hide."""
+    rank, vh = partner_null_spaces(partner_systems(u.coords()[None], mu)[1])
+    return [mu.dual.hopf.algebra.from_coords(row.conj()) for row in vh[0, rank[0]:]]
+
+
+def _gram_norms(x: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """sqrt(x* G x) for each coordinate vector of a stack x (..., n)."""
+    return np.sqrt(np.maximum((x.conj() * ba.matvec(gram, x)).sum(axis=-1).real, 0.0))
+
+
+def _unitarity_bounds(alg: BlockAlgebra, w: np.ndarray, gram: np.ndarray,
+                      hom: dict) -> np.ndarray:
+    """An upper bound on ||pi(w)* pi(w) - 1||_F for each w of a coordinate
+    stack, for a representation pi with trace Gram matrix gram and the
+    hom_residuals defects hom of its basis (multiplicative delta_m,
+    star_preserving delta_s, unital delta_u).  pi(w)* pi(w) - 1 is
+        pi(w* w - 1) + (pi(w)* - pi(w*)) pi(w)
+                     + (pi(w*) pi(w) - pi(w* w)) + (pi(1) - 1),
+    and the four terms are at most sqrt(x* G x) for x = w* w - 1,
+    delta_s |w|_1 ||pi(w)||_F, delta_m |w|_1^2 and delta_u."""
+    x = ba.products(alg, ba.adjoints(alg, w), w) - alg.unit_coords()
+    l1 = np.abs(w).sum(axis=-1)
+    return (_gram_norms(x, gram) + hom["star_preserving"] * l1 * _gram_norms(w, gram)
+            + hom["multiplicative"] * l1 ** 2 + hom["unital"])
+
+
+def partner_residuals(yz: np.ndarray, systems: np.ndarray, uhats: np.ndarray,
+                      us: np.ndarray, mu: MultiplicativeUnitary,
+                      tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """A bound on the commutation residual ||[V, P]||_F / max(1, ||V||_F)
+    of each pair P = rep_dual(uhat) (x) rep(u), from the partner systems
+    (partner_systems) of the u, after checking that both legs are unitary
+    (NotUnitary, at commutation_test's threshold).  No operator on H is
+    formed: O(n^3) per pair.
+
+    With c_j = system[j] uhat, the docstring of partner_systems gives
+    [V', P] = sum_j rep_dual(c_j) (x) S_j on V' = sum_k X_k (x) S_k, when
+    both representations are exact.  Its squared norm is the Gram form
+    sum_jk (c_j* Ghat c_k) G[j, k] (MultiplicativeUnitary.leg_grams).  The
+    reported value adds what that leaves out:
+    * rep_dual's multiplicative defect dh (dual_rep_multiplicative):
+      Y_j W - rep_dual(y_j uhat) and W Z_j - rep_dual(uhat z_j) are sums of
+      the basis defects weighted by y_j[a] uhat[b] and uhat[a] z_j[b], so
+      together they add at most dh |uhat|_1 sum_j |[y_j | z_j]|_1 ||S_j||_F;
+    * rep's multiplicative defect ds (GnsSpace.rep_defects), from
+      S_k T - sum_j (e_k u)_j S_j and its mirror: at most
+      2 ds |u|_1 ||W||_2 sum_k ||X_k||_F, ||X_k||_F^2 = t_k* Ghat t_k;
+    * the Schmidt remainder E = V - V': ||[E, P]||_F <= 2 ||E||_F ||P||_2,
+      ||E||_F / max(1, ||V||_F) = second_leg_membership, with
+      ||P||_2 = ||W||_2 ||T||_2 <= sqrt((1 + eh)(1 + e)) for the unitarity
+      bounds eh and e of both legs (_unitarity_bounds; ||W||_2^2 <= 1 + eh).
+    So, up to round-off (including that of to_dual_mat inverting
+    from_dual_mat), the result bounds V's own residual, the value
+    commutation_test reports for the pair.
+    """
+    ahat, a = mu.dual.hopf.algebra, mu.gns.hopf.algebra
+    n = a.dim
+    cert = mu.certificates
+    ghat, g = mu.leg_grams
+    hat_hom = {"multiplicative": cert["dual_rep_multiplicative"],
+               "star_preserving": cert["dual_rep_star"], "unital": cert["dual_rep_unital"]}
+    e_hat = _unitarity_bounds(ahat, uhats, ghat, hat_hom)
+    e = _unitarity_bounds(a, us, g, mu.gns.rep_defects)
+    limit = tol.eq_tol * 100 * n
+    if np.any(e_hat > limit):
+        raise NotUnitary("uhat is not unitary")
+    if np.any(e > limit):
+        raise NotUnitary("u is not unitary")
+    # c_j at [m, j, c], then sum_jk (c_j* Ghat c_k) G[j, k]
+    c = ba.matvec(systems, uhats).reshape(-1, n, n)
+    form = ((c.conj() @ ghat) @ c.swapaxes(-1, -2) * g).sum(axis=(-2, -1)).real
+    w_norm = np.sqrt(1.0 + e_hat)
+    hom = (cert["dual_rep_multiplicative"] * np.abs(uhats).sum(axis=-1)
+           * (np.abs(yz).sum(axis=-1) @ np.sqrt(np.diagonal(g).real))
+           + 2 * mu.gns.rep_defects["multiplicative"] * np.abs(us).sum(axis=-1)
+           * w_norm * _gram_norms(mu.dual.to_dual_mat.T, ghat).sum())
+    return ((np.sqrt(np.maximum(form, 0.0)) + hom) / max(1.0, mu.norm)
+            + 2 * cert["second_leg_membership"] * w_norm * np.sqrt(1.0 + e))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fqg.groups import by_name, symmetric
 from fqg.hopf import function_algebra, ksymmetric_basis
 from fqg.morphisms import (AlgebraMap, hopf_flags_fast, induced_dual_action,
                            inner_implementer)
+from fqg.multunitary import partner_null_spaces, partner_systems
 
 RNG = np.random.default_rng(515)
 
@@ -571,6 +572,87 @@ def test_stacked_routes_match_the_single_map_api_on_hard_maps(
             want = [fn(m, wb.model, gen) for m in maps]
             assert got == [(ok, info.get("reason")) for ok, info in want], (key, fn.__name__)
     assert {"bi-inner", "not inner on the algebra", "dual action is not inner"} <= seen
+
+
+def _full_stack_null(m, model):
+    """Oracle: route B's intertwiner null space from the whole realified
+    stack, the intertwiner rows above constant_stack, in 2N real coordinates."""
+    a = model.hopf.algebra
+    n = a.dim
+    rows = np.tensordot(m, ba.left_mult_tensor(a), axes=(0, 0)) - ba.right_mult_tensor(a)
+    return ba.null_space(np.vstack([ba.realify_complex_linear(rows.reshape(n * n, n)),
+                                    model.constant_stack]))
+
+
+def test_constraint_span_null_space_matches_the_full_stack(workbenches, group_likes,
+                                                           outer_automorphisms, hard_samples):
+    """Route B's null space taken inside K = null(constant_stack) is the one
+    of the whole stack: the same dimension (so the candidate draw takes as
+    many normals) and principal angles below 1e-12, on Haar, central and
+    planted samples, criterion 12's hard maps and the outer automorphisms."""
+    rng = np.random.default_rng(1214)
+    dims = set()
+    for key, wb in workbenches.items():
+        a, model = wb.hopf.algebra, wb.model
+        kc = model.constraint_span[0]
+        k = np.concatenate([kc.real, kc.imag])
+        assert np.allclose(k.T @ k, np.eye(k.shape[1]), atol=1e-12), key
+        assert np.linalg.norm(model.constant_stack @ k) < 1e-12, key
+        us = [ba.random_unitary(a, rng), ba.random_central_unitary(a, rng),
+              exp_element(model.random_element(rng))]
+        maps = ([AlgebraMap.ad(u) for u in us] + hard_samples(wb, group_likes[key], rng)
+                + outer_automorphisms.get(key, []))
+        for alpha in maps:
+            want = _full_stack_null(alpha.matrix, model)
+            got = k @ biinner._intertwiner_null(alpha.matrix, model)
+            assert got.shape == want.shape, key
+            if want.shape[1]:
+                assert np.linalg.norm(got - want @ (want.T @ got), 2) <= 1e-12, key
+            dims.add(want.shape[1])
+    assert len(dims) > 2
+
+
+def test_stacked_partner_draw_matches_a_fresh_generator_per_map(workbenches, group_likes):
+    """The partner kernel on one stack per workbench, whose maps have
+    solution spaces of several dimensions, gives each map what a stack of
+    one with its own default_rng(PARTNER_SEED) gives it: the same verdict,
+    the partner within 1e-13 and the residual within 1e-15."""
+    rng = np.random.default_rng(1215)
+    for key, wb in workbenches.items():
+        a = wb.hopf.algebra
+        us = np.array([x.coords() for x in [a.unit(), ba.random_central_unitary(a, rng),
+                                            ba.random_unitary(a, rng)] + group_likes[key]])
+        found, uhats, resid = biinner._commutant_partners(us, wb.mu, DEFAULT_TOL)
+        for j, u in enumerate(us):
+            one = biinner._commutant_partners(u[None], wb.mu, DEFAULT_TOL,
+                                              np.random.default_rng(biinner.PARTNER_SEED))
+            assert one[0][0] == found[j], (key, j)
+            assert np.abs(one[1][0] - uhats[j]).max() <= 1e-13, (key, j)
+            assert abs(one[2][0] - resid[j]) <= 1e-15, (key, j)
+        assert found[0], key
+
+
+def test_partner_draw_refuses_by_both_of_its_gates(workbenches, monkeypatch):
+    """For Haar unitaries u of kp, C[S3] and C[D4] the partner systems have
+    solution spaces without an invertible element, so the kernel finds no
+    partner.  Handed the span of one invertible element that is not a
+    multiple of a unitary, it refuses too: the polar part leaves the span."""
+    rng = np.random.default_rng(1216)
+    for key in ("kp", "group:S3", "group:D4"):
+        wb = workbenches[key]
+        us = np.array([ba.random_unitary(wb.hopf.algebra, rng).coords() for _ in range(4)])
+        rank = partner_null_spaces(partner_systems(us, wb.mu)[1])[0]
+        assert np.all(rank < wb.mu.dim), key
+        assert not biinner._commutant_partners(us, wb.mu, DEFAULT_TOL)[0].any(), key
+    kp = workbenches["kp"]
+    ahat = kp.dual.hopf.algebra
+    w0 = ahat.unit_coords() + 0.5 * ahat.block_unit_coords()[:, 0]
+    vh = np.zeros((1, ahat.dim, ahat.dim), complex)
+    vh[0, -1] = w0.conj() / np.linalg.norm(w0)
+    monkeypatch.setattr(biinner, "partner_null_spaces", lambda systems: (np.array([ahat.dim - 1]), vh))
+    assert ba.smallest_svs(ahat, w0) > 1e-6
+    assert not biinner._commutant_partners(kp.hopf.algebra.unit_coords()[None], kp.mu,
+                                           DEFAULT_TOL)[0][0]
 
 
 def test_group_defects_match_the_product_pairs(workbenches):

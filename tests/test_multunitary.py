@@ -15,6 +15,7 @@ from fqg.duality import build_dual
 from fqg.multunitary import (GnsSpace, build_gns, build_multiplicative_unitary,
                              column_classes, commutation_test, first_leg_basis,
                              fixed_and_cofixed, leg_inverse, pair_from_commutant,
+                             partner_null_spaces, partner_residuals, partner_systems,
                              path_in_commutant, pentagon_certificates, solve_commutant_partner,
                              split_simple_tensor, unitary_fractional_power)
 
@@ -294,6 +295,12 @@ def test_pentagon_split_keeps_an_off_pattern_coupling(kp):
 @pytest.fixture(scope="module")
 def mu_d8():
     h = group_algebra(by_name("dihedral:8"))
+    return build_multiplicative_unitary(build_gns(h), build_dual(h))
+
+
+@pytest.fixture(scope="module")
+def mu_fd8():
+    h = function_algebra(by_name("dihedral:8"))
     return build_multiplicative_unitary(build_gns(h), build_dual(h))
 
 
@@ -590,6 +597,116 @@ def test_commutant_partner_matches_kron_loop(workbenches, mu_d8):
             if sols:
                 got = np.column_stack([s.coords() for s in sols])
                 assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T, 2) < 1e-10, key
+
+
+def _operator_partner_null_space(u, mu):
+    """Oracle: the partner system on operators.  With Y_j = sum_k (e_k u)_j X_k
+    and Z_j = sum_k (u e_k)_j X_k, W = sum_c w_c Xhat_c commutes with V as
+    W (x) rep(u) exactly when Y_j W = W Z_j for every j: an n^3 x n system
+    in w, reduced by one thin QR."""
+    n = mu.dim
+    a = mu.gns.hopf.algebra
+    xhat = mu.rep_dual_basis
+    to_hat = mu.dual.to_dual_mat.T
+    ys = np.tensordot(np.tensordot(u.coords(), ba.right_mult_tensor(a), axes=(0, 0)) @ to_hat,
+                      xhat, axes=(1, 0))
+    zs = np.tensordot(np.tensordot(u.coords(), ba.left_mult_tensor(a), axes=(0, 0)) @ to_hat,
+                      xhat, axes=(1, 0))
+    # Y_j Xhat_c at [j, p, c, q] and Xhat_c Z_j at [c, p, j, q]
+    yx = (ys.reshape(n * n, n) @ xhat.transpose(1, 0, 2).reshape(n, n * n)).reshape((n,) * 4)
+    xz = (xhat.reshape(n * n, n) @ zs.transpose(1, 0, 2).reshape(n, n * n)).reshape((n,) * 4)
+    system = yx.transpose(0, 1, 3, 2) - xz.transpose(2, 1, 3, 0)
+    return ba.null_space(np.linalg.qr(system.reshape(n ** 3, n), mode="r"))
+
+
+def _sin_largest_angle(p, q):
+    """Sine of the largest principal angle between the column spans of two
+    orthonormal bases of equal dimension."""
+    return float(np.linalg.norm(p - q @ (q.conj().T @ p), 2)) if p.shape[1] else 0.0
+
+
+def _ladder_mus(workbenches, mu_d8, mu_fd8):
+    mus = {key: wb.mu for key, wb in workbenches.items()}
+    mus.update({"group:dihedral:8": mu_d8, "function:dihedral:8": mu_fd8})
+    return mus
+
+
+def test_dual_coordinate_partner_system_matches_the_operator_one(workbenches, mu_d8, mu_fd8,
+                                                                group_likes):
+    """The n^2 x n system in the dual's coordinates has the null space of the
+    n^3 x n system on operators: the same dimension and principal angles
+    below 1e-12, on the 11 workbenches and C[D8], C(D8), for the unit,
+    central and Haar unitaries, a non-unitary element and the group-likes,
+    one stack per algebra."""
+    rng = np.random.default_rng(21)
+    dims = set()
+    for key, mu in _ladder_mus(workbenches, mu_d8, mu_fd8).items():
+        a = mu.gns.hopf.algebra
+        us = [a.unit(), ba.random_central_unitary(a, rng), ba.random_unitary(a, rng),
+              ba.random_element(a, rng)] + group_likes.get(key, [])
+        yz, systems = partner_systems(np.array([u.coords() for u in us]), mu)
+        assert systems.shape == (len(us), a.dim ** 2, a.dim), key
+        rank, vh = partner_null_spaces(systems)
+        for u, r, rows in zip(us, rank, vh):
+            want = _operator_partner_null_space(u, mu)
+            got = rows[r:].conj().T
+            assert got.shape == want.shape, key
+            assert _sin_largest_angle(got, want) <= 1e-12, key
+            dims.add(got.shape[1])
+    assert len(dims) > 2
+
+
+def _commuting_pairs(mu, rng, count=3):
+    """(uhat, u) pairs with uhat (x) u in the commutant of V: u the unit or a
+    central unitary, uhat the polar part of a random solution."""
+    a = mu.gns.hopf.algebra
+    out = []
+    for u in [a.unit()] + [ba.random_central_unitary(a, rng) for _ in range(count - 1)]:
+        sols = np.column_stack([s.coords() for s in solve_commutant_partner(u, mu)])
+        for _ in range(12):
+            w = sols @ (rng.standard_normal(sols.shape[1]) + 1j * rng.standard_normal(sols.shape[1]))
+            if ba.smallest_svs(mu.dual.hopf.algebra, w) > 1e-6:
+                break
+        uhat = mu.dual.hopf.algebra.from_coords(w).blockwise(
+            lambda s: np.matmul(*np.linalg.svd(s)[::2]))
+        out.append((uhat, u))
+    return out
+
+
+def _gram_certificate(mu, pairs):
+    uhats = np.array([x.coords() for x, _ in pairs])
+    us = np.array([y.coords() for _, y in pairs])
+    yz, systems = partner_systems(us, mu)
+    return partner_residuals(yz, systems, uhats, us, mu)
+
+
+def test_gram_certificate_bounds_the_operator_residual(workbenches, mu_d8, mu_fd8):
+    """On commuting pairs the Gram-form certificate is at least the
+    residual of V itself (commutation_test), and below 1e-11; on Haar pairs
+    of the two algebras, which do not commute unless both are commutative,
+    it is O(1) and within 1e-12 of that residual, so the certificate can
+    fail."""
+    rng = np.random.default_rng(22)
+    for key, mu in _ladder_mus(workbenches, mu_d8, mu_fd8).items():
+        a, ahat = mu.gns.hopf.algebra, mu.dual.hopf.algebra
+        pairs = _commuting_pairs(mu, rng)
+        got = _gram_certificate(mu, pairs)
+        want = np.array([commutation_test(x, y, mu)["residual"] for x, y in pairs])
+        assert np.all(got >= want) and got.max() < 1e-11, (key, got, want)
+        if a.nblocks == a.dim and ahat.nblocks == ahat.dim:
+            continue            # both legs commutative: every pair commutes
+        haar = [(ba.random_unitary(ahat, rng), ba.random_unitary(a, rng)) for _ in range(3)]
+        got = _gram_certificate(mu, haar)
+        want = np.array([commutation_test(x, y, mu)["residual"] for x, y in haar])
+        assert np.all(got >= want) and np.all(got - want < 1e-12), (key, got, want)
+        assert got.min() > 0.1, (key, got)
+
+
+def test_gram_certificate_checks_both_legs_for_unitarity(kp):
+    pair = _commuting_pairs(kp.mu, np.random.default_rng(23), count=1)[0]
+    for uhat, u in ((2.0 * pair[0], pair[1]), (pair[0], 2.0 * pair[1])):
+        with pytest.raises(NotUnitary):
+            _gram_certificate(kp.mu, [(uhat, u)])
 
 
 def _commutation_dense(uhat, u, mu):

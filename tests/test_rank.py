@@ -10,6 +10,7 @@ way, because no singular value comes anywhere near a threshold.
 import numpy as np
 
 from fqg import blockalg as ba
+from fqg import biinner
 from fqg.biinner import build_group_model
 from fqg.duality import Functional, build_dual
 from fqg.errors import NonUniqueHaar
@@ -17,7 +18,7 @@ from fqg.groups import by_name
 from fqg.hopf import cocentre_basis, compute_haar, group_algebra, ksymmetric_basis
 from fqg.morphisms import AlgebraMap, induced_dual_action, inner_implementer
 from fqg.multunitary import (build_multiplicative_unitary, fixed_and_cofixed,
-                             solve_commutant_partner)
+                             partner_null_spaces, partner_systems)
 
 RNG = np.random.default_rng(2718)
 
@@ -129,6 +130,12 @@ def _fixed_dims(mu):
     return [fx.fixed.shape[1], fx.cofixed.shape[1]]
 
 
+def _intertwiner_dims(h, maps):
+    model = build_group_model(h)
+    return [model.constraint_span[0].shape[1]] + [
+        biinner._intertwiner_null(m.matrix, model).shape[1] for m in maps]
+
+
 def _sites(wb, rng):
     """(decision, {blockalg name: replaced rule}, thunk) for every rank
     decision on one workbench."""
@@ -138,7 +145,8 @@ def _sites(wb, rng):
                AlgebraMap.ad(ba.random_central_unitary(a, rng))]
     maps = ad_maps + [AlgebraMap.blockwise_transpose(a)] + [
         induced_dual_action(m, d, check=False) for m in ad_maps]
-    units = [a.unit(), ba.random_unitary(a, rng), ba.random_central_unitary(a, rng)]
+    units = np.array([a.unit_coords(), ba.random_unitary(a, rng).coords(),
+                      ba.random_central_unitary(a, rng).coords()])
     rel = _rule(1e-10)
     groups = [group_algebra(by_name(wb.key.partition(":")[2]))] \
         if wb.key.startswith("group:") else []
@@ -165,8 +173,12 @@ def _sites(wb, rng):
          + [g.algebra.block_dims for g in groups]),
         ("inner", {"numerical_rank": _rule(1e-9)},
          lambda: [inner_implementer(m) is None for m in maps]),
+        # the n^2 x n partner systems in the dual's coordinates, one stack
         ("partner", {"numerical_rank": _rule(1e-8)},
-         lambda: [len(solve_commutant_partner(u, mu)) for u in units]),
+         lambda: partner_null_spaces(partner_systems(units, mu)[1])[0].tolist()),
+        # route B's null space inside the span K of the constraints of G_c,
+        # on a fresh model so that K's own null space is decided here too
+        ("intertwiner", {"numerical_rank": rel}, lambda: _intertwiner_dims(h, ad_maps)),
     ]
 
 
@@ -192,7 +204,7 @@ def test_primitive_decides_as_the_replaced_rules(workbenches, monkeypatch):
             assert got == want, (wb.key, name, got, want)
             decided.setdefault(name, []).append(got)
         assert decided["haar"][-1] == [1, 1], wb.key
-    assert len(decided) == 11
+    assert len(decided) == 12
     # both verdicts occur: the transpose is not inner on the matrix blocks
     verdicts = sum(decided["inner"], [])
     assert any(verdicts) and not all(verdicts)
