@@ -552,9 +552,15 @@ def hom_residuals(m: np.ndarray, source, target: BlockAlgebra, *,
 
 def _sq_norms(x: np.ndarray, axes: str, out: str) -> np.ndarray:
     """Sums of |x|^2 over the trailing axes (einsum letters) not in out: the
-    squared real and imaginary parts of a float view of x, no temporary."""
+    squared real and imaginary parts of a float view of x, no temporary.  For
+    blocks of size 1 the block axis (first in axes) is summed over whole rows."""
     v = np.ascontiguousarray(x).view(np.float64)
-    return np.einsum(f"...{axes},...{axes}->...{out}", v, v)
+    if x.shape[-1] > 1:
+        return np.einsum(f"...{axes},...{axes}->...{out}", v, v)
+    lead = x.shape[:x.ndim - len(axes)]
+    kept = tuple(x.shape[len(lead) + axes.index(c)] for c in out)
+    v = v.reshape(lead + (x.shape[len(lead)], 2 * math.prod(kept)))
+    return np.einsum("...kc,...kc->...c", v, v).reshape(lead + kept + (2,)).sum(-1)
 
 
 def _hom_structure(source, target: BlockAlgebra):

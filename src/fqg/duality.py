@@ -137,12 +137,15 @@ def build_dual(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
     dual_alg = wd.algebra
 
     # dual coproduct: transpose of multiplication, transported block by block;
-    # row j of gamma holds f_j(e_a e_b) on kron coordinates (a, b) for the
-    # functional f_j of dual basis element j.  Kept C-ordered: the axiom
-    # residuals of the dual read its last bits through the memory layout
-    phi2 = np.kron(phi, phi)[tensor_perm(dual_alg, dual_alg)]
-    gamma = phi_inv.T @ ba.mult_matrix(h.algebra)
-    dual_coproduct = np.ascontiguousarray(ba.matvec(phi2, gamma).T)
+    # gamma[j] holds f_j(e_a e_b) at (a, b) for the functional f_j of dual
+    # basis element j, and column j is phi gamma[j] phi^T read on the tensor
+    # coordinates of the dual (two batched products, no N^4 array).  Kept
+    # C-ordered: the axiom residuals of the dual read its last bits through
+    # the memory layout
+    n = h.algebra.dim
+    gamma = (phi_inv.T @ ba.mult_matrix(h.algebra)).reshape(n, n, n)
+    columns = (phi @ gamma @ phi.T).reshape(n, n * n)[:, tensor_perm(dual_alg, dual_alg)]
+    dual_coproduct = np.ascontiguousarray(columns.T)
     dual_counit = h.algebra.unit().coords() @ phi_inv
     dual_antipode = phi @ h.antipode.T @ phi_inv
     dual_haar = compute_haar(dual_alg, dual_coproduct, tol=tol)

@@ -10,10 +10,12 @@ blocks by building a system of matrix units:
    and faithful on a C*-algebra.
 2. Split the centre into minimal idempotents (eigenvectors of multiplication
    by a generic central element).
-3. Inside each block corner, diagonalise a generic self-adjoint element to
-   get minimal projections, then join them with partial isometries.  Only
-   the random draws go block by block: corner ranks, matrix units and
-   their extraction rows are stacked, one matrix-vector product per element.
+3. A block of size 1 is its central idempotent p, refined by one Newton
+   step p <- 3p^2 - 2p^3; its extraction row is tr(p .)/tr(p).  In a larger
+   block corner, diagonalise a generic self-adjoint element to get minimal
+   projections P, read back as q = w^-1 P (w 1), and join them with partial
+   isometries.  Only the random draws go block by block: corner ranks,
+   matrix units and extraction rows are stacked, one product per element.
 4. Certify the resulting isomorphism through blockalg.hom_residuals: unital,
    *-preserving and multiplicative on all basis pairs, up to 1e-7.
 """
@@ -35,13 +37,18 @@ _DEFAULT_SEED = 0x517C
 class AbstractStarAlgebra:
     """Structure constants of a *-algebra on C^n.
 
-    left_mult[a] is the matrix of left multiplication by basis vector e_a;
-    star satisfies coords(x*) = star @ conj(coords(x)); unit is coords(1).
+    left_mult[a] is the matrix of left multiplication by basis vector e_a,
+    kept C-ordered; star satisfies coords(x*) = star @ conj(coords(x)); unit
+    is coords(1).
     """
 
     left_mult: np.ndarray
     star: np.ndarray
     unit: np.ndarray
+
+    def __post_init__(self):
+        self.left_mult = np.ascontiguousarray(self.left_mult)
+        self._left_cols = self.left_mult.reshape(self.dim, -1).T    # column a: vec(L_{e_a})
 
     @property
     def dim(self) -> int:
@@ -51,7 +58,7 @@ class AbstractStarAlgebra:
         """Left multiplication by v, or a stack of them for v (..., n), with
         the bits of one element alone (blockalg.matvec)."""
         n = self.dim
-        return ba.matvec(self.left_mult.reshape(n, n * n).T, v).reshape(v.shape[:-1] + (n, n))
+        return ba.matvec(self._left_cols, v).reshape(v.shape[:-1] + (n, n))
 
     def mult(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.lmat(u) @ v
@@ -118,6 +125,27 @@ def _corner_blocks(alg, idems):
     return [(int(d), p, u[:, :r]) for d, p, u, r in zip(dims, idems, u_corners, ranks)]
 
 
+def _character_rows(alg, ps, tr, tr_l):
+    """Extraction rows tr(p .)/tr(p) of the blocks of size 1, whose central
+    idempotents ps (k, n) are refined together by one Newton step
+    p <- 3p^2 - 2p^3 and their self-adjoint part."""
+    lp = alg.lmat(ps)
+    p2 = ba.matvec(lp, ps)
+    ps = 3 * p2 - 2 * ba.matvec(lp, p2)
+    ps = 0.5 * (ps + alg.star_of(ps))
+    return (ps @ tr_l) / (ps @ tr)[:, None]
+
+
+def _preimages(rep, w, winv, unit, ops):
+    """q = w^-1 P (w 1) with rep(q) = P (L_q 1 = q) for a stack of operators P
+    (k, n, n); WedderburnRetry if some rep(q) misses P by 1e-7 max(1, |P|)."""
+    qs = ba.matvec(winv, ba.matvec(ops, w @ unit))
+    ops = ops.reshape(len(ops), -1)
+    if np.any(ba.norms(qs @ rep.reshape(len(w), -1) - ops) > 1e-7 * np.maximum(1.0, ba.norms(ops))):
+        raise WedderburnRetry("operator not in the algebra image")
+    return qs
+
+
 def _unit_rows(alg, us, tr_l):
     """Rows r d + s: tr(e_sr .) for the matrix units e_sr = u_s* u_r of the
     partial isometries us (d, n), from the rows tr_l[a] = tr(e_a .)."""
@@ -150,9 +178,6 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
         raise NotCStarAlgebra("trace form is not positive definite") from err
     w = chol.conj().T
     winv = np.linalg.inv(w)
-    rep = w @ alg.left_mult @ winv
-    rep_flat = rep.reshape(n, n * n).T      # columns vec(rep(e_a))
-    rep_pinv = np.linalg.pinv(rep_flat)
 
     # centre = null space of all commutators with basis elements: row block a
     # is right minus left multiplication by e_a, the right one read off
@@ -170,9 +195,14 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
 
     target = BlockAlgebra(tuple(d for d, _, _ in blocks))
     tr_l = tr @ alg.left_mult     # row a: the functional tr(e_a .)
+    ones = sum(d == 1 for d, _, _ in blocks)
     phi = np.zeros((n, n), complex)
-    row = 0
-    for d, p, corner in blocks:
+    if ones:
+        phi[:ones] = _character_rows(alg, np.array([p for _, p, _ in blocks[:ones]]), tr, tr_l)
+    rng.standard_normal(2 * ones)    # their former corner draws: larger blocks draw as before
+    rep = w @ alg.left_mult @ winv
+    row = ones
+    for d, p, corner in blocks[ones:]:
         # minimal projections q_1..q_d from a generic self-adjoint corner element
         for attempt in range(24):
             y = corner @ (rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d))
@@ -183,18 +213,14 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
             # clusters of the nonzero eigenvalues, split at gaps above 1e-5
             gaps = np.diff(vals)
             uniq = np.split(vals, np.flatnonzero(gaps > 1e-5) + 1)
-            if len(uniq) == d and all(len(c) == d for c in uniq) and (
-                    d == 1 or gaps[gaps > 1e-5].min() > 1e-4):
+            if len(uniq) == d and all(len(c) == d for c in uniq) and gaps[gaps > 1e-5].min() > 1e-4:
                 break
         else:
             raise WedderburnRetry("no generic corner element found")
-        qs = []
-        for c in uniq:
-            sel = (np.abs(lam[:, None] - c) <= 1e-9 * np.maximum(1.0, np.abs(c)) + 1e-9).any(axis=1)
-            proj = (vecs[:, sel] @ vecs[:, sel].conj().T).reshape(-1)
-            qs.append(rep_pinv @ proj)
-            if np.linalg.norm(rep_flat @ qs[-1] - proj) > 1e-7 * max(1.0, np.linalg.norm(proj)):
-                raise WedderburnRetry("operator not in the algebra image")
+        sels = [(np.abs(lam[:, None] - c) <= 1e-9 * np.maximum(1.0, np.abs(c)) + 1e-9).any(axis=1)
+                for c in uniq]
+        qs = _preimages(rep, w, winv, alg.unit,
+                        np.array([vecs[:, sel] @ vecs[:, sel].conj().T for sel in sels]))
         # partial isometries u_r : q_r -> q_1
         us = [qs[0]]
         t_block = np.real(tr @ qs[0])

@@ -276,6 +276,25 @@ def test_hom_residuals_isolate_each_property():
     assert _failing(np.vstack([np.eye(2), np.eye(2)]), c2, c4) == set()
 
 
+@pytest.mark.parametrize("shape, axes, out", [
+    ((576, 24, 1, 24, 1), "kirjs", "ij"),     # pair products of the C(S4) coproduct
+    ((3, 36, 6, 1, 6, 1), "kirjs", "ij"),     # a stack of maps into C^36
+    ((0, 36, 6, 1, 6, 1), "kirjs", "ij"),     # an empty stack
+    ((5, 12, 7, 1, 1), "kirs", "i"),          # star defects
+    ((4, 9, 3, 9, 3), "kirjs", "ij"),         # blocks of size 3 keep the einsum
+])
+def test_sq_norms_match_the_plain_reduction(shape, axes, out):
+    """The squared norms against sum |x|^2 over the summed letters, within
+    round-off; size-1 blocks take the row-wise path."""
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    summed = tuple(i - len(axes) for i, c in enumerate(axes) if c not in out)
+    want = (np.abs(x) ** 2).sum(axis=summed)
+    got = ba._sq_norms(x, axes, out)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13 * max(1.0, want.max(initial=0.0))
+
+
 def test_hom_residuals_compute_anti_and_jordan_only_on_request():
     """The default call returns the three *-homomorphism keys and nothing
     else, so a caller that forgets anti=True gets a KeyError, not a zero."""

@@ -56,9 +56,13 @@ def _loop_dual_coproduct(d):
 
 
 def test_dual_coproduct_matches_the_per_column_loop(workbenches, s4_duals):
+    """build_dual forms each column as phi gamma_j phi^T, which sums in
+    another order than phi (x) phi applied to vec(gamma_j): equal within
+    round-off (at most 4.5e-16 relative, on C[S4])."""
     duals = {key: wb.dual for key, wb in workbenches.items()} | s4_duals
     for key, d in duals.items():
-        assert np.array_equal(d.hopf.coproduct, _loop_dual_coproduct(d)), key
+        want = _loop_dual_coproduct(d)
+        assert np.abs(d.hopf.coproduct - want).max() <= 1e-14 * max(1.0, np.abs(want).max()), key
         assert d.hopf.coproduct.flags.c_contiguous, key
 
 

@@ -315,6 +315,50 @@ def test_verify_axioms_memory_on_function_s4():
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
+def _dense_coassociativity(h):
+    """The former coassociativity residual, formed as two n^4 arrays."""
+    n = h.algebra.dim
+    dk = h.coproduct_kron
+    dflat = dk.reshape(n * n, n)
+    lhs = dflat @ dk.reshape(n, n * n)
+    rhs = (dflat @ dk).reshape(n * n, n * n)
+    return _rel(lhs - rhs, lhs, rhs)
+
+
+@pytest.mark.parametrize("kind", [group_algebra, function_algebra])
+def test_slab_coassociativity_matches_the_dense_formula(kind):
+    """verify_axioms sums coassociativity over slabs of the first leg: the
+    dense residual within round-off on the coproduct of S4, and within 1e-12
+    relative on a perturbed coproduct, where both are O(1)."""
+    h = kind(symmetric(4))
+    assert abs(verify_axioms(h).residuals["coassociativity"] - _dense_coassociativity(h)) < 1e-14
+    rng = np.random.default_rng(4)
+    bad = _corrupted(h, coproduct=h.coproduct + 0.3 * rng.standard_normal(h.coproduct.shape))
+    got, want = verify_axioms(bad).residuals["coassociativity"], _dense_coassociativity(bad)
+    assert want > 0.1 and abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("kind", [group_algebra, function_algebra])
+def test_verify_axioms_and_build_dual_stay_near_one_n4_array(kind):
+    """tracemalloc peaks on S4 within 1.25 complex arrays of N^4 entries:
+    the coproduct certificate's pair products on C(S4) are one such array,
+    and neither coassociativity nor the dual coproduct forms another.  Each
+    is measured on a second call: the first also builds what the algebras
+    keep (the block layout of A (x) A with its 576 blocks on C(S4), 0.5 MiB)."""
+    from fqg.duality import build_dual
+    h = kind(symmetric(4))
+    bound = 1.25 * 16 * h.algebra.dim ** 4
+    for run in (lambda: verify_axioms(h), lambda: build_dual(h)):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"
+
+
 def _structure_oracle_cases(workbenches):
     cases = [(key, wb.hopf) for key, wb in workbenches.items()]
     for key in ("kp", "group:S3"):

@@ -1,4 +1,5 @@
-"""Smoke test of tools/report_digests.py on the Kac-Paljutkin algebra."""
+"""tools/report_digests.py: a smoke run on the Kac-Paljutkin algebra, and what
+--compare prints for a report whose non-float content differs."""
 
 import importlib.util
 import json
@@ -44,3 +45,38 @@ def test_digests_and_compare_on_kp(tmp_path, capsys):
     other.write_text(json.dumps(moved))
     assert tool.main(["--compare", str(out), str(other)]) == 1
     assert "NON-FLOAT CONTENT DIFFERS" in capsys.readouterr().out
+
+
+def _digest(floats, nonfloats, tag):
+    return {"exit": 0, "sha256": tag, "nonfloat_sha256": tag, "floats": floats,
+            "nonfloats": nonfloats}
+
+
+def test_compare_names_each_differing_nonfloat_leaf(tmp_path, capsys):
+    tool = _tool()
+    a = {"verify group:S3 seed 1": _digest(
+        {"/checks/5/residual": 1e-3, "/scalar": 0.5},
+        {"/checks/5/info": "min singular value 1.080e-03", "/checks/5/passed": True,
+         "/checks/6/name": "unit"}, "a")}
+    b = {"verify group:S3 seed 1": _digest(
+        {"/checks/5/residual": 2e-3},
+        {"/checks/5/info": "min singular value 5.661e-04", "/checks/5/passed": True,
+         "/scalar": None, "/checks/7/name": "unit"}, "b")}
+    paths = []
+    for name, doc in (("a.json", a), ("b.json", b)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(doc))
+    assert tool.main(["--compare", *map(str, paths)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("verify group:S3 seed 1: NON-FLOAT CONTENT DIFFERS")
+    assert lines[5] == "1 vs 1 reports, 1 differ, largest float move 1.000e-03"
+    assert lines[1:5] == [
+        '  /checks/5/info: "min singular value 1.080e-03" -> "min singular value 5.661e-04"',
+        '  /checks/6/name: "unit" -> absent',
+        '  /checks/7/name: absent -> "unit"',
+        '  /scalar: 0.5 -> null']
+    # digests written before the non-float leaves were recorded
+    del a["verify group:S3 seed 1"]["nonfloats"]
+    paths[0].write_text(json.dumps(a))
+    assert tool.main(["--compare", *map(str, paths)]) == 1
+    assert "no non-float leaves recorded" in capsys.readouterr().out

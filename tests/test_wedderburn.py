@@ -196,6 +196,38 @@ def test_certificate_matches_the_pair_loop(case, s4_wedderburns):
     assert got > 1e-7 and abs(got - want) <= 1e-12 * max(1.0, want)
 
 
+def test_operator_off_the_algebra_image_is_refused(monkeypatch):
+    """A minimal projection moved off rep(A) reads back as some q with
+    rep(q) != P, and the image gate refuses it."""
+    alg, _, _ = _scrambled((2, 3), seed=5)
+    real = wd_module._preimages
+    noise = np.random.default_rng(3).standard_normal((alg.dim, alg.dim))
+    monkeypatch.setattr(wd_module, "_preimages",
+                        lambda rep, w, winv, unit, ops: real(rep, w, winv, unit, ops + 1e-4 * noise))
+    with pytest.raises(WedderburnRetry, match="operator not in the algebra image"):
+        wd_module._wedderburn_once(alg, np.random.default_rng(11))
+
+
+@pytest.mark.parametrize("case", ["c4", "group:S4"])
+def test_corrupted_size_one_idempotent_is_refused_by_the_iso_certificate(case, s4_wedderburns,
+                                                                         monkeypatch):
+    """A size-1 block's idempotent moved by 1e-2 off its block: the Newton
+    step leaves an O(1e-4) error in its extraction row, which the final
+    *-isomorphism certificate refuses."""
+    alg = _certified(case, s4_wedderburns)[0]
+    real = wd_module._corner_blocks
+
+    def corrupt(alg, idems):
+        blocks = real(alg, idems)
+        j = next(i for i, (d, _, _) in enumerate(blocks) if d == 1)
+        d, p, corner = blocks[j]
+        blocks[j] = (d, p + 1e-2 * np.random.default_rng(1).standard_normal(alg.dim), corner)
+        return blocks
+    monkeypatch.setattr(wd_module, "_corner_blocks", corrupt)
+    with pytest.raises(WedderburnRetry, match="iso residual"):
+        wd_module._wedderburn_once(alg, np.random.default_rng(11))
+
+
 # -- the stacked steps against the former loops ------------------------------
 
 def _tensordot_lmat(alg, v):
@@ -256,6 +288,20 @@ def _loop_unit_rows(alg, us, tr_l):
     return rows
 
 
+def _loop_character_rows(alg, ps, tr, tr_l):
+    """The rows of the blocks of size 1, one idempotent at a time: the Newton
+    step p <- 3p^2 - 2p^3 through the former lmat, the self-adjoint part,
+    and the former loop's row of the unit p* p over tr(p)."""
+    rows = []
+    for p in ps:
+        lp = _tensordot_lmat(alg, p)
+        p2 = lp @ p
+        q = 3 * p2 - 2 * (lp @ p2)
+        q = 0.5 * (q + alg.star_of(q))
+        rows.append(_loop_unit_rows(alg, q[None], tr_l)[0] / (tr @ q))
+    return np.array(rows)
+
+
 def _abstract_case(case, s4_wedderburns):
     if case == "S4-dual":
         return s4_wedderburns[1][0]    # the convolution algebra of C[S4]: 24 blocks of size 1
@@ -284,21 +330,30 @@ def test_stacked_corners_and_unit_rows_match_the_loops(case, s4_wedderburns, mon
     matters: a corner whose singular values are equal has no preferred
     basis, and round-off would rotate it and the corner element drawn in
     it.  The extraction rows read tr(e_a .) once for all units, which sums
-    in another order, so they agree within 1e-12."""
+    in another order, so they agree within 1e-12.  A block of size 1 is
+    its central idempotent p, refined by one Newton step: the stacked rows
+    agree with those refined and read one idempotent at a time within the
+    same bound."""
     alg = _abstract_case(case, s4_wedderburns)
-    corners, rows = [], []
+    corners, rows, characters = [], [], []
     _spy(monkeypatch, "_corner_blocks", corners)
     _spy(monkeypatch, "_unit_rows", rows)
+    _spy(monkeypatch, "_character_rows", characters)
     wd_module._wedderburn_once(alg, np.random.default_rng(11))
     (args, got), = corners
     want = _loop_corner_blocks(*args)
     assert [d for d, _, _ in got] == [d for d, _, _ in want]
     for (_, p, u), (_, q, v) in zip(got, want):
         assert p is q and u.tobytes() == v.tobytes()
-    assert [len(us) for (_, us, _), _ in rows] == sorted(d for d, _, _ in got)
+    assert [len(us) for (_, us, _), _ in rows] == sorted(d for d, _, _ in got if d > 1)
     for args, got_rows in rows:
         want = _loop_unit_rows(*args)
         assert np.abs(got_rows - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+    ones = sum(d == 1 for d, _, _ in got)
+    assert [len(ps) for (_, ps, _, _), _ in characters] == ([ones] if ones else [])
+    for args, got_rows in characters:
+        want = _loop_character_rows(*args)
+        assert np.abs(np.array(got_rows) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("case", CASES)

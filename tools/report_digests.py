@@ -7,17 +7,20 @@ The first form runs `fqg verify --json` (its default 100 samples) and
 `fqg biinner --json --samples N` at seeds 1 and 7 on each algebra, in-process
 from the `src/` next to this directory, and writes one entry per report:
 the sha256 of the report text, the sha256 of the report with its float
-leaves blanked out (every verdict, flag, count and confusion matrix) and the
-float leaves themselves by path.  The default algebras are the 11 bundled
-workbenches (kp and the group and function algebras of Z2, Z3, Z4, S3, D4),
+leaves blanked out (every verdict, flag, count and confusion matrix), the
+float leaves themselves by path and every other leaf (string, int, bool,
+null) by path, so that a comparison can name what moved.  The default
+algebras are the 11 bundled workbenches (kp and the group and function algebras of Z2, Z3, Z4, S3, D4),
 the group and function algebras of dihedral:6, which at N = 12 are the
 largest that `fqg biinner` accepts, and those of dihedral:8 (N = 16) and S4
 (N = 24, the rung of the verify benchmark's size probe), whose biinner
 entries record the refusal above N = 12.
 
 --compare lists the reports of A and B that differ, whether their non-float
-content differs, and the largest move of a float leaf; it exits 1 when any
-report differs in its non-float content or is missing from one side.
+content differs, and the largest move of a float leaf; under a report whose
+non-float content differs it names each differing non-float leaf with its
+value in A and in B.  It exits 1 when any report differs in its non-float
+content or is missing from one side.
 Needs numpy only.
 """
 
@@ -46,13 +49,18 @@ def algebra_args(key: str) -> list[str]:
     return ["--group", group, "--algebra", kind]
 
 
-def float_leaves(doc, path: str = "") -> dict[str, float]:
-    """Every float in a JSON document by its path (keys and list indices
-    joined by '/'); ints and booleans are not floats."""
+def leaves(doc, path: str = "") -> dict:
+    """Every leaf of a JSON document by its path (keys and list indices
+    joined by '/')."""
     if isinstance(doc, (dict, list)):
         items = doc.items() if isinstance(doc, dict) else enumerate(doc)
-        return {k: v for key, sub in items for k, v in float_leaves(sub, f"{path}/{key}").items()}
-    return {path: doc} if isinstance(doc, float) else {}
+        return {k: v for key, sub in items for k, v in leaves(sub, f"{path}/{key}").items()}
+    return {path: doc}
+
+
+def float_leaves(doc) -> dict[str, float]:
+    """The float leaves of a JSON document; ints and booleans are not floats."""
+    return {k: v for k, v in leaves(doc).items() if isinstance(v, float)}
 
 
 def blank_floats(doc):
@@ -82,7 +90,8 @@ def run_report(argv: list[str]) -> dict:
         doc = {"no_report": err.getvalue().strip()}
     return {"exit": rc, "sha256": sha256(text),
             "nonfloat_sha256": sha256(json.dumps(blank_floats(doc), sort_keys=True)),
-            "floats": float_leaves(doc)}
+            "floats": float_leaves(doc),
+            "nonfloats": {k: v for k, v in leaves(doc).items() if not isinstance(v, float)}}
 
 
 def collect(algebras: list[str], samples: int) -> dict:
@@ -99,15 +108,16 @@ def collect(algebras: list[str], samples: int) -> dict:
 def compare(a: dict, b: dict) -> tuple[list[str], bool]:
     """Lines describing every report that differs, and whether any differs
     beyond its float leaves (or exists on one side only)."""
-    lines, structural, worst = [], False, 0.0
+    lines, structural, worst, differ = [], False, 0.0, 0
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
             lines.append(f"{name}: only in {'B' if name not in a else 'A'}")
-            structural = True
+            structural, differ = True, differ + 1
             continue
         ra, rb = a[name], b[name]
         if ra["sha256"] == rb["sha256"]:
             continue
+        differ += 1
         same_shape = ra["nonfloat_sha256"] == rb["nonfloat_sha256"] and \
             ra["floats"].keys() == rb["floats"].keys()
         structural |= not same_shape
@@ -117,9 +127,26 @@ def compare(a: dict, b: dict) -> tuple[list[str], bool]:
         worst = max(worst, move)
         what = "floats only" if same_shape else "NON-FLOAT CONTENT DIFFERS"
         lines.append(f"{name}: {what}; largest float move {move:.3e} at {path}")
-    lines.append(f"{len(a)} vs {len(b)} reports, {len(lines)} differ, "
+        if not same_shape:
+            lines += nonfloat_changes(ra, rb)
+    lines.append(f"{len(a)} vs {len(b)} reports, {differ} differ, "
                  f"largest float move {worst:.3e}")
     return lines, structural
+
+
+def nonfloat_changes(ra: dict, rb: dict) -> list[str]:
+    """One line per leaf of two digests of a report that is not a float on
+    both sides and differs: its path, its value in A and its value in B
+    ('absent' where a side lacks it)."""
+    if "nonfloats" not in ra or "nonfloats" not in rb:
+        return ["  (no non-float leaves recorded; rerun the digests)"]
+    a = ra["floats"] | ra["nonfloats"]
+    b = rb["floats"] | rb["nonfloats"]
+    floats = ra["floats"].keys() & rb["floats"].keys()
+    missing = object()
+    show = lambda doc, key: json.dumps(doc[key]) if key in doc else "absent"
+    return [f"  {key}: {show(a, key)} -> {show(b, key)}" for key in sorted(a.keys() | b.keys())
+            if key not in floats and a.get(key, missing) != b.get(key, missing)]
 
 
 def main(argv=None) -> int:
