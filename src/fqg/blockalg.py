@@ -370,9 +370,30 @@ def selfadjoint_parts(a: BlockAlgebra, x: np.ndarray) -> np.ndarray:
 
 
 def smallest_svs(a: BlockAlgebra, x: np.ndarray) -> np.ndarray:
-    """Smallest singular value over all blocks of each element of x."""
-    return np.min([np.linalg.svd(s, compute_uv=False)[..., -1].min(axis=-1)
-                   for s in a.layout.stacks(x)], axis=0)
+    """Smallest singular value over all blocks of each element of x.  Blocks
+    of size 1 and 2 take a closed form (_smallest_block_svs), larger ones
+    LAPACK's SVD; either way the absolute error is about eps * sigma_max of
+    the block, as LAPACK's."""
+    return np.min([_smallest_block_svs(s).min(axis=-1) for s in a.layout.stacks(x)], axis=0)
+
+
+def _smallest_block_svs(s: np.ndarray) -> np.ndarray:
+    """Smallest singular value of each matrix of a stack (..., n, n): |x| for
+    n = 1; for n = 2, M = [[a, b], [c, d]], sigma_max^2 is the larger
+    eigenvalue of M*M from its Gram entries (no cancellation) and
+    sigma_min = |ad - bc| / sigma_max (0 where M = 0); LAPACK for n >= 3.
+    The squared entries must not overflow or underflow, which holds for
+    entries between about 1e-150 and 1e150."""
+    n = s.shape[-1]
+    if n == 1:
+        return np.abs(s[..., 0, 0])
+    if n > 2:
+        return np.linalg.svd(s, compute_uv=False)[..., -1]
+    a, b, c, d = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
+    p = a.real ** 2 + a.imag ** 2 + c.real ** 2 + c.imag ** 2
+    r = b.real ** 2 + b.imag ** 2 + d.real ** 2 + d.imag ** 2
+    big = np.sqrt((p + r) / 2 + np.hypot((p - r) / 2, np.abs(a.conj() * b + c.conj() * d)))
+    return np.divide(np.abs(a * d - b * c), big, out=np.zeros_like(big), where=big > 0)
 
 
 def _selfadjoint_defects(a: BlockAlgebra, x: np.ndarray, tol: float):
@@ -394,9 +415,20 @@ def spectra(a: BlockAlgebra, x: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) 
     its blocks, shape (..., sum of the block sizes); NotSelfAdjoint if any
     element is not self-adjoint."""
     _require_selfadjoint(a, x, tol.eq_tol)
-    lam = [np.linalg.eigvalsh(hermitian_part(s)) for s in a.layout.stacks(x)]
+    lam = [_hermitian_eigs(s) for s in a.layout.stacks(x)]
     flat = [m.reshape(m.shape[:-2] + (math.prod(m.shape[-2:]),)) for m in lam]
     return np.sort(np.concatenate(flat, axis=-1), axis=-1)
+
+
+def _hermitian_eigs(s: np.ndarray, vectors: bool = False):
+    """eigvalsh, or eigh with vectors, of the Hermitian parts of a stack of
+    blocks; for blocks of size 1 the real part and the eigenvector 1, bit
+    for bit what LAPACK returns for them."""
+    if s.shape[-1] == 1:
+        lam = s[..., 0].real
+        return (lam, np.ones_like(s)) if vectors else lam
+    h = hermitian_part(s)
+    return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
 
 
 def polar_symmetries(a: BlockAlgebra, v: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
@@ -408,7 +440,7 @@ def polar_symmetries(a: BlockAlgebra, v: np.ndarray, tol: ToleranceConfig = DEFA
     if not np.all(smallest_svs(a, v) > tol.inv_tol):
         raise NotInvertible("polar symmetry requires an invertible element")
     lay = a.layout
-    eig = [np.linalg.eigh(hermitian_part(s)) for s in lay.stacks(v)]
+    eig = [_hermitian_eigs(s, vectors=True) for s in lay.stacks(v)]
 
     def calculus(fn):
         return lay.join([(q * fn(lam)[..., None, :]) @ q.conj().swapaxes(-1, -2)

@@ -10,6 +10,8 @@ import csv
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NotAGroup, ParseError
 
 MAX_ORDER = 64
@@ -65,9 +67,13 @@ def _validate(table: list[list[int]], name: str) -> Group:
             raise NotAGroup("each column must be a permutation of 0..n-1")
     if any(table[0][h] != h or table[h][0] != h for h in range(n)):
         raise NotAGroup("index 0 must be the identity")
-    for g, h, k in itertools.product(range(n), repeat=3):
-        if table[table[g][h]][k] != table[g][table[h][k]]:
-            raise NotAGroup(f"associativity fails at ({g},{h},{k})")
+    t = np.array(table)
+    # T[T][g, h, k] = (gh)k and T[:, T][g, h, k] = g(hk); argwhere lists the
+    # failures in the order of a loop over (g, h, k)
+    bad = np.argwhere(t[t] != t[:, t])
+    if len(bad):
+        g, h, k = bad[0].tolist()
+        raise NotAGroup(f"associativity fails at ({g},{h},{k})")
     for g in range(n):
         if 0 not in table[g]:
             raise NotAGroup(f"no inverse for {g}")

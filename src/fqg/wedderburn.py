@@ -117,12 +117,21 @@ def _minimal_central_idempotents(alg, centre, gram_w, rng):
 
 def _corner_blocks(alg, idems):
     """(d, p, corner) for each central idempotent p: the rank d^2 of L_p and
-    its leading left singular vectors, which span pA; one stacked SVD."""
-    ranks, u_corners, _ = ba.numerical_rank(alg.lmat(np.array(idems)))
-    dims = np.rint(np.sqrt(ranks)).astype(int)
-    if np.any(dims * dims != ranks):
-        raise WedderburnRetry(f"corner rank {ranks[dims * dims != ranks][0]} is not a square")
-    return [(int(d), p, u[:, :r]) for d, p, u, r in zip(dims, idems, u_corners, ranks)]
+    an orthonormal basis of pA.  L_p is idempotent, so its rank is
+    tr(p) = Tr(L_p); where that is 1, pA is spanned by p itself, and the
+    larger blocks take their rank and basis (the leading left singular
+    vectors) from one stacked SVD."""
+    tr = alg.trace_row()
+    blocks = [(1, p, (p / np.linalg.norm(p))[:, None]) for p in idems]
+    large = [j for j, p in enumerate(idems) if np.real(tr @ p) > 1.5]
+    if large:
+        ranks, u_corners, _ = ba.numerical_rank(alg.lmat(np.array([idems[j] for j in large])))
+        dims = np.rint(np.sqrt(ranks)).astype(int)
+        if np.any(dims * dims != ranks):
+            raise WedderburnRetry(f"corner rank {ranks[dims * dims != ranks][0]} is not a square")
+        for j, d, u, r in zip(large, dims, u_corners, ranks):
+            blocks[j] = (int(d), idems[j], u[:, :r])
+    return blocks
 
 
 def _character_rows(alg, ps, tr, tr_l):
@@ -200,7 +209,8 @@ def _wedderburn_once(alg: AbstractStarAlgebra, rng) -> WedderburnResult:
     if ones:
         phi[:ones] = _character_rows(alg, np.array([p for _, p, _ in blocks[:ones]]), tr, tr_l)
     rng.standard_normal(2 * ones)    # their former corner draws: larger blocks draw as before
-    rep = w @ alg.left_mult @ winv
+    if ones < len(blocks):      # only the larger blocks read rep (N^4 work)
+        rep = w @ alg.left_mult @ winv
     row = ones
     for d, p, corner in blocks[ones:]:
         # minimal projections q_1..q_d from a generic self-adjoint corner element

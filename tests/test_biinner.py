@@ -295,17 +295,20 @@ def test_sign_flip_member_through_pattern_scan(workbenches):
 def test_candidate_conditioning_matches_the_per_size_loop(workbenches):
     """in_identity_component ranks its 16 candidate intertwiners (columns of
     an (n, 16) array) by blockalg.smallest_svs; the former per-size SVD loop
-    stays as the oracle."""
+    stays as the oracle.  Blocks of size 1 and 2 take a closed form, so the
+    two agree within 1e-14 max(1, sigma_max), not bit for bit."""
     rng = np.random.default_rng(450)
     for key, wb in workbenches.items():
         a = wb.hopf.algebra
         for _ in range(10):
             cands = rng.standard_normal((a.dim, 16)) + 1j * rng.standard_normal((a.dim, 16))
-            smallest = np.full(16, np.inf)
+            smallest, largest = np.full(16, np.inf), np.zeros(16)
             for idx in a.layout.by_size.values():
                 sv = np.linalg.svd(np.moveaxis(cands[idx], -1, 0), compute_uv=False)
                 smallest = np.minimum(smallest, sv[..., -1].min(axis=1))
-            assert np.array_equal(ba.smallest_svs(a, cands.T), smallest), key
+                largest = np.maximum(largest, sv[..., 0].max(axis=1))
+            err = np.abs(ba.smallest_svs(a, cands.T) - smallest)
+            assert np.all(err <= 1e-14 * np.maximum(1.0, largest)), key
 
 
 def test_nontrivial_group_conjugation_not_member(gs3):

@@ -4,12 +4,15 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from fqg import blockalg as ba
+from fqg import cli
 from fqg.biinner import exp_element
 from fqg.blockalg import (BlockAlgebra, ToleranceConfig, centre_basis, invert,
                           polar_symmetry, spectrum, tensor_algebra, tensor_element)
+from fqg.duality import build_dual
 from fqg.errors import NotInvertible, NotSelfAdjoint, ShapeMismatch
 from fqg.groups import by_name
-from fqg.hopf import function_algebra
+from fqg.hopf import function_algebra, group_algebra
+from fqg.kacpaljutkin import build_kac_paljutkin
 from fqg.wedderburn import AbstractStarAlgebra
 
 RNG = np.random.default_rng(1234)
@@ -600,3 +603,110 @@ def test_layout_stacks_and_joins_every_block_size():
     assert list(lay.adjoint) == [labels.index((b, s, r)) for b, r, s in labels]
     batch = np.stack([v, 2 * v])
     assert np.array_equal(lay.join(lay.stacks(batch)), batch)
+
+
+# -- closed forms for blocks of size 1 and 2 ----------------------------------
+
+def _block_families(rng, m, n):
+    """(m, n, n) stacks of the kinds of blocks the closed forms must keep to
+    LAPACK's accuracy on: generic, rank-1, near-singular, unitary,
+    near-unitary, Hermitian, diag(1, 1e-12)-scaled and all-zero blocks."""
+    def normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rank1 = normal(m, n, 1) @ normal(m, 1, n)
+    unitary = np.linalg.qr(normal(m, n, n))[0]
+    return {"generic": normal(m, n, n), "rank1": rank1,
+            "near_singular": rank1 + 1e-10 * normal(m, n, n),
+            "unitary": unitary, "near_unitary": unitary + 1e-9 * normal(m, n, n),
+            "hermitian": ba.hermitian_part(normal(m, n, n)),
+            "scaled": normal(m, n, n) * np.geomspace(1.0, 1e-12, n),
+            "zero": np.zeros((m, n, n), complex)}
+
+
+def _sv_errors(smallest, s):
+    """|smallest(s) - sigma_min| / sigma_max per matrix against LAPACK's
+    SVD of each matrix (the absolute value where the matrix is 0)."""
+    sv = np.array([np.linalg.svd(x, compute_uv=False) for x in s])
+    return np.abs(smallest(s) - sv[:, -1]) / np.where(sv[:, 0] > 0, sv[:, 0], 1.0)
+
+
+def _textbook_smallest_svs(s):
+    """sigma_min^2 = (F - sqrt(F^2 - 4 |det|^2)) / 2, F = |M|_F^2: cancels
+    when the two singular values are close."""
+    f = np.sum(np.abs(s) ** 2, axis=(-2, -1))
+    det = np.abs(np.linalg.det(s)) ** 2
+    return np.sqrt(np.maximum(0.0, (f - np.sqrt(np.maximum(0.0, f * f - 4 * det))) / 2))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_smallest_block_svs_match_lapack_within_eps_sigma_max(n, scale):
+    """The closed forms for n = 1, 2 miss the per-matrix SVD by at most
+    1e-14 sigma_max on every family and scale; smallest_svs is the minimum
+    over the blocks, a block of size 3 taking LAPACK's."""
+    rng = np.random.default_rng(2400 + n)
+    for name, s in _block_families(rng, 1000, n).items():
+        s = scale * s
+        assert _sv_errors(ba._smallest_block_svs, s).max() <= 1e-14, (name, scale)
+    a = BlockAlgebra((n, 1, 3, n))
+    x = scale * ba.random_coords(a, rng, 200)
+    sv = [[np.linalg.svd(b, compute_uv=False) for b in a.from_coords(v).blocks] for v in x]
+    smallest = np.array([min(s[-1] for s in blocks) for blocks in sv])
+    largest = np.array([max(s[0] for s in blocks) for blocks in sv])
+    assert np.all(np.abs(ba.smallest_svs(a, x) - smallest) <= 1e-14 * largest)
+
+
+def test_textbook_two_by_two_formula_fails_the_accuracy_bound():
+    """The bound above has teeth: sigma^2 = (F -+ sqrt(F^2 - 4|det|^2)) / 2
+    loses about half the digits on unitary blocks, far beyond 1e-14."""
+    s = _block_families(np.random.default_rng(2402), 1000, 2)["unitary"]
+    assert _sv_errors(_textbook_smallest_svs, s).max() > 1e-10
+    assert _sv_errors(ba._smallest_block_svs, s).max() <= 1e-14
+
+
+def test_size_one_spectra_and_polar_parts_are_lapacks_bits():
+    """For 1x1 blocks the eigenvalue is the real part and the eigenvector 1,
+    array_equal to eigvalsh / eigh, through spectra and polar_symmetries too."""
+    rng = np.random.default_rng(2403)
+    s = np.concatenate([scale * (rng.standard_normal((5000, 4, 1, 1))
+                                 + 1j * rng.standard_normal((5000, 4, 1, 1)))
+                        for scale in (1e-8, 1.0, 1e8)])
+    h = ba.hermitian_part(s)
+    assert np.array_equal(ba._hermitian_eigs(s), np.linalg.eigvalsh(h))
+    for got, want in zip(ba._hermitian_eigs(s, vectors=True), np.linalg.eigh(h)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    a = BlockAlgebra((1, 2, 1, 1))
+    (v,), _ = ba.random_stacks(a, rng, "i", 50)
+    loop = [np.linalg.eigh(ba.hermitian_part(t)) for t in a.layout.stacks(v)]
+    lam = [x.reshape(len(v), -1) for x, _ in loop]
+    assert np.array_equal(ba.spectra(a, v), np.sort(np.concatenate(lam, axis=-1), axis=-1))
+    for fn, got in zip((np.abs, np.sign), ba.polar_symmetries(a, v)):
+        want = a.layout.join([(q * fn(x)[..., None, :]) @ q.conj().swapaxes(-1, -2)
+                              for x, q in loop])
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rung", ["kp", "function:D4", "group:dihedral:8"])
+def test_sampled_checks_make_no_lapack_call_on_small_blocks(rung, monkeypatch):
+    """`fqg verify`'s sampled checks call no SVD on a stack of 1x1 or 2x2
+    blocks and no eigvalsh / eigh on a stack of 1x1 blocks."""
+    if rung == "kp":
+        h = build_kac_paljutkin()
+    else:
+        kind, _, name = rung.partition(":")
+        h = (group_algebra if kind == "group" else function_algebra)(by_name(name))
+    d = build_dual(h)
+    sizes = {"svd": [], "eigvalsh": [], "eigh": []}
+
+    def recording(name, fn):
+        def wrapper(m, *args, **kwargs):
+            sizes[name].append(np.shape(m)[-1])
+            return fn(m, *args, **kwargs)
+        return wrapper
+    for name in sizes:
+        monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+    checks = cli._sampled_checks(h, d, np.random.default_rng(9901), 100, ba.DEFAULT_TOL)
+    assert all(c["passed"] for c in checks if c["gating"])
+    assert [n for n in sizes["svd"] if n <= 2] == []
+    assert [n for n in sizes["eigvalsh"] + sizes["eigh"] if n == 1] == []
+    assert max(h.algebra.block_dims) <= 2    # so every call there is on a small block

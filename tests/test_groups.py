@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,31 @@ def test_rejects_non_associative_table():
     table = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
     with pytest.raises(NotAGroup):
         from_cayley_table(table)
+
+
+def _first_nonassociative_triple(table):
+    """The former check: the first (g, h, k) in loop order with (gh)k != g(hk)."""
+    n = len(table)
+    return next(((g, h, k) for g, h, k in itertools.product(range(n), repeat=3)
+                 if table[table[g][h]][k] != table[g][table[h][k]]), None)
+
+
+def test_nonassociative_loop_is_refused_at_the_loops_first_triple():
+    # the smallest loop that is not a group: a Latin square of order 5 with
+    # identity 0
+    table = [[0, 1, 2, 3, 4],
+             [1, 0, 3, 4, 2],
+             [2, 4, 0, 1, 3],
+             [3, 2, 4, 0, 1],
+             [4, 3, 1, 2, 0]]
+    assert all(sorted(row) == list(range(5)) for row in table + [list(c) for c in zip(*table)])
+    triple = _first_nonassociative_triple(table)
+    assert triple is not None
+    message = "associativity fails at ({},{},{})".format(*triple)
+    with pytest.raises(NotAGroup, match=re.escape(message)):
+        from_cayley_table(table)
+    for name in ("S3", "D4", "S4", "cyclic:7"):
+        assert _first_nonassociative_triple(by_name(name).table) is None
 
 
 def test_rejects_identity_not_first():

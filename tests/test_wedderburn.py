@@ -324,16 +324,18 @@ CASES = ["m2+m3", "c4", "kp-dual", "group:S4", "S4-dual"]
 @pytest.mark.parametrize("case", CASES)
 def test_stacked_corners_and_unit_rows_match_the_loops(case, s4_wedderburns, monkeypatch):
     """Each stacked step of one decomposition against its former loop on
-    the same input.  The corners are equal bit for bit: the stacked left
-    multiplications make one matrix-vector product per idempotent, as the
-    tensordot did, and the stacked SVD factors each matrix alone.  That
-    matters: a corner whose singular values are equal has no preferred
-    basis, and round-off would rotate it and the corner element drawn in
-    it.  The extraction rows read tr(e_a .) once for all units, which sums
-    in another order, so they agree within 1e-12.  A block of size 1 is
-    its central idempotent p, refined by one Newton step: the stacked rows
-    agree with those refined and read one idempotent at a time within the
-    same bound."""
+    the same input.  The block sizes agree, and the corners of blocks of
+    size > 1 are equal bit for bit: the stacked left multiplications make
+    one matrix-vector product per idempotent, as the tensordot did, and the
+    stacked SVD factors each matrix alone.  That matters: a corner whose
+    singular values are equal has no preferred basis, and round-off would
+    rotate it and the corner element drawn in it.  A block of size 1 takes
+    no SVD (tr(p) = 1 gives its rank); its corner p / |p| spans the same
+    line as the loop's.  The extraction rows read tr(e_a .) once for all
+    units, which sums in another order, so they agree within 1e-12.  A
+    block of size 1 is its central idempotent p, refined by one Newton
+    step: the stacked rows agree with those refined and read one idempotent
+    at a time within the same bound."""
     alg = _abstract_case(case, s4_wedderburns)
     corners, rows, characters = [], [], []
     _spy(monkeypatch, "_corner_blocks", corners)
@@ -343,8 +345,12 @@ def test_stacked_corners_and_unit_rows_match_the_loops(case, s4_wedderburns, mon
     (args, got), = corners
     want = _loop_corner_blocks(*args)
     assert [d for d, _, _ in got] == [d for d, _, _ in want]
-    for (_, p, u), (_, q, v) in zip(got, want):
-        assert p is q and u.tobytes() == v.tobytes()
+    for (d, p, u), (_, q, v) in zip(got, want):
+        assert p is q
+        if d == 1:      # p / |p| spans the range of the loop's SVD, up to a phase
+            assert abs(abs(np.vdot(v[:, 0], u[:, 0])) - 1) <= 1e-12
+        else:
+            assert u.tobytes() == v.tobytes()
     assert [len(us) for (_, us, _), _ in rows] == sorted(d for d, _, _ in got if d > 1)
     for args, got_rows in rows:
         want = _loop_unit_rows(*args)
