@@ -369,14 +369,14 @@ def _commutant_partners(us: np.ndarray, mu: MultiplicativeUnitary, tol: Toleranc
 
     The solution spaces come from one stacked solve in the dual's
     coordinates (partner_systems, partner_null_spaces).  A draw takes
-    complex Gaussian coefficients over a space's orthonormal basis, keeps
-    the combination if it is invertible (smallest singular value above
-    1e-6), takes its blockwise polar part and keeps that if it stays in the
-    space (to 1e-8 max(1, |uhat|)); a map gets 12 draws.  With rng given (a
-    stack of one) the coefficients come from rng.  Otherwise every map takes
-    them from a fresh default_rng(PARTNER_SEED): maps with spaces of one
-    dimension then draw the same coefficients until they succeed, so each
-    dimension's maps run together on one generator.
+    complex Gaussian coefficients over a space's orthonormal basis, takes
+    the combination's blockwise polar part and keeps that if it stays in the
+    space (to 1e-8 max(1, |uhat|)), which also refuses singular draws; a
+    map gets 12 draws.  With rng given (a stack of one) the coefficients
+    come from rng.  Otherwise every map takes them from a fresh
+    default_rng(PARTNER_SEED): maps with spaces of one dimension then draw
+    the same coefficients until they succeed, so each dimension's maps run
+    together on one generator.
 
     Returns found (bool, k), uhats (k, N; zero where none was found) and the
     residuals (k; zero where none was found).
@@ -396,16 +396,14 @@ def _commutant_partners(us: np.ndarray, mu: MultiplicativeUnitary, tol: Toleranc
             if not len(todo):
                 break
             coef = draw.standard_normal(dim) + 1j * draw.standard_normal(dim)
-            w = span[todo] @ coef
-            inv = np.flatnonzero(ba.smallest_svs(ahat, w) > 1e-6)
-            polar = ahat.layout.apply(w[inv], _polar_unitary)
+            polar = ahat.layout.apply(span[todo] @ coef, _polar_unitary)
             # the polar part must stay inside the solution space
-            sp = span[todo[inv]]
+            sp = span[todo]
             off = polar - ba.matvec(sp, ba.matvec(sp.conj().swapaxes(-1, -2), polar))
             inside = ba.norms(off) < 1e-8 * np.maximum(1.0, ba.norms(polar))
-            hit = group[todo[inv[inside]]]
+            hit = group[todo[inside]]
             uhats[hit], found[hit] = polar[inside], True
-            todo = np.delete(todo, inv[inside])
+            todo = todo[~inside]
     resid = np.zeros(len(us))
     if found.any():
         resid[found] = partner_residuals(yz[found], systems[found], uhats[found],

@@ -236,7 +236,8 @@ def cmd_verify(args, tol: ToleranceConfig) -> int:
                          info=f"leg dims ({mu.certificates['leg_dim_first']},"
                               f"{mu.certificates['leg_dim_second']})"))
     checks.append(_check("pairing_via_multiplicative_unitary",
-                         mu.certificates["pairing_via_v"], 1e-8))
+                         max(mu.certificates[f"dual_rep_{k}"]
+                             for k in ("multiplicative", "star", "unital")), 1e-8))
     fx = fixed_and_cofixed(mu)
     checks.append(_check("fixed_cofixed_eigenvector_property",
                          fx.eigenvector_residual, tol.eq_tol,

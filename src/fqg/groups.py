@@ -58,25 +58,22 @@ def _validate(table: list[list[int]], name: str) -> Group:
     n = len(table)
     if n == 0 or n > MAX_ORDER:
         raise NotAGroup(f"order must be in 1..{MAX_ORDER}")
-    for row in table:
-        if len(row) != n or sorted(row) != list(range(n)):
-            raise NotAGroup("each row must be a permutation of 0..n-1")
-    for col in range(n):
-        column = [table[r][col] for r in range(n)]
-        if sorted(column) != list(range(n)):
-            raise NotAGroup("each column must be a permutation of 0..n-1")
-    if any(table[0][h] != h or table[h][0] != h for h in range(n)):
-        raise NotAGroup("index 0 must be the identity")
+    if any(len(row) != n for row in table):
+        raise NotAGroup("each row must be a permutation of 0..n-1")
     t = np.array(table)
+    perm = np.arange(n)
+    if np.any(np.sort(t, axis=1) != perm):
+        raise NotAGroup("each row must be a permutation of 0..n-1")
+    if np.any(np.sort(t, axis=0) != perm[:, None]):
+        raise NotAGroup("each column must be a permutation of 0..n-1")
+    if np.any(t[0] != perm) or np.any(t[:, 0] != perm):
+        raise NotAGroup("index 0 must be the identity")
     # T[T][g, h, k] = (gh)k and T[:, T][g, h, k] = g(hk); argwhere lists the
     # failures in the order of a loop over (g, h, k)
     bad = np.argwhere(t[t] != t[:, t])
     if len(bad):
         g, h, k = bad[0].tolist()
         raise NotAGroup(f"associativity fails at ({g},{h},{k})")
-    for g in range(n):
-        if 0 not in table[g]:
-            raise NotAGroup(f"no inverse for {g}")
     return Group(tuple(tuple(r) for r in table), name)
 
 

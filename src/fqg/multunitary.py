@@ -5,8 +5,10 @@ and certified by unitarity, the pentagon equation and the leg-algebra spans.
 The convention is fixed here, in one place; if a certificate fails the
 construction aborts instead of silently flipping to another variant.
 
-V is formed on element coordinates in closed form and conjugated into the
-GNS basis one leg at a time, O(N^5).  Each leg keeps one represented basis,
+V is the canonical element sum_q X_q (x) S_q of the dual (x) A (Baaj and
+Skandalis 1993), formed from its Schmidt legs: S_q = rep(e_q), and X_q the
+coproduct's slices in the GNS basis (two batched O(N^4) products), then one
+(N^2, N) by (N, N^2) product.  Each leg keeps one represented basis,
 GnsSpace.rep_basis for A and MultiplicativeUnitary.rep_dual_basis for the
 dual: rep and rep_dual contract them, and leg_inverse inverts either.
 
@@ -147,15 +149,24 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
                                  tol: ToleranceConfig = DEFAULT_TOL) -> MultiplicativeUnitary:
     """V with its certificates.
 
-    The second-leg span is certified from the Schmidt fit V = V' + E,
-    V' = sum_k X_k (x) S_k with S_k = rep(e_k), whose second-leg span is
-    rep(A) when the X_k and the S_k are each linearly independent (their
-    ranks are leg_dim_first and leg_dim_second).  By Wedin's theorem and
-    Weyl's inequality the sine of the largest principal angle between the
+    V' = sum_k X_k (x) S_k with S_k = rep(e_k) and X_k = onb D_k onb^-1,
+    D_k[p, i] = coproduct_kron[p, k, i], is V in exact arithmetic; the
+    stored V is its projection Pi(V') on the column classes, V = V' + E,
+    E the projection's drop.  So second_leg_membership is
+    ||E||_F / max(1, ||V||_F), and V's second-leg span is rep(A) up to E
+    when the X_k and the S_k are each linearly independent (their ranks are
+    leg_dim_first and leg_dim_second).  By Wedin's theorem and Weyl's
+    inequality the sine of the largest principal angle between the
     dominant n-dimensional second-leg span of V and rep(A) is at most
     ||E||_F / (sigma_n(X) sigma_n(S) - ||E||_F), using
     sigma_n(V') >= sigma_n(X) sigma_n(S) for the stacks X and S of the X_k
     and the S_k; second_leg_span_distance is that bound, capped at 1.
+
+    The first-leg slice of the dual basis element ehat_i is
+    sum_k beta(e_k, ehat_i) X_k.  The dual-rep certificates (dual_rep_*)
+    check that these slices represent the dual; they are also the pairing
+    certificate, since a wrong pairing matrix mixes the X_k into slices that
+    do not multiply as the dual does.
 
     The pentagon certificate is read on Vt = (W (x) 1) V (W* (x) 1), W from
     first_leg_basis (pentagon_certificates), with the defects
@@ -174,37 +185,27 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
         raise ba.ShapeMismatch("GNS space and dual must come from the same algebra")
     n = gns.dim
 
-    # V on element coordinates: column (i, j) = kron coords of
-    # delta(e_i)(1 (x) e_j); since (x (x) y)(1 (x) e_j) = x (x) (y e_j), this
-    # is delta(e_i) with its second leg multiplied on the right by e_j:
-    # V_el[p, i, r, j] = sum_q dk[p, q, i] R[j, r, q], one product of the
-    # (p i, q) and (q, r j) matrices.  For each (r, j) only one q has
-    # e_q e_j = e_r, so every entry is a single term, in any order of summation
-    rmul = ba.right_mult_tensor(h.algebra)
-    t = (h.coproduct_kron.transpose(0, 2, 1).reshape(n * n, n)
-         @ rmul.transpose(2, 1, 0).reshape(n, n * n))
-    # V = (O (x) O) V_el (O^-1 (x) O^-1) for O = onb, one leg at a time:
-    # four O(n^5) products taking t from [p, i, r, j] through [a, i, r, j],
-    # [a, c, r, j] and [a, c, r, d] to [a, c, b, d]
-    onb, onb_inv = gns.onb, gns.onb_inv
-    t = onb @ t.reshape(n, n ** 3)
-    t = np.matmul(onb_inv.T, t.reshape(n, n, n * n))
-    t = t.reshape(n ** 3, n) @ onb_inv
-    t = np.matmul(onb, t.reshape(n * n, n, n))
-    v_full = t.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    del t
+    # column (i, j) of V on element coordinates is
+    # delta(e_i)(1 (x) e_j) = sum_q D_q e_i (x) e_q e_j, D_q[p, i] = dk[p, q, i],
+    # so in the GNS basis V' = sum_q X_q (x) S_q with X_q = onb D_q onb^-1 and
+    # S_q = rep(e_q): one (n^2, n) by (n, n^2) product of the Schmidt legs
+    xs = gns.onb @ h.coproduct_kron.transpose(1, 0, 2) @ gns.onb_inv
+    v_full = ((xs.reshape(n, n * n).T @ gns.rep_basis.reshape(n, n * n))
+              .reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n))
 
     # the second leg lies in rep(A), which preserves every column class;
-    # what V has outside that pattern is round-off, and is dropped so that
-    # every certificate below, the pentagon's split included, reads Pi(V)
+    # what V' has outside that pattern is round-off, and is dropped so that
+    # every certificate below, the pentagon's split included, reads
+    # V = Pi(V') = V' + E
     v = project_on_column_classes(v_full, h.algebra)
     cert = {}
-    cert["column_class_defect"] = (float(np.linalg.norm(v_full - v))
-                                   / max(1.0, float(np.linalg.norm(v_full))))
+    drop = float(np.linalg.norm(v_full - v))
+    cert["column_class_defect"] = drop / max(1.0, float(np.linalg.norm(v_full)))
     del v_full
     if cert["column_class_defect"] > 1e-8:
         raise LegMismatch(f"V leaves the column classes of rep(A): "
                           f"{cert['column_class_defect']:.2e}")
+    cert["second_leg_membership"] = drop / max(1.0, float(np.linalg.norm(v)))
     # V, and with it V*V - 1, is block-diagonal over the leg-2 classes
     sq = 0.0
     for cls in _class_stacks(h.algebra):
@@ -216,23 +217,12 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     if cert["unitarity"] > tol.eq_tol * 100:
         raise NotUnitary(f"V fails unitarity: {cert['unitarity']:.2e}")
 
-    # decompose V = sum_k X_k (x) rep(e_k): second legs span the GNS image of A
-    v_schmidt = v.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    flat = gns.rep_basis.reshape(n, n * n)
-    xmat, res, *_ = np.linalg.lstsq(flat.T, v_schmidt.T, rcond=None)
-    fit = float(np.linalg.norm(flat.T @ xmat - v_schmidt.T))
-    del v_schmidt
-    cert["second_leg_membership"] = fit / max(1.0, float(np.linalg.norm(v)))
-    if cert["second_leg_membership"] > 1e-8:
-        raise LegMismatch("V does not lie in B(H) (x) rep(A)")
-    shat = xmat.reshape(n, n, n)
-
     # leg spans: both stacks have full rank, and the second legs of V lie
-    # within the fit's distance of rep(A)
-    cert["leg_dim_first"], floor_first = _rank_and_floor(xmat)
-    cert["leg_dim_second"], floor_second = _rank_and_floor(flat)
-    gap = floor_first * floor_second - fit
-    cert["second_leg_span_distance"] = min(1.0, fit / gap) if gap > 0 else 1.0
+    # within ||E|| of rep(A)
+    cert["leg_dim_first"], floor_first = _rank_and_floor(xs.reshape(n, n * n))
+    cert["leg_dim_second"], floor_second = _rank_and_floor(gns.rep_basis.reshape(n, n * n))
+    gap = floor_first * floor_second - drop
+    cert["second_leg_span_distance"] = min(1.0, drop / gap) if gap > 0 else 1.0
     if cert["leg_dim_first"] != n or cert["leg_dim_second"] != n:
         raise LegMismatch(f"leg ranks {cert['leg_dim_first']}, {cert['leg_dim_second']} != {n}")
     if cert["second_leg_span_distance"] > 1e-8:
@@ -241,23 +231,14 @@ def build_multiplicative_unitary(gns: GnsSpace, dual: DualHopfAlgebra,
     # the slice map must be a unital *-isomorphism from the dual onto
     # span{X_k}; the first-leg slice of the i-th dual basis element is
     # sum_k beta(e_k, ehat_i) X_k
-    rep_dual_basis = np.tensordot(dual.from_dual_mat, shat, axes=(0, 0))
-    flat_hat = rep_dual_basis.reshape(n, n * n)
-    hom = ba.hom_residuals(flat_hat.T, dual.hopf.algebra, BlockAlgebra((n,)))
+    rep_dual_basis = np.tensordot(dual.from_dual_mat, xs, axes=(0, 0))
+    hom = ba.hom_residuals(rep_dual_basis.reshape(n, n * n).T, dual.hopf.algebra,
+                           BlockAlgebra((n,)))
     cert["dual_rep_multiplicative"] = hom["multiplicative"]
     cert["dual_rep_star"] = hom["star_preserving"]
     cert["dual_rep_unital"] = hom["unital"]
     if max(hom["multiplicative"], hom["star_preserving"], hom["unital"]) > 1e-7:
         raise LegMismatch("first-leg slices do not represent the dual algebra")
-
-    # pairing certificate: expanding V over the two leg bases recovers the
-    # duality pairing; with Q the coefficient matrix of the first legs over
-    # the represented dual basis, beta_mat^T @ Q must be the identity, where
-    # beta_mat[i, j] = beta(e_j, ehat_i) = from_dual_mat[j, i]
-    q = np.linalg.lstsq(flat_hat.T, shat.reshape(n, n * n).T, rcond=None)[0]
-    cert["pairing_via_v"] = float(np.linalg.norm(dual.from_dual_mat @ q - np.eye(n))) / n
-    if cert["pairing_via_v"] > 1e-7:
-        raise LegMismatch("V does not implement the duality pairing")
 
     # the pentagon, split over the classes of both legs in the first-leg
     # basis W of the dual's matrix units
@@ -417,21 +398,37 @@ class FixedSpaces:
 
 
 def fixed_and_cofixed(mu: MultiplicativeUnitary) -> FixedSpaces:
-    n = mu.dim
-    v = mu.matrix
-    # stack conditions over a basis of the other leg: w[:, :, k] is
-    # (V - 1) restricted to xi (x) e_k, w[:, k, :] to e_k (x) eta; the thin
-    # QR of each n^3 x n stack keeps its singular values and null space
-    w = (v - np.eye(n * n)).reshape(n * n, n, n)
-    rows_fixed = w.transpose(2, 0, 1).reshape(n ** 3, n)
-    rows_cofixed = w.transpose(1, 0, 2).reshape(n ** 3, n)
-    fixed = ba.null_space(np.linalg.qr(rows_fixed, mode="r"))
-    cofixed = ba.null_space(np.linalg.qr(rows_cofixed, mode="r"))
+    """The fixed and cofixed vectors of V, read off its Schmidt legs
+    X_q = rep_dual(t_q), t_q = to_dual_mat[:, q], and S_q = rep(e_q).
+
+    V - 1 = sum_q (X_q - 1_q) (x) S_q = sum_q X_q (x) (S_q - eps_q) for the
+    unit 1 and the counit eps of A, as rep(1) = sum_q 1_q S_q and
+    rep_dual(1) = sum_q eps_q X_q are the identity (rep_defects,
+    dual_rep_unital).  Both leg stacks have rank n, so xi is fixed exactly
+    when every (X_q - 1_q) xi = 0, and eta cofixed when every
+    (S_q - eps_q) eta = 0.  Weighted by the Cholesky factor of the other
+    leg's trace Gram matrix (leg_grams), each n^2 x n stack has the singular
+    values, so the null space, of the n^3 x n stack of V - 1 on xi (x) e_k
+    or e_k (x) eta."""
+    h, eye, t = mu.gns.hopf, np.eye(mu.dim), mu.dual.to_dual_mat
+    ghat, g = mu.leg_grams
+    xs = np.tensordot(t, mu.rep_dual_basis, axes=(0, 0))
+    ss = mu.gns.rep_basis
+    fixed = _leg_null_space(xs - h.algebra.unit_coords()[:, None, None] * eye, g)
+    cofixed = _leg_null_space(ss - h.counit[:, None, None] * eye, t.conj().T @ ghat @ t)
 
     # quoted eigenvector property: rep(A) maps cofixed vectors to multiples,
     # dual slices map fixed vectors to multiples
-    worst = max(_off_ray(mu.gns.rep_basis, cofixed), _off_ray(mu.rep_dual_basis, fixed))
+    worst = max(_off_ray(ss, cofixed), _off_ray(mu.rep_dual_basis, fixed))
     return FixedSpaces(fixed, cofixed, worst)
+
+
+def _leg_null_space(ops: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Null space of sum_q ops[q] (x) O_q on its first leg, for independent
+    O_q with trace Gram matrix gram[q, k] = tr(O_q* O_k): that of the stack
+    ops weighted by C, C* C = gram."""
+    chol = np.linalg.cholesky(gram).conj().T
+    return ba.null_space(np.tensordot(chol, ops, axes=(1, 0)).reshape(-1, ops.shape[-1]))
 
 
 def _off_ray(ops: np.ndarray, vecs: np.ndarray) -> float:
@@ -500,11 +497,12 @@ def partner_systems(us: np.ndarray, mu: MultiplicativeUnitary) -> tuple[np.ndarr
     """The commutant-partner systems of a (k, n) stack us of coordinates of
     u in A, in the dual's own coordinates.
 
-    V = sum_k X_k (x) S_k + E with S_k = rep(e_k), the certified Schmidt
-    fit, and X_k = rep_dual(t_k) for the dual coordinates
-    t_k = to_dual_mat[:, k] (to_dual_mat inverts the from_dual_mat that
-    forms the slices).  With T = rep(u), S_k T = sum_j (e_k u)_j S_j and
-    T S_k = sum_j (u e_k)_j S_j, so for W = rep_dual(w)
+    V = sum_k X_k (x) S_k + E with the Schmidt legs S_k = rep(e_k) and
+    X_k = rep_dual(t_k), t_k = to_dual_mat[:, k] (to_dual_mat inverts the
+    from_dual_mat that forms the slices), and E the certified projection
+    drop (build_multiplicative_unitary).  With T = rep(u),
+    S_k T = sum_j (e_k u)_j S_j and T S_k = sum_j (u e_k)_j S_j, so for
+    W = rep_dual(w)
         [V - E, W (x) T] = sum_j (Y_j W - W Z_j) (x) S_j,
     Y_j = rep_dual(y_j), Z_j = rep_dual(z_j) with y_j = sum_k (e_k u)_j t_k
     and z_j = sum_k (u e_k)_j t_k.  The S_j are independent and rep_dual is
@@ -588,7 +586,7 @@ def partner_residuals(yz: np.ndarray, systems: np.ndarray, uhats: np.ndarray,
     * rep's multiplicative defect ds (GnsSpace.rep_defects), from
       S_k T - sum_j (e_k u)_j S_j and its mirror: at most
       2 ds |u|_1 ||W||_2 sum_k ||X_k||_F, ||X_k||_F^2 = t_k* Ghat t_k;
-    * the Schmidt remainder E = V - V': ||[E, P]||_F <= 2 ||E||_F ||P||_2,
+    * the projection drop E = V - V': ||[E, P]||_F <= 2 ||E||_F ||P||_2,
       ||E||_F / max(1, ||V||_F) = second_leg_membership, with
       ||P||_2 = ||W||_2 ||T||_2 <= sqrt((1 + eh)(1 + e)) for the unitarity
       bounds eh and e of both legs (_unitarity_bounds; ||W||_2^2 <= 1 + eh).

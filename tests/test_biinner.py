@@ -638,8 +638,9 @@ def test_stacked_partner_draw_matches_a_fresh_generator_per_map(workbenches, gro
 def test_partner_draw_refuses_by_both_of_its_gates(workbenches, monkeypatch):
     """For Haar unitaries u of kp, C[S3] and C[D4] the partner systems have
     solution spaces without an invertible element, so the kernel finds no
-    partner.  Handed the span of one invertible element that is not a
-    multiple of a unitary, it refuses too: the polar part leaves the span."""
+    partner: the polar parts of its draws leave the spaces.  Handed the span
+    of one invertible element that is not a multiple of a unitary, it
+    refuses too: the polar part leaves the span."""
     rng = np.random.default_rng(1216)
     for key in ("kp", "group:S3", "group:D4"):
         wb = workbenches[key]
@@ -656,6 +657,28 @@ def test_partner_draw_refuses_by_both_of_its_gates(workbenches, monkeypatch):
     assert ba.smallest_svs(ahat, w0) > 1e-6
     assert not biinner._commutant_partners(kp.hopf.algebra.unit_coords()[None], kp.mu,
                                            DEFAULT_TOL)[0][0]
+
+
+def test_singular_draws_are_refused_by_polar_membership_alone(kp, monkeypatch):
+    """Handed a solution space with no invertible element (the matrix units
+    of one row of the dual's 2 x 2 block, so every draw vanishes on the
+    other blocks), the partner draw refuses every map: the polar part of a
+    singular draw fills its null directions with unitary parts that leave
+    the space, and no invertibility gate is needed."""
+    ahat = kp.dual.hopf.algebra
+    n = ahat.dim
+    row = ahat.layout.by_size[2][0, 0]                 # coordinates of e_(b,0,0), e_(b,0,1)
+    vh = np.zeros((3, n, n), complex)
+    vh[:, -2:] = np.eye(n)[row]
+    monkeypatch.setattr(biinner, "partner_null_spaces",
+                        lambda systems: (np.full(len(systems), n - 2), vh[:len(systems)]))
+    span = vh[0, -2:].conj().T
+    rng = np.random.default_rng(1227)
+    draws = span @ (rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16)))
+    assert np.all(ba.smallest_svs(ahat, draws.T) == 0.0)
+    us = np.array([ba.random_unitary(kp.hopf.algebra, rng).coords() for _ in range(3)])
+    found, uhats, resid = biinner._commutant_partners(us, kp.mu, DEFAULT_TOL)
+    assert not found.any() and not uhats.any() and not resid.any()
 
 
 def test_group_defects_match_the_product_pairs(workbenches):

@@ -83,6 +83,20 @@ def test_cayley_csv_roundtrip(tmp_path):
     assert g2.table == g.table
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["0,1,2", "1,2", "2,0,1"], "each row must be a permutation of 0..n-1"),
+    (["0,1,2", "1,2,0", "1,0,2"], "each column must be a permutation of 0..n-1"),
+])
+def test_cayley_csv_refuses_ragged_and_non_latin_tables(tmp_path, rows, message):
+    """A ragged table is refused before it becomes an array, and a table
+    whose rows are permutations but one of whose columns is not is refused
+    by the column check, both with their messages."""
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(rows))
+    with pytest.raises(NotAGroup, match=re.escape(message)):
+        from_cayley_csv(str(path))
+
+
 def test_permutation_generators_s3():
     g = from_permutations([[1, 0, 2], [1, 2, 0]])
     assert g.order == 6

@@ -1,8 +1,10 @@
 """Source hygiene: no module of the library imports a name it never uses,
 every function, class and method it defines is referenced somewhere, every
-parameter it declares is read, and importing it loads numpy but not scipy."""
+parameter it declares is read, importing it loads numpy but not scipy, and
+every name of it that the benchmark harness reaches for still exists."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -218,3 +220,62 @@ def test_importing_fqg_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
     assert out.strip() == "[]"
+
+
+# -- the benchmark's hooks ----------------------------------------------------------
+
+PERFBENCH = ROOT / "perfbench"
+
+
+def _assigned_literal(path: Path, name: str):
+    """The literal assigned to a module-level name of path, read without
+    importing it."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def _resolves(target: str) -> bool:
+    """Whether 'pkg.mod:Class.attr' names an attribute that exists."""
+    modname, _, path = target.partition(":")
+    owner = importlib.import_module(modname)
+    for part in path.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def _fqg_attributes_read(path: Path) -> set[str]:
+    """'fqg.mod:attr' for every attribute path reads off a module it
+    imports with `from fqg import mod [as alias]`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "fqg"
+               for alias in node.names}
+    return {f"fqg.{modules[node.value.id]}:{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+
+
+def test_benchmark_hooks_resolve_in_fqg():
+    """Every function perfbench's tracer wraps (SPAN_LAYERS), every fqg
+    attribute its worker reads off a module, and
+    BiInnerGroupModel.sign_patterns, which the worker's structure oracle
+    reads, still exist, so a deletion that would crash a traced benchmark
+    pass fails here first.  The perfbench files are only read."""
+    targets = [t for ts in _assigned_literal(PERFBENCH / "tracer.py", "SPAN_LAYERS").values()
+               for t in ts]
+    targets += sorted(_fqg_attributes_read(PERFBENCH / "worker.py"))
+    assert len(targets) > 30
+    assert ".sign_patterns" in (PERFBENCH / "worker.py").read_text()
+    targets.append("fqg.biinner:BiInnerGroupModel.sign_patterns")
+    assert [t for t in targets if not _resolves(t)] == []
+
+
+def test_benchmark_hook_scan_sees_a_missing_target():
+    assert _resolves("fqg.multunitary:fixed_and_cofixed")
+    assert not _resolves("fqg.multunitary:MultiplicativeUnitary.no_such_field")
+    assert not _resolves("fqg.biinner:no_such_function")
