@@ -13,9 +13,12 @@ Two independent routes decide whether a map is bi-inner:
 
 The consistency harness samples unitaries, runs both routes and reports the
 confusion matrix, which must be diagonal.  Both routes are kernels on stacks
-of maps: the harness runs them on chunks of samples, and classify_biinner
-(route A) and in_identity_component (route B) run them on a stack of one
-map, so a sample gets the same verdict either way.
+of maps, and classify_biinner (route A) and in_identity_component (route B)
+run them on a stack of one map, so a sample gets the same verdict either
+way.  The harness draws its samples from one generator and route B's
+candidate coefficients from another, so it runs every step on the stacks of
+a chunk of samples, sized so that a chunk's temporaries stay under a fixed
+number of bytes.
 """
 
 from __future__ import annotations
@@ -27,12 +30,11 @@ from functools import cached_property
 import numpy as np
 
 from . import blockalg as ba
-from . import morphisms
 from .blockalg import AlgebraElement, BlockAlgebra, DEFAULT_TOL, ToleranceConfig
 from .duality import DualHopfAlgebra
 from .errors import DimensionMismatch, NotInLieAlgebra, PreconditionFailed
 from .hopf import HopfAlgebra
-from .morphisms import (AlgebraMap, hopf_flags, induced_dual_action,
+from .morphisms import (AlgebraMap, ad_matrices, hopf_flags, induced_dual_action,
                         induced_dual_matrices, inner_implementers)
 from .multunitary import (MultiplicativeUnitary, partner_null_spaces, partner_residuals,
                           partner_systems, path_in_commutant)
@@ -214,29 +216,40 @@ def _membership(model: BiInnerGroupModel, v: np.ndarray) -> tuple[np.ndarray, np
     return worst <= 1e-7 * np.maximum(1.0, ba.norms(v)), worst
 
 
-def _intertwiner_null(m: np.ndarray, model: BiInnerGroupModel) -> np.ndarray:
-    """Orthonormal real coordinates (k, d) over model.constraint_span of the
-    intertwiners w of the map with matrix m that meet the constraints of
-    G_c: the null space of the intertwiner condition alpha(e_k) w - w e_k = 0
-    restricted to that span, a realified 2N^2 x k system (k <= 2N) instead
-    of the (2N^2 + rows of constant_stack) x 2N one."""
-    n = m.shape[0]
+def _intertwiner_null(ms: np.ndarray, model: BiInnerGroupModel) -> tuple[np.ndarray, np.ndarray]:
+    """The intertwiners w of each map of a (k, N, N) stack that meet the
+    constraints of G_c, in orthonormal real coordinates over
+    model.constraint_span (d of them, d <= 2N): the null space of the
+    intertwiner condition alpha(e_j) w - w e_j = 0 restricted to that span,
+    a realified 2N^2 x d system per map instead of the
+    (2N^2 + rows of constant_stack) x 2N one, all in one stacked
+    blockalg.null_spaces.
+
+    Returns the (k,) null dimensions and the (k, d, d) right singular
+    vectors: the last dims[i] rows of vh[i] span map i's null space."""
+    k, n = ms.shape[:2]
     _, lk, rk = model.constraint_span
-    # alpha(e_k) w - w e_k for w = kc x, row block k: sum_a m[a, k] L_a kc - R_k kc
-    rows = (np.tensordot(m, lk, axes=(0, 0)) - rk).reshape(n * n, -1)
-    return ba.null_space(np.concatenate([rows.real, rows.imag]))
+    d = lk.shape[-1]
+    # alpha(e_j) w - w e_j for w = kc x, row block j: sum_a m[a, j] L_a kc - R_j kc
+    rows = (ms.swapaxes(-1, -2) @ lk.reshape(n, n * d)).reshape(k, n * n, d) \
+        - rk.reshape(n * n, d)
+    rank, vh = ba.null_spaces(np.concatenate([rows.real, rows.imag], axis=-2))
+    return d - rank, vh
 
 
-def _intertwiner_candidates(m: np.ndarray, model: BiInnerGroupModel,
-                            rng: np.random.Generator) -> np.ndarray | None:
-    """16 random intertwiners of the map with matrix m that meet the
-    constraints of G_c, as the rows of a (16, N) array, or None when there is
-    none.  The draw takes 16 normals from rng per dimension of their space."""
-    null = _intertwiner_null(m, model)
-    if null.shape[1] == 0:
-        return None
-    kc = model.constraint_span[0]
-    return (kc @ (null @ rng.standard_normal((16, null.shape[1])).T)).T
+def _intertwiner_candidates(ms: np.ndarray, model: BiInnerGroupModel,
+                            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """16 random intertwiners of each map of a (k, N, N) stack that meet the
+    constraints of G_c, as a (k, 16, N) stack, and the (k,) mask of the maps
+    that have any (zero rows for the others).  The draw takes 16 normals
+    from rng per dimension of each map's space, map after map, in one call."""
+    dims, vh = _intertwiner_null(ms, model)
+    d = vh.shape[-1]
+    # map i's (16, dims[i]) coefficients over its null rows, zero elsewhere
+    coef = np.zeros((len(ms), 16, d))
+    live = np.arange(d) >= (d - dims)[:, None]
+    coef[np.broadcast_to(live[:, None, :], coef.shape)] = rng.standard_normal(16 * int(dims.sum()))
+    return coef @ vh.conj() @ model.constraint_span[0].T, dims > 0
 
 
 def _unitarise(w: np.ndarray) -> np.ndarray:
@@ -281,10 +294,10 @@ def in_identity_component(alpha: AlgebraMap, model: BiInnerGroupModel,
     True and the reason otherwise.
     """
     rng = rng or np.random.default_rng(0x1D)
-    cands = _intertwiner_candidates(alpha.matrix, model, rng)
-    if cands is None:
+    cands, has = _intertwiner_candidates(alpha.matrix[None], model, rng)
+    if not has[0]:
         return False, {"reason": ROUTE_B_REFUSALS[0]}
-    refusal, v = _route_b(model, cands[None])
+    refusal, v = _route_b(model, cands)
     if refusal[0] >= 0:
         return False, {"reason": ROUTE_B_REFUSALS[refusal[0]]}
     return True, {"witness": model.hopf.algebra.from_coords(v[0])}
@@ -482,12 +495,51 @@ def require_desk_scale(h: HopfAlgebra) -> None:
         raise PreconditionFailed("consistency harness is desk-scale: dim <= 12")
 
 
-# Samples per chunk of the consistency harness.  Its largest stacked
-# temporaries, the homomorphism and Hopf residuals of the chunk's maps, hold
-# about CHUNK * N^3 complex entries: 64 KiB at N = 8, 216 KiB at the
-# harness's largest N = 12.  Chunks of 32 ran about 10% faster at N = 8 but
-# raised the peak RSS of `fqg biinner` by about 1 MB.
-CHUNK = 8
+# The consistency harness runs its samples in chunks whose stacked
+# temporaries stay under CHUNK_BYTES.  A sample adds about SAMPLE_BYTES * N^3
+# bytes to a chunk's tracemalloc peak (67 to 70 at N = 6, 8 and 12, over
+# 0.25 MiB that does not grow with the chunk), mostly the homomorphism and
+# Hopf residuals of route A's first gate (morphisms.hopf_flags).  So a chunk
+# holds 455 samples at the benchmark's N = 8, 134 at the harness's largest
+# N = 12, and would hold 2 at N = 48.
+CHUNK_BYTES = 1 << 24
+SAMPLE_BYTES = 72
+
+
+def chunk_samples(n: int) -> int:
+    """Samples per chunk of the consistency harness at algebra dimension n."""
+    return max(1, CHUNK_BYTES // (SAMPLE_BYTES * n ** 3))
+
+
+# Route B's candidate coefficients come from their own generator, seeded from
+# the harness's seed and this constant, so that the samples' generator draws
+# the samples only.
+ROUTE_B_SEED = 0xB2
+
+
+def _sample_unitaries(model: BiInnerGroupModel, rng: np.random.Generator,
+                      first: int, count: int) -> np.ndarray:
+    """Coordinates (count, N) of samples first, ..., first + count - 1 of the
+    harness's mix, drawn from rng in sample order.  Sample k is a
+    Haar-random unitary when k % 5 <= 2, a central unitary when k % 5 == 3,
+    and exp(t x) for a random element x of the Lie algebra and t in
+    [0.5, 1.5) when k % 5 == 4 (a central unitary when the Lie algebra is 0).
+    The Haar draws are made unitary as one stack."""
+    a = model.hopf.algebra
+    us = np.empty((count, a.dim), complex)
+    modes = (first + np.arange(count)) % 5
+    for j, mode in enumerate(modes.tolist()):
+        if mode <= 2:
+            us[j] = ba.random_coords(a, rng)
+        elif mode == 3 or model.dim == 0:
+            us[j] = ba.random_central_unitary(a, rng).coords()
+        else:
+            x = model.random_element(rng)
+            us[j] = exp_element((0.5 + rng.random()) * x).coords()
+    haar = modes <= 2
+    if haar.any():
+        us[haar] = a.layout.apply(us[haar], ba._unitary_factor)
+    return us
 
 
 def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
@@ -497,60 +549,49 @@ def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
                                     tol: ToleranceConfig = DEFAULT_TOL) -> ConsistencyReport:
     """Sample unitaries, classify by both routes, report the confusion matrix.
 
-    The sample mix is Haar-random unitaries plus planted members of G_c
-    (central unitaries and exponentials of the Lie algebra) so both verdict
-    classes are populated.  Samples run in chunks of CHUNK, in two phases:
+    The sample mix (_sample_unitaries) is Haar-random unitaries plus planted
+    members of G_c (central unitaries and exponentials of the Lie algebra),
+    so both verdict classes are populated.  Two generators feed it:
+    default_rng(seed) draws the samples, in sample order, and
+    default_rng((ROUTE_B_SEED, seed)) draws route B's candidate
+    coefficients, in sample order too.  So the samples do not depend on
+    route B's null dimensions, and every step runs on the stacks of a chunk
+    of chunk_samples(N) samples:
 
-    * in order, one sample at a time: draw u, form alpha = Ad(u), take route
-      B's intertwiner null space (inside the model's constraint_span) and
-      draw its 16 candidates.  This stays sequential because the null
-      space's dimension says how many normals the candidate draw takes from
-      rng, which moves every later draw;
-    * on the chunk's stacks: route A's gates (classify_biinner's) on the
-      maps and route B's conditioning, unitarisation and membership test
-      (in_identity_component's) on the candidates.  Then the maps that
-      pass route A's gates ask the commutant of V for their partners as one
-      stack (_commutant_partners: one solve in the dual's coordinates, the
-      draw classify_biinner's seed gives each map, and the Gram-form
-      certificate whose worst value the report reads).
+    * the samples' Haar unitaries as one QR stack, and alpha = Ad(u) as one
+      sandwich stack behind invert's gate (morphisms.ad_matrices);
+    * route A's gates (classify_biinner's) on the maps, then the commutant
+      partners of the maps that pass them (_commutant_partners: one solve in
+      the dual's coordinates, the draw classify_biinner's seed gives each
+      map, and the Gram-form certificate whose worst value the report reads);
+    * route B's intertwiner systems as one stacked null-space solve
+      (blockalg.null_spaces), the candidate draws as one call, and the
+      conditioning, unitarisation and membership test
+      (in_identity_component's) on the candidates;
+    * whether the positives are the identity, as one stacked norm with
+      AlgebraMap.is_identity's rule.
 
-    So each sample gets the verdicts and draws that classify_biinner and
-    in_identity_component, called on it one after another with the shared
-    rng, would give it, and memory stays at one chunk's stacks whatever
-    the sample count.  The commutant step forms no operator on H.  Route
-    A's certificates that the report does not read (path residuals,
+    Each sample gets the verdicts that classify_biinner and
+    in_identity_component, called on it with route B's generator, would
+    give it, and memory stays at one chunk's stacks whatever the sample
+    count.  The commutant step forms no operator on H.  Route A's
+    certificates that the report does not read (path residuals,
     partner_implements_dual) are not computed.
     """
     require_desk_scale(h)
     model = model or build_group_model(h)
     rng = np.random.default_rng(seed)
+    rng_b = np.random.default_rng((ROUTE_B_SEED, seed))
     a = h.algebra
     n = a.dim
+    step = chunk_samples(n)
     confusion = np.zeros((2, 2), dtype=int)
     mismatches = []
     positives_identity = True
     worst_comm = 0.0
-    for start in range(0, samples, CHUNK):
-        count = min(CHUNK, samples - start)
-        ms = np.empty((count, n, n), complex)
-        cands = np.empty((count, 16, n), complex)
-        has_cands = np.zeros(count, bool)
-        for j in range(count):
-            mode = (start + j) % 5
-            if mode <= 2:
-                u = ba.random_unitary(a, rng)
-            elif mode == 3:
-                u = ba.random_central_unitary(a, rng)
-            else:
-                if model.dim > 0:
-                    x = model.random_element(rng)
-                    u = exp_element((0.5 + rng.random()) * x)
-                else:
-                    u = ba.random_central_unitary(a, rng)
-            ms[j] = AlgebraMap.ad(u, tol).matrix
-            drawn = _intertwiner_candidates(ms[j], model, rng)
-            if drawn is not None:
-                cands[j], has_cands[j] = drawn, True
+    for start in range(0, samples, step):
+        count = min(step, samples - start)
+        ms = ad_matrices(a, _sample_unitaries(model, rng, start, count), tol)
 
         refusal, us, _ = _route_a(ms, h, d, tol)
         route_a = refusal < 0
@@ -559,14 +600,16 @@ def brute_force_biinner_consistency(h: HopfAlgebra, d: DualHopfAlgebra,
             found, _, resid = _commutant_partners(us[live], mu, tol)
             route_a[live[~found]] = False
             worst_comm = max(worst_comm, float(resid.max(initial=0.0)))
+        cands, has = _intertwiner_candidates(ms, model, rng_b)
         route_b = np.zeros(count, bool)
-        route_b[has_cands] = _route_b(model, cands[has_cands])[0] < 0
+        if has.any():
+            route_b[has] = _route_b(model, cands[has])[0] < 0
 
         np.add.at(confusion, (route_a.astype(int), route_b.astype(int)), 1)
         for j in np.flatnonzero(route_a != route_b):
             mismatches.append({"sample": start + int(j), "route_a": bool(route_a[j]),
                                "route_b": bool(route_b[j])})
-        positives_identity &= all(morphisms.AlgebraMap(a, a, m).is_identity(1e-7)
-                                  for m in ms[route_a])
+        moved = np.linalg.norm(ms[route_a] - np.eye(n), axis=(-2, -1)) > 1e-7 * n
+        positives_identity &= not moved.any()
     return ConsistencyReport(confusion, samples, model.dim,
                              positives_identity, worst_comm, mismatches)

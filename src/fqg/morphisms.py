@@ -62,9 +62,8 @@ class AlgebraMap:
 
     @classmethod
     def ad(cls, u: AlgebraElement, tol: ToleranceConfig = DEFAULT_TOL) -> "AlgebraMap":
-        """Conjugation x -> u x u^{-1}."""
-        uinv = invert(u, tol)
-        return cls(u.algebra, u.algebra, _sandwich_matrix(u.algebra, u.coords(), uinv.coords()))
+        """Conjugation x -> u x u^{-1}: ad_matrices on one element."""
+        return cls(u.algebra, u.algebra, ad_matrices(u.algebra, u.coords(), tol))
 
     @classmethod
     def blockwise_transpose(cls, a: BlockAlgebra) -> "AlgebraMap":
@@ -307,6 +306,14 @@ def _sandwich_matrix(a: BlockAlgebra, left: np.ndarray, right: np.ndarray) -> np
         kr = lb[..., :, None, :, None] * rb.swapaxes(-1, -2)[..., None, :, None, :]
         out[..., flat[:, :, None], flat[:, None, :]] = kr.reshape(kr.shape[:-4] + (n * n, n * n))
     return out
+
+
+def ad_matrices(a: BlockAlgebra, us: np.ndarray,
+                tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Matrices of the conjugations x -> u x u^{-1} for coordinates u
+    (..., dim), one sandwich stack; NotInvertible (invert's gate) unless
+    every u is invertible."""
+    return _sandwich_matrix(a, us, ba.inverses(a, us, tol))
 
 
 def _unitary_intertwiners(u: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tracemalloc
+from types import SimpleNamespace
 
 from fqg import blockalg as ba
 from fqg import biinner
@@ -10,12 +11,14 @@ from fqg.biinner import (ROUTE_A_REFUSALS, ROUTE_B_REFUSALS, ConsistencyReport,
                          classify_biinner, exp_element, in_identity_component,
                          sample_identity_component)
 from fqg.blockalg import DEFAULT_TOL
+from fqg.duality import build_dual
 from fqg.errors import DimensionMismatch, NotInLieAlgebra
 from fqg.groups import by_name, symmetric
-from fqg.hopf import function_algebra, ksymmetric_basis
+from fqg.hopf import function_algebra, group_algebra, ksymmetric_basis
 from fqg.morphisms import (AlgebraMap, hopf_flags_fast, induced_dual_action,
                            inner_implementer)
-from fqg.multunitary import partner_null_spaces, partner_systems
+from fqg.multunitary import (build_gns, build_multiplicative_unitary, partner_null_spaces,
+                             partner_systems)
 
 RNG = np.random.default_rng(515)
 
@@ -420,6 +423,13 @@ def test_classify_biinner_refuses_a_map_on_another_algebra(gs3, fs3):
         classify_biinner(alpha, gs3.hopf, gs3.dual)
 
 
+def _plant(monkeypatch, alpha):
+    """Hand the harness alpha as every sample: it conjugates by a stack of
+    u's through ad_matrices."""
+    monkeypatch.setattr(biinner, "ad_matrices",
+                        lambda a, us, tol: np.broadcast_to(alpha.matrix, (len(us),) + alpha.matrix.shape))
+
+
 def test_harness_route_a_refuses_an_outer_hopf_automorphism(fs3, outer_automorphisms,
                                                            monkeypatch):
     # delta_x -> delta_(g^-1 x g) on C(S3) is a Hopf *-automorphism with an
@@ -428,9 +438,7 @@ def test_harness_route_a_refuses_an_outer_hopf_automorphism(fs3, outer_automorph
     alpha_hat = induced_dual_action(alpha, fs3.dual, check=False)
     assert hopf_flags_fast(alpha, fs3.hopf) and inner_implementer(alpha_hat) is not None
 
-    class EverySample:          # the harness conjugates by u: hand it alpha
-        ad = staticmethod(lambda u, tol: alpha)
-    monkeypatch.setattr(biinner, "AlgebraMap", EverySample)
+    _plant(monkeypatch, alpha)
     rep = brute_force_biinner_consistency(fs3.hopf, fs3.dual, fs3.mu, fs3.model,
                                           samples=5, seed=3)
     assert rep.confusion.tolist() == [[5, 0], [0, 0]]
@@ -474,11 +482,13 @@ def _loop_in_identity_component(alpha, model, rng):
 
 def _loop_harness(wb, samples, seed, tol=DEFAULT_TOL):
     """Oracle: the consistency harness one sample at a time, one
-    classify_biinner call (route A) and one route B call per sample.
-    Yields, after each sample, its report so far and the state of the
-    generator the draws came from."""
+    classify_biinner call (route A) and one route B call per sample, whose
+    candidates come from route B's generator.  Yields, after each sample,
+    its report so far and the states of the samples' generator and of route
+    B's."""
     h, model = wb.hopf, wb.model
     rng = np.random.default_rng(seed)
+    rng_b = np.random.default_rng((biinner.ROUTE_B_SEED, seed))
     a = h.algebra
     confusion = np.zeros((2, 2), dtype=int)
     mismatches = []
@@ -499,7 +509,7 @@ def _loop_harness(wb, samples, seed, tol=DEFAULT_TOL):
         alpha = AlgebraMap.ad(u, tol)
         verdict = classify_biinner(alpha, h, wb.dual, wb.mu, None, tol)
         route_a = verdict.is_biinner
-        route_b, _ = _loop_in_identity_component(alpha, model, rng)
+        route_b, _ = _loop_in_identity_component(alpha, model, rng_b)
         confusion[int(route_a), int(route_b)] += 1
         if route_a != route_b:
             mismatches.append({"sample": k, "route_a": route_a, "route_b": route_b})
@@ -509,17 +519,18 @@ def _loop_harness(wb, samples, seed, tol=DEFAULT_TOL):
             worst_comm = max(worst_comm, verdict.certificates["commutation"]["residual"])
         yield (ConsistencyReport(confusion.copy(), k + 1, model.dim, positives_identity,
                                  worst_comm, list(mismatches)),
-               rng.bit_generator.state)
+               rng.bit_generator.state, rng_b.bit_generator.state)
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_stacked_harness_matches_the_per_sample_loop(workbenches, seed, monkeypatch):
     """Chunked stacks against the loop on the 11 workbenches, at sample
-    counts that are not multiples of the chunk or of the 5-sample mode
-    cycle: the same confusion matrix, mismatches, positives and Lie
-    dimension, the same final state of the shared generator, and the same
-    worst commutation residual up to 1e-15.  A run of n samples is the
-    first n samples of a longer run, so one loop of 50 gives every oracle."""
+    counts that are not multiples of the 5-sample mode cycle, in chunks of
+    8 and of chunk_samples(N): the same confusion matrix, mismatches,
+    positives and Lie dimension, the same final states of the samples'
+    generator and of route B's, and the same worst commutation residual up
+    to 1e-15.  A run of n samples is the first n samples of a longer run,
+    so one loop of 50 gives every oracle."""
     made = []
     real = np.random.default_rng
 
@@ -528,16 +539,21 @@ def test_stacked_harness_matches_the_per_sample_loop(workbenches, seed, monkeypa
         return made[-1][1]
     for key, wb in workbenches.items():
         loop = list(_loop_harness(wb, 50, seed))
-        for samples in (1, 7, 23, 50):
-            want, want_state = loop[samples - 1]
+        for samples, chunk in ((1, None), (7, 8), (23, 8), (23, None), (50, None)):
+            want, want_state, want_b = loop[samples - 1]
             made.clear()
             monkeypatch.setattr(np.random, "default_rng", spy)
+            if chunk:
+                monkeypatch.setattr(biinner, "CHUNK_BYTES",
+                                    chunk * biinner.SAMPLE_BYTES * wb.hopf.algebra.dim ** 3)
             got = brute_force_biinner_consistency(wb.hopf, wb.dual, wb.mu, wb.model,
                                                   samples=samples, seed=seed)
             monkeypatch.undo()
             shared = [g for args, g in made if args == (seed,)]
-            assert len(shared) == 1, key
+            route_b = [g for args, g in made if args == ((biinner.ROUTE_B_SEED, seed),)]
+            assert len(shared) == len(route_b) == 1, key
             assert shared[0].bit_generator.state == want_state, (key, samples)
+            assert route_b[0].bit_generator.state == want_b, (key, samples)
             assert got.confusion.tolist() == want.confusion.tolist(), (key, samples)
             assert got.mismatches == want.mismatches, (key, samples)
             assert got.positives_are_identity == want.positives_are_identity, (key, samples)
@@ -564,11 +580,10 @@ def test_stacked_routes_match_the_single_map_api_on_hard_maps(
         seen.update(reasons)
 
         draw, single, loop = (np.random.default_rng(99) for _ in range(3))
-        cands = [biinner._intertwiner_candidates(m, wb.model, draw) for m in ms]
-        has = np.array([c is not None for c in cands])
+        cands, has = biinner._intertwiner_candidates(ms, wb.model, draw)
         refusal = np.zeros(len(maps), int)
         if has.any():
-            refusal[has] = biinner._route_b(wb.model, np.array([c for c in cands if c is not None]))[0]
+            refusal[has] = biinner._route_b(wb.model, cands[has])[0]
         got = [(bool(r < 0), ROUTE_B_REFUSALS[r] if r >= 0 else None) for r in refusal]
         for calls in ((in_identity_component, single), (_loop_in_identity_component, loop)):
             fn, gen = calls
@@ -607,7 +622,8 @@ def test_constraint_span_null_space_matches_the_full_stack(workbenches, group_li
                 + outer_automorphisms.get(key, []))
         for alpha in maps:
             want = _full_stack_null(alpha.matrix, model)
-            got = k @ biinner._intertwiner_null(alpha.matrix, model)
+            dim, vh = biinner._intertwiner_null(alpha.matrix[None], model)
+            got = k @ vh[0, vh.shape[-1] - dim[0]:].conj().T
             assert got.shape == want.shape, key
             if want.shape[1]:
                 assert np.linalg.norm(got - want @ (want.T @ got), 2) <= 1e-12, key
@@ -700,23 +716,86 @@ def test_group_defects_match_the_product_pairs(workbenches):
         assert biinner._route_b(model, cands)[0].tolist() == [-1, 2], key
 
 
-def test_harness_memory_does_not_grow_with_samples(kp):
-    """The harness holds one chunk's stacks at a time: its tracemalloc peak
-    on kp at 640 samples exceeds the one at 64 by less than one chunk's
-    temporaries, measured as the peak of one full chunk over that of one
-    sample.  (Holding every sample's map and candidates until the end would
-    add about 1.9 MB at 640 samples.)"""
-    def peak(samples):
-        tracemalloc.start()
-        try:
-            brute_force_biinner_consistency(kp.hopf, kp.dual, kp.mu, kp.model,
-                                            samples=samples, seed=5)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    peak(biinner.CHUNK)
-    chunk = peak(biinner.CHUNK) - peak(1)
-    assert peak(640) - peak(64) <= chunk
+def _harness_peak(wb, samples, seed=5):
+    tracemalloc.start()
+    try:
+        brute_force_biinner_consistency(wb.hopf, wb.dual, wb.mu, wb.model,
+                                        samples=samples, seed=seed)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_harness_memory_does_not_grow_with_samples(kp, monkeypatch):
+    """The harness holds one chunk's stacks at a time: with CHUNK_BYTES set
+    so that chunk_samples gives 8 on kp, its tracemalloc peak on kp at 640
+    samples exceeds the one at 64 by less than one chunk's temporaries,
+    measured as the peak of one full chunk over that of one sample.
+    (Holding every sample's map and candidates until the end would add
+    about 1.9 MB at 640 samples.)"""
+    n = kp.hopf.algebra.dim
+    monkeypatch.setattr(biinner, "CHUNK_BYTES", 8 * biinner.SAMPLE_BYTES * n ** 3)
+    chunk = biinner.chunk_samples(n)
+    assert chunk == 8
+    _harness_peak(kp, chunk)
+    grows = _harness_peak(kp, chunk) - _harness_peak(kp, 1)
+    assert _harness_peak(kp, 640) - _harness_peak(kp, 64) <= grows
+
+
+@pytest.mark.parametrize("kind", ["group", "function"])
+def test_harness_peak_stays_within_the_chunk_bound(kind):
+    """At the harness's largest N = 12 (dihedral:6), 200 samples run in
+    chunks of chunk_samples(12) and the tracemalloc peak of the run stays
+    within 1.25 CHUNK_BYTES (measured on a second run, after the model's
+    constraint span and the cached structure tensors are formed)."""
+    h = (group_algebra if kind == "group" else function_algebra)(by_name("dihedral:6"))
+    d = build_dual(h)
+    wb = SimpleNamespace(hopf=h, dual=d, mu=build_multiplicative_unitary(build_gns(h), d),
+                         model=build_group_model(h))
+    assert wb.hopf.algebra.dim == 12 and biinner.chunk_samples(12) < 200
+    _harness_peak(wb, 5)
+    assert _harness_peak(wb, 200) <= 1.25 * biinner.CHUNK_BYTES
+
+
+def test_route_b_null_dimensions_do_not_move_the_samples(workbenches, monkeypatch):
+    """Route B's candidates come from their own generator: forcing every
+    map's intertwiner null dimension to 0, or to the whole constraint span,
+    changes how many normals route B draws and its verdicts, yet the
+    harness's maps and route A's verdicts stay bit for bit, in chunks of 8."""
+    real_route_a, real_null = biinner._route_a, biinner._intertwiner_null
+    for key in ("kp", "group:D4", "function:S3"):
+        wb = workbenches[key]
+        n = wb.hopf.algebra.dim
+        runs = {}
+        for force in (None, "none", "all"):
+            seen = []
+
+            def route_a(ms, h, d, tol):
+                out = real_route_a(ms, h, d, tol)
+                seen.append((ms.copy(), out[0].copy()))
+                return out
+
+            def null(ms, model):
+                dims, vh = real_null(ms, model)
+                return np.full_like(dims, 0 if force == "none" else vh.shape[-1]), vh
+            monkeypatch.setattr(biinner, "CHUNK_BYTES", 8 * biinner.SAMPLE_BYTES * n ** 3)
+            monkeypatch.setattr(biinner, "_route_a", route_a)
+            if force:
+                monkeypatch.setattr(biinner, "_intertwiner_null", null)
+            rep = brute_force_biinner_consistency(wb.hopf, wb.dual, wb.mu, wb.model,
+                                                  samples=23, seed=4)
+            monkeypatch.undo()
+            runs[force] = rep, seen
+        base, chunks = runs[None]
+        assert len(chunks) == 3 and base.diagonal, key
+        for force in ("none", "all"):
+            rep, seen = runs[force]
+            assert len(seen) == len(chunks), key
+            for (ms, refusal), (ms0, refusal0) in zip(seen, chunks):
+                assert np.array_equal(ms, ms0) and np.array_equal(refusal, refusal0), (key, force)
+            assert rep.confusion.sum(axis=1).tolist() == base.confusion.sum(axis=1).tolist()
+        # with no intertwiner, route B refuses every sample
+        assert runs["none"][0].confusion[:, 1].sum() == 0, key
 
 
 def test_harness_reports_a_positive_that_moves(kp, group_likes, monkeypatch):
@@ -726,9 +805,7 @@ def test_harness_reports_a_positive_that_moves(kp, group_likes, monkeypatch):
     g = next(u for u in group_likes["kp"] if not AlgebraMap.ad(u).is_identity(1e-7))
     alpha = AlgebraMap.ad(g)
 
-    class EverySample:          # the harness conjugates by u: hand it alpha
-        ad = staticmethod(lambda u, tol: alpha)
-    monkeypatch.setattr(biinner, "AlgebraMap", EverySample)
+    _plant(monkeypatch, alpha)
     rep = brute_force_biinner_consistency(kp.hopf, kp.dual, kp.mu, kp.model,
                                           samples=11, seed=3)
     assert rep.confusion.tolist() == [[0, 0], [0, 11]]

@@ -401,7 +401,7 @@ def test_column_class_gate(gs3, angle, fails):
             build_multiplicative_unitary(gns, gs3.dual)
     else:
         c = build_multiplicative_unitary(gns, gs3.dual).certificates
-        assert 1e-14 < c["column_class_defect"] < 1e-8
+        assert 1e-14 < c["second_leg_membership"] < 1e-8
         assert c["pentagon"] < 1e-8
 
 
@@ -447,7 +447,7 @@ def test_cli_refuses_v_off_the_column_classes(monkeypatch, capsys):
 
 def test_column_class_defect_is_round_off(workbenches):
     for key, wb in workbenches.items():
-        assert wb.mu.certificates["column_class_defect"] <= 1e-28, key
+        assert wb.mu.certificates["second_leg_membership"] <= 1e-28, key
 
 
 def test_multiplicative_unitary_memory_at_dim_16():

@@ -133,7 +133,7 @@ def _fixed_dims(mu):
 def _intertwiner_dims(h, maps):
     model = build_group_model(h)
     return [model.constraint_span[0].shape[1]] + [
-        biinner._intertwiner_null(m.matrix, model).shape[1] for m in maps]
+        int(biinner._intertwiner_null(m.matrix[None], model)[0][0]) for m in maps]
 
 
 def _sites(wb, rng):

@@ -80,3 +80,35 @@ def test_compare_names_each_differing_nonfloat_leaf(tmp_path, capsys):
     paths[0].write_text(json.dumps(a))
     assert tool.main(["--compare", *map(str, paths)]) == 1
     assert "no non-float leaves recorded" in capsys.readouterr().out
+
+
+def test_numbers_inside_strings_compare_as_floats(tmp_path, capsys):
+    """A float written into an info string is a float leaf: a move in its
+    last digit compares as floats only, while a changed integer or word in
+    the same string is non-float content."""
+    tool = _tool()
+
+    def report(sv, scalar, dims):
+        doc = {"checks": [{"name": "convolution_invertible", "residual": 1e-3,
+                           "info": f"min singular value {sv}"},
+                          {"name": "fourier_counit_support_scalar", "info": f"scalar {scalar}"},
+                          {"name": "leg_spans", "info": f"leg dims ({dims})"}]}
+        return tool.digest(0, json.dumps(doc), doc)
+
+    a = report("1.080e-03", "0.0416667", "8,8")
+    assert a["floats"] == {"/checks/0/residual": 1e-3, "/checks/0/info#0": 1.08e-3,
+                           "/checks/1/info#0": 0.0416667}
+    assert a["nonfloats"]["/checks/0/info"] == "min singular value #"
+    assert a["nonfloats"]["/checks/2/info"] == "leg dims (8,8)"
+    cases = {"b": (report("1.081e-03", "0.0416666", "8,8"), 0),
+             "c": (report("1.080e-03", "0.0416667", "8,7"), 1)}
+    (tmp_path / "a.json").write_text(json.dumps({"verify kp seed 1": a}))
+    for name, (doc, code) in cases.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"verify kp seed 1": doc}))
+        assert tool.main(["--compare", str(tmp_path / "a.json"),
+                          str(tmp_path / f"{name}.json")]) == code
+        out = capsys.readouterr().out
+        if code:
+            assert '  /checks/2/info: "leg dims (8,8)" -> "leg dims (8,7)"' in out
+        else:
+            assert "floats only; largest float move 1.000e-06 at /checks/0/info#0" in out

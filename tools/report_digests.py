@@ -9,7 +9,12 @@ from the `src/` next to this directory, and writes one entry per report:
 the sha256 of the report text, the sha256 of the report with its float
 leaves blanked out (every verdict, flag, count and confusion matrix), the
 float leaves themselves by path and every other leaf (string, int, bool,
-null) by path, so that a comparison can name what moved.  The default
+null) by path, so that a comparison can name what moved.  A number written
+as a float inside a string (with a decimal point or an exponent, as in
+"min singular value 1.080e-03") counts as a float leaf, at the string's
+path followed by #0, #1, ...; the string itself is recorded with each such
+number masked as '#'.  Integers inside strings ("leg dims (8,8)") stay
+text.  The default
 algebras are the 11 bundled workbenches (kp and the group and function algebras of Z2, Z3, Z4, S3, D4),
 the group and function algebras of dihedral:6, which at N = 12 are the
 largest that `fqg biinner` accepts, and those of dihedral:8 (N = 16) and S4
@@ -31,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -49,12 +55,20 @@ def algebra_args(key: str) -> list[str]:
     return ["--group", group, "--algebra", kind]
 
 
+# a number written as a float inside a string: a decimal point or an exponent
+FLOAT_TEXT = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?\d+[eE][-+]?\d+")
+
+
 def leaves(doc, path: str = "") -> dict:
     """Every leaf of a JSON document by its path (keys and list indices
-    joined by '/')."""
+    joined by '/'); a string's float-written numbers become float leaves
+    path#0, path#1, ... and the string is kept with them masked."""
     if isinstance(doc, (dict, list)):
         items = doc.items() if isinstance(doc, dict) else enumerate(doc)
         return {k: v for key, sub in items for k, v in leaves(sub, f"{path}/{key}").items()}
+    if isinstance(doc, str):
+        numbers = {f"{path}#{i}": float(x) for i, x in enumerate(FLOAT_TEXT.findall(doc))}
+        return {path: FLOAT_TEXT.sub("#", doc)} | numbers
     return {path: doc}
 
 
@@ -64,11 +78,14 @@ def float_leaves(doc) -> dict[str, float]:
 
 
 def blank_floats(doc):
-    """The document with every float replaced by None."""
+    """The document with every float replaced by None and every
+    float-written number inside a string masked."""
     if isinstance(doc, dict):
         return {k: blank_floats(v) for k, v in doc.items()}
     if isinstance(doc, list):
         return [blank_floats(v) for v in doc]
+    if isinstance(doc, str):
+        return FLOAT_TEXT.sub("#", doc)
     return None if isinstance(doc, float) else doc
 
 
@@ -88,6 +105,11 @@ def run_report(argv: list[str]) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError:
         doc = {"no_report": err.getvalue().strip()}
+    return digest(rc, text, doc)
+
+
+def digest(rc: int, text: str, doc) -> dict:
+    """The digests of one report: its exit code, its text and its document."""
     return {"exit": rc, "sha256": sha256(text),
             "nonfloat_sha256": sha256(json.dumps(blank_floats(doc), sort_keys=True)),
             "floats": float_leaves(doc),
