@@ -497,11 +497,14 @@ def require_desk_scale(h: HopfAlgebra) -> None:
 
 # The consistency harness runs its samples in chunks whose stacked
 # temporaries stay under CHUNK_BYTES.  A sample adds about SAMPLE_BYTES * N^3
-# bytes to a chunk's tracemalloc peak (67 to 70 at N = 6, 8 and 12, over
-# 0.25 MiB that does not grow with the chunk), mostly the homomorphism and
-# Hopf residuals of route A's first gate (morphisms.hopf_flags).  So a chunk
-# holds 455 samples at the benchmark's N = 8, 134 at the harness's largest
-# N = 12, and would hold 2 at N = 48.
+# bytes to a chunk's tracemalloc peak (76, 69 and 67 at N = 6, 8 and 12,
+# over at most 0.26 MiB that does not grow with the chunk; the slope of the
+# peak from 16 to 128 samples in one chunk), almost all of it the Hopf
+# residuals of route A's first gate (morphisms.hopf_flags, 65 N^3 per map at
+# N = 12); its homomorphism residuals take at most HOM_CHUNK_BYTES of pair
+# products.  So a chunk holds 455 samples at the benchmark's N = 8, 134 at
+# the harness's largest N = 12, and would hold 2 at N = 48; at N = 6 a full
+# chunk (1,078 samples) would run about 6% over CHUNK_BYTES.
 CHUNK_BYTES = 1 << 24
 SAMPLE_BYTES = 72
 

@@ -490,15 +490,28 @@ def tensor_algebra(a: BlockAlgebra, b: BlockAlgebra) -> BlockAlgebra:
     return BlockAlgebra(tuple(n * m for n in a.block_dims for m in b.block_dims))
 
 
+def _tensor_units(a: BlockAlgebra, b: BlockAlgebra):
+    """For every coordinate of A (x) B, the matrix unit e_{i,r,s} (x) e_{j,t,u}
+    it holds, as index arrays (i, j, r, t, s, u), with the sizes n = n_i and
+    m = m_j, and the offset of every block.  Block (i, j) has size n m and holds
+    that unit at row r m + t and column s m + u, read in row-major order
+    [r, t, s, u]."""
+    dims_a, dims_b = np.array(a.block_dims), np.array(b.block_dims)
+    sq = (np.outer(dims_a, dims_b) ** 2).reshape(-1)
+    start = np.cumsum(sq) - sq
+    i, j = np.divmod(np.repeat(np.arange(len(sq)), sq), b.nblocks)
+    n, m = dims_a[i], dims_b[j]
+    row, col = np.divmod(np.arange(sq.sum()) - np.repeat(start, sq), n * m)
+    return (i, j, *np.divmod(row, m), *np.divmod(col, m)), n, m, start
+
+
 @lru_cache(maxsize=None)
 def tensor_perm(a: BlockAlgebra, b: BlockAlgebra) -> np.ndarray:
-    """Permutation P with coords_{A(x)B}(x(x)y) = kron(coords x, coords y)[P].
-
-    Block (i, j) of A (x) B holds e_{i,r,s} (x) e_{j,t,u} at row r*m + t and
-    column s*m + u, read in row-major order [r, t, s, u].
-    """
-    return np.concatenate([(ia[:, None, :, None] * b.dim + ib[None, :, None, :]).reshape(-1)
-                           for ia in a.block_coords() for ib in b.block_coords()])
+    """Permutation P with coords_{A(x)B}(x(x)y) = kron(coords x, coords y)[P]:
+    coordinate (i, j, r, t, s, u) of _tensor_units reads kron entry
+    coords(e_{i,r,s}) * dim B + coords(e_{j,t,u})."""
+    (i, j, r, t, s, u), n, m, _ = _tensor_units(a, b)
+    return (np.array(a.offsets)[i] + r * n + s) * b.dim + np.array(b.offsets)[j] + t * m + u
 
 
 def inverse_perm(p: np.ndarray) -> np.ndarray:
@@ -515,18 +528,22 @@ def tensor_element(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 @lru_cache(maxsize=None)
 def flip_perm(a: BlockAlgebra) -> np.ndarray:
-    """Permutation F on coords(A(x)A) with sigma(w) = w[F], sigma(x(x)y) = y(x)x."""
-    coords = tensor_algebra(a, a).block_coords()
-    k, dims = a.nblocks, a.block_dims
-    # block (i, j) at [r, t, s, u] reads block (j, i) at [t, r, u, s]
-    swapped = [coords[j * k + i].reshape(m, n, m, n).transpose(1, 0, 3, 2)
-               for i, n in enumerate(dims) for j, m in enumerate(dims)]
-    return np.concatenate([s.reshape(-1) for s in swapped])
+    """Permutation F on coords(A(x)A) with sigma(w) = w[F], sigma(x(x)y) = y(x)x:
+    block (i, j) at [r, t, s, u] reads block (j, i), of sizes (m, n), at
+    [t, r, u, s]."""
+    (i, j, r, t, s, u), n, m, block_off = _tensor_units(a, a)
+    return block_off[j * a.nblocks + i] + (t * n + r) * (n * m) + u * n + s
 
 
 # ---------------------------------------------------------------------------
 # *-homomorphism certificate
 # ---------------------------------------------------------------------------
+
+# hom_residuals forms the pair products of a slab of source rows at a time,
+# as many rows as keep the slab's temporaries, over the whole stack of maps,
+# within HOM_CHUNK_BYTES (one row when a single row takes more).
+HOM_CHUNK_BYTES = 1 << 20
+
 
 def hom_residuals(m: np.ndarray, source, target: BlockAlgebra, *,
                   anti: bool = False) -> dict:
@@ -541,10 +558,19 @@ def hom_residuals(m: np.ndarray, source, target: BlockAlgebra, *,
     unital, the norm of phi(1) - 1.  Only anti=True adds anti_multiplicative
     and jordan, the defects against phi(e_j) phi(e_i) and (for
     phi(e_i e_j + e_j e_i)) their sum.  Per pair the squared defects are
-    summed over the blocks of the target.  For each target block size one
-    matmul of the (k, n d, d) stack of blocks of the phi(e_i) by its
-    (k, d, n d) reshape gives all pair products; phi(e_i e_j) is read off phi
-    at the composable pairs of a block source, for an abstract one off phi @ mult.
+    summed over the blocks of the target.
+
+    For each target block size the pair products are formed one slab of
+    first factors i at a time: the rows of the blocks of phi(e_i), i in the
+    slab, times the columns of those of every phi(e_j), one batched matmul.
+    A slab holds as many i as keep its temporaries within HOM_CHUNK_BYTES
+    (at least one), so what a call holds at once stays near that bound,
+    while the products of all n**2 pairs have N**4 entries on the
+    coproduct of C(G) and on the GNS representation.  phi(e_i e_j) is read
+    off phi at the composable pairs of a block source, for an abstract one
+    off phi times columns of its multiplication matrix.  With anti=True a
+    slab also forms phi(e_j) phi(e_i) for its i, and reads the products
+    e_j e_i.
 
     m may also be a (..., target dim, source dim) stack of maps: then each
     residual is an array over the stack instead of a float.
@@ -552,29 +578,48 @@ def hom_residuals(m: np.ndarray, source, target: BlockAlgebra, *,
     n = source.dim
     m = np.asarray(m, dtype=complex)
     lead = m.shape[:-2]
-    i, j, prod, adj, unit_s, unit_t, target_blocks = _hom_structure(source, target)
+    (i, j, by_j), prod, adj, unit_s, unit_t, target_blocks = _hom_structure(source, target)
+    j_sorted = j[by_j]
+    width = int(np.bincount(i).max())                # most pairs (i, j) for one i
     sq = np.zeros(lead + (3 if anti else 1, n, n))
     sq_s = np.zeros(lead + (n,))
-    # one pair array at a time: each is as large as all pairs' images
     for idx in target_blocks:
         k, d = idx.shape[:2]
         rows = m[..., idx, :]                        # (..., k, d, d, n): [b, r, s, i]
         blk = np.moveaxis(rows, -1, -3)              # (..., k, n, d, d): blocks of phi(e_i)
-        pair = (blk.reshape(lead + (k, n * d, d))
-                @ blk.swapaxes(-3, -2).reshape(lead + (k, d, n * d))
-                ).reshape(lead + (k, n, d, n, d))    # [b, i, r, j, s]: (phi(e_i) phi(e_j))_rs
-        # blocks of phi(e_i e_j) at the listed pairs, shaped as pair[..., :, i, :, j, :]
-        want = np.moveaxis(rows[..., prod] if prod.dtype.kind == "i" else rows @ prod, -1, 0)
-        if anti:
-            flip = pair.swapaxes(-4, -2).copy()      # phi(e_j) phi(e_i) at [b, i, r, j, s]
-            flip[..., :, i, :, j, :] -= want
-            sq[..., 1, :, :] += _sq_norms(flip, "kirjs", "ij")
-        pair[..., :, i, :, j, :] -= want             # the multiplicative defects
-        sq[..., 0, :, :] += _sq_norms(pair, "kirjs", "ij")
-        if anti:
-            # the Jordan defect of (i, j) is the sum of the (i, j) and (j, i) ones
-            sq[..., 2, :, :] += _sq_norms(pair + pair.swapaxes(-4, -2), "kirjs", "ij")
-        del pair
+        left = blk.reshape(lead + (k, n * d, d))     # their rows, [b, (i, r), t]
+        right = blk.swapaxes(-3, -2).reshape(lead + (k, d, n * d))    # columns, [b, t, (j, s)]
+        # per i, a slab holds the n blocks of the products and, twice (the
+        # images and numpy's copy of the indexed pairs), the blocks of at most
+        # width pairs; with anti three arrays of products and three of pairs
+        row_blocks = 3 * (n + width) if anti else n + 2 * width
+        row_bytes = 16 * math.prod(lead) * k * d * d * row_blocks
+        step = max(1, HOM_CHUNK_BYTES // max(1, row_bytes))
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            s = hi - lo
+            # the listed pairs (i, j) with i in the slab, and their images
+            p0, p1 = np.searchsorted(i, (lo, hi))
+            si, sj = i[p0:p1] - lo, j[p0:p1]
+            want = _pair_images(rows, prod, slice(p0, p1))
+            if anti:
+                # phi(e_j) phi(e_i) at [b, i, r, j, s]
+                flip = (left @ right[..., lo * d:hi * d]).reshape(
+                    lead + (k, n, d, s, d)).swapaxes(-4, -2)
+                defect = flip.copy()
+                defect[..., :, si, :, sj, :] -= want
+                sq[..., 1, lo:hi, :] += _sq_norms(defect, "kirjs", "ij")
+                # the defect of the pair (j, i), at [b, i, r, j, s], for the Jordan sum
+                p0, p1 = np.searchsorted(j_sorted, (lo, hi))
+                sel = by_j[p0:p1]
+                flip[..., :, j[sel] - lo, :, i[sel], :] -= _pair_images(rows, prod, sel)
+            pair = (left[..., lo * d:hi * d, :] @ right).reshape(lead + (k, s, d, n, d))
+            pair[..., :, si, :, sj, :] -= want           # the multiplicative defects
+            del want
+            sq[..., 0, lo:hi, :] += _sq_norms(pair, "kirjs", "ij")
+            if anti:
+                # the Jordan defect of (i, j) is the sum of the (i, j) and (j, i) ones
+                sq[..., 2, lo:hi, :] += _sq_norms(np.add(pair, flip, out=defect), "kirjs", "ij")
         star = rows[..., adj] if adj.dtype.kind == "i" else rows @ adj    # phi(e_i*) at i
         defect = np.moveaxis(star, -1, -3) - blk.conj().swapaxes(-2, -1)
         sq_s += _sq_norms(defect, "kirs", "i")
@@ -586,6 +631,15 @@ def hom_residuals(m: np.ndarray, source, target: BlockAlgebra, *,
     res.update(star_preserving=np.sqrt(np.max(sq_s, axis=-1)),
                unital=np.linalg.norm(m @ unit_s - unit_t, axis=-1 if lead else None))
     return res if lead else {k: float(v) for k, v in res.items()}
+
+
+def _pair_images(rows: np.ndarray, prod: np.ndarray, sel) -> np.ndarray:
+    """phi(e_i e_j) at the listed pairs sel (a slice or indices), as blocks
+    (pairs, ..., k, d, d) of one target block size: rows at the product
+    indices of a block source, else rows times the multiplication matrix's
+    columns."""
+    got = rows[..., prod[sel]] if prod.dtype.kind == "i" else rows @ prod[:, sel]
+    return np.moveaxis(got, -1, 0)
 
 
 def _sq_norms(x: np.ndarray, axes: str, out: str) -> np.ndarray:
@@ -603,14 +657,16 @@ def _sq_norms(x: np.ndarray, axes: str, out: str) -> np.ndarray:
 
 def _hom_structure(source, target: BlockAlgebra):
     """What hom_residuals reads of its two algebras: the pairs i, j with
-    e_i e_j possibly nonzero and their products (the k of e_i e_j = e_k in a
-    BlockAlgebra, else the multiplication matrix), the source's star (a
-    permutation, else the matrix of coords(e_i*)), both units and the
-    target's blocks by size."""
+    e_i e_j possibly nonzero, listed in order of i, with the order by_j that
+    sorts them by j; their products (the k of e_i e_j = e_k in a
+    BlockAlgebra, else the multiplication matrix, column p for pair p); the
+    source's star (a permutation, else the matrix of coords(e_i*)), both
+    units and the target's blocks by size."""
     if isinstance(source, BlockAlgebra):
         return _block_hom_structure(source, target)
     n = source.dim
-    return (*np.divmod(np.arange(n * n), n), source.left_mult.transpose(1, 0, 2).reshape(n, n * n),
+    i, j = np.divmod(np.arange(n * n), n)
+    return ((i, j, np.argsort(j, kind="stable")), source.left_mult.transpose(1, 0, 2).reshape(n, n * n),
             source.star, source.unit, target.unit_coords(), list(target.layout.by_size.values()))
 
 
@@ -618,9 +674,11 @@ def _hom_structure(source, target: BlockAlgebra):
 def _block_hom_structure(source: BlockAlgebra, target: BlockAlgebra):
     """_hom_structure of two block algebras, built once per pair: for small
     algebras it costs more than the residuals, and the sampling harnesses
-    ask about thousands of maps on one algebra."""
-    return (*unit_products(source), source.layout.adjoint, source.unit_coords(),
-            target.unit_coords(), list(target.layout.by_size.values()))
+    ask about thousands of maps on one algebra.  unit_products lists the
+    pairs in order of i."""
+    i, j, k = unit_products(source)
+    return ((i, j, np.argsort(j, kind="stable")), k, source.layout.adjoint,
+            source.unit_coords(), target.unit_coords(), list(target.layout.by_size.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -645,23 +703,26 @@ def numerical_rank(mat: np.ndarray) -> tuple[int | np.ndarray, np.ndarray, np.nd
 
 
 def null_space(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the null space of a real or complex matrix.
+    """Orthonormal basis (columns) of the null space of a real or complex
+    matrix, by null_spaces: a tall system goes through its square triangular
+    factor, so no m x n U factor is formed.
 
-    Wide matrices are padded with zero rows so that the thin SVD sees every
+    Wide matrices are padded with zero rows so that the SVD sees every
     direction of the domain.
     """
     if mat.shape[0] < mat.shape[1]:
         mat = np.vstack([mat, np.zeros((mat.shape[1] - mat.shape[0], mat.shape[1]))])
-    rank, _, vh = numerical_rank(mat)
+    rank, vh = null_spaces(mat)
     return vh[rank:].conj().T
 
 
 def null_spaces(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Null spaces of a stack of tall matrices (..., m, n), m >= n: (rank, vh)
-    with the null space of matrix i spanned by the rows vh[i, rank[i]:]
-    conjugated.  One thin QR per matrix reduces it to its n x n triangular
-    factor, which has the same singular values and null space, before the
-    SVD (on a 4,608 x 48 system, a tenth of the SVD's time)."""
+    """Null spaces of a tall matrix (m, n), m >= n, or of a stack of them
+    (..., m, n): (rank, vh) with the null space of matrix i spanned by the
+    rows vh[i, rank[i]:] conjugated.  One thin QR per matrix reduces it to
+    its n x n triangular factor, which has the same singular values and null
+    space, before the SVD (on a 4,608 x 48 system, a tenth of the SVD's
+    time)."""
     rank, _, vh = numerical_rank(np.linalg.qr(mats, mode="r"))
     return rank, vh
 

@@ -146,8 +146,11 @@ def verify_axioms(h: HopfAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> AxiomRe
 
     Everything is a contraction on kron coordinates: dk[p, q, x] is the
     coefficient of e_p (x) e_q in delta(e_x), and mk[k, (c, b)] that of e_k
-    in e_c e_b.  Coassociativity is summed over slabs of the first leg, so
-    only the coproduct certificate's pair products reach n**4 entries.
+    in e_c e_b.  Coassociativity is summed over slabs of the first leg, and
+    the coproduct certificate (hom_residuals) forms its pair products
+    delta(e_i) delta(e_j) over slabs of i.  So no temporary has n**4
+    entries: the largest have n**3 (dk and the products of the
+    coassociativity and antipode laws) or fill a slab's HOM_CHUNK_BYTES.
     """
     n = h.algebra.dim
     res: dict[str, float] = {}

@@ -13,6 +13,7 @@ from fqg.errors import NotInvertible, NotSelfAdjoint, ShapeMismatch
 from fqg.groups import by_name
 from fqg.hopf import function_algebra, group_algebra
 from fqg.kacpaljutkin import build_kac_paljutkin
+from fqg.multunitary import build_gns
 from fqg.wedderburn import AbstractStarAlgebra
 
 RNG = np.random.default_rng(1234)
@@ -190,12 +191,34 @@ def _loop_tensor_perm(a, b):
     return np.array(perm, dtype=np.intp)
 
 
+def _block_pair_tensor_perm(a, b):
+    """The former tensor_perm: one index array per pair of blocks, concatenated."""
+    return np.concatenate([(ia[:, None, :, None] * b.dim + ib[None, :, None, :]).reshape(-1)
+                           for ia in a.block_coords() for ib in b.block_coords()])
+
+
+def _block_pair_flip_perm(a):
+    """The former flip_perm: block (i, j) at [r, t, s, u] reads block (j, i) at
+    [t, r, u, s], one index array per pair of blocks, concatenated."""
+    coords = tensor_algebra(a, a).block_coords()
+    k, dims = a.nblocks, a.block_dims
+    swapped = [coords[j * k + i].reshape(m, n, m, n).transpose(1, 0, 3, 2)
+               for i, n in enumerate(dims) for j, m in enumerate(dims)]
+    return np.concatenate([s.reshape(-1) for s in swapped])
+
+
 @pytest.mark.parametrize("dims_a, dims_b", [((1,), (2,)), ((2, 1), (1, 2)),
-                                            ((1, 1, 2), (3, 1)), ((1, 1, 1, 1, 2),) * 2])
+                                            ((1, 1, 2), (3, 1)), ((1, 1, 1, 1, 2),) * 2,
+                                            ((1, 1, 2, 3, 3), (2, 1, 3)), ((1,) * 24, (3, 1, 2))])
 def test_closed_form_tensor_and_flip_perms_match_loops(dims_a, dims_b):
+    """The perms against the element loop and the former per-block-pair
+    concatenations, also on the block sizes of C[S4] and C(S4) (576 block
+    pairs of A (x) A)."""
     a, b = BlockAlgebra(dims_a), BlockAlgebra(dims_b)
     p = ba.tensor_perm(a, b)
     assert p.dtype == np.intp and np.array_equal(p, _loop_tensor_perm(a, b))
+    assert np.array_equal(p, _block_pair_tensor_perm(a, b))
+    assert np.array_equal(ba.flip_perm(a), _block_pair_flip_perm(a))
     # the flip sends x (x) y to y (x) x, on every pair of matrix units
     f = ba.flip_perm(a)
     paa, n = ba.tensor_perm(a, a), a.dim
@@ -404,6 +427,105 @@ def test_hom_kernel_matches_the_pair_loop(case, anti):
             for key in keys:
                 value = got[key][k] if m.ndim == 3 else got[key]
                 assert abs(value - want[key]) <= bound, (case, key)
+
+
+def _single_array_hom_residuals(m, source, target, anti):
+    """The former hom_residuals, kept as the oracle of its slabs: for each
+    target block size one matmul forms all pair products phi(e_i) phi(e_j)
+    at once, and the anti and Jordan defects transpose that one array."""
+    n = source.dim
+    m = np.asarray(m, dtype=complex)
+    lead = m.shape[:-2]
+    if isinstance(source, BlockAlgebra):
+        i, j, prod = ba.unit_products(source)
+        adj, unit_s = source.layout.adjoint, source.unit_coords()
+    else:
+        i, j = np.divmod(np.arange(n * n), n)
+        prod = source.left_mult.transpose(1, 0, 2).reshape(n, n * n)
+        adj, unit_s = source.star, source.unit
+    sq = np.zeros(lead + (3 if anti else 1, n, n))
+    sq_s = np.zeros(lead + (n,))
+    for idx in target.layout.by_size.values():
+        k, d = idx.shape[:2]
+        rows = m[..., idx, :]
+        blk = np.moveaxis(rows, -1, -3)
+        pair = (blk.reshape(lead + (k, n * d, d))
+                @ blk.swapaxes(-3, -2).reshape(lead + (k, d, n * d))
+                ).reshape(lead + (k, n, d, n, d))
+        want = np.moveaxis(rows[..., prod] if prod.dtype.kind == "i" else rows @ prod, -1, 0)
+        if anti:
+            flip = pair.swapaxes(-4, -2).copy()
+            flip[..., :, i, :, j, :] -= want
+            sq[..., 1, :, :] += ba._sq_norms(flip, "kirjs", "ij")
+        pair[..., :, i, :, j, :] -= want
+        sq[..., 0, :, :] += ba._sq_norms(pair, "kirjs", "ij")
+        if anti:
+            sq[..., 2, :, :] += ba._sq_norms(pair + pair.swapaxes(-4, -2), "kirjs", "ij")
+        star = rows[..., adj] if adj.dtype.kind == "i" else rows @ adj
+        sq_s += ba._sq_norms(np.moveaxis(star, -1, -3) - blk.conj().swapaxes(-2, -1), "kirs", "i")
+    worst = np.sqrt(np.max(sq, axis=(-2, -1)))
+    res = {"multiplicative": worst[..., 0]}
+    if anti:
+        res.update(anti_multiplicative=worst[..., 1], jordan=worst[..., 2])
+    res.update(star_preserving=np.sqrt(np.max(sq_s, axis=-1)),
+               unital=np.linalg.norm(m @ unit_s - target.unit_coords(), axis=-1))
+    return res
+
+
+def _slab_cases(case):
+    """(map or stack, source, target) inputs with several source rows and
+    target block sizes: coproducts, a GNS representation (one target block),
+    random maps and structure-constant sources."""
+    rng = np.random.default_rng(29)
+    if case == "block":
+        h, kp = function_algebra(by_name("S3")), build_kac_paljutkin()
+        gns = build_gns(kp)
+        n = gns.dim
+        src, tgt = BlockAlgebra((2, 1, 3)), BlockAlgebra((1, 2, 2, 3))
+        return [(h.coproduct, h.algebra, h.square), (kp.coproduct, kp.algebra, kp.square),
+                (gns.rep_basis.reshape(n, n * n).T, kp.algebra, BlockAlgebra((n,))),
+                (_random_map(rng, (tgt.dim, src.dim)), src, tgt)]
+    if case == "block-stack":
+        src, tgt = BlockAlgebra((1, 2, 1)), BlockAlgebra((2, 1, 1, 2))
+        return [(_random_map(rng, (3, tgt.dim, src.dim)), src, tgt),
+                (_random_map(rng, (2, 4, 2, 16, src.dim)), src, BlockAlgebra((4,)))]
+    a = BlockAlgebra((1, 2, 3))
+    alg, t = _abstract_copy(a, rng)
+    if case == "abstract":
+        return [(t, alg, a), (t + 0.1 * _random_map(rng, t.shape), alg, a)]
+    return [(t + 0.1 * _random_map(rng, (3,) + t.shape), alg, a)]
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 14])
+@pytest.mark.parametrize("anti", [False, True])
+@pytest.mark.parametrize("case", ["block", "block-stack", "abstract", "abstract-stack"])
+def test_slabbed_hom_residuals_match_the_single_array(case, anti, chunk, monkeypatch):
+    """With HOM_CHUNK_BYTES small enough for several slabs of source rows (one
+    row each, or a few), every residual matches the single-array formula
+    within 1e-14 max(1, value): the same sums per pair, maxed over pairs."""
+    slabs = []
+    images = ba._pair_images
+
+    def counting(rows, prod, sel):
+        slabs.append(1)
+        return images(rows, prod, sel)
+    cases = _slab_cases(case)
+    monkeypatch.setattr(ba, "HOM_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(ba, "_pair_images", counting)
+    # one _pair_images call per slab and target block size, two with anti:
+    # rows calls per size when chunk is 1 (one row a slab), else at least one
+    rows = ones = 0
+    for m, source, target in cases:
+        got = ba.hom_residuals(m, source, target, anti=anti)
+        ones += (2 if anti else 1) * len(target.layout.by_size)
+        rows += (2 if anti else 1) * len(target.layout.by_size) * source.dim
+        want = _single_array_hom_residuals(m, source, target, anti)
+        assert set(got) == set(want)
+        for key, value in want.items():
+            value = np.asarray(value)
+            assert np.asarray(got[key]).shape == value.shape, (case, key)
+            assert np.all(np.abs(got[key] - value) <= 1e-14 * np.maximum(1.0, value)), (case, key)
+    assert len(slabs) == rows if chunk == 1 else ones < len(slabs) < rows
 
 
 def _ad_shear(a):

@@ -340,14 +340,17 @@ def test_slab_coassociativity_matches_the_dense_formula(kind):
 
 @pytest.mark.parametrize("kind", [group_algebra, function_algebra])
 def test_verify_axioms_and_build_dual_stay_near_one_n4_array(kind):
-    """tracemalloc peaks on S4 within 1.25 complex arrays of N^4 entries:
-    the coproduct certificate's pair products on C(S4) are one such array,
-    and neither coassociativity nor the dual coproduct forms another.  Each
-    is measured on a second call: the first also builds what the algebras
-    keep (the block layout of A (x) A with its 576 blocks on C(S4), 0.5 MiB)."""
+    """tracemalloc peaks on S4 at most 3 MiB, below one complex array of N^4
+    entries (5.1 MiB): the coproduct certificate forms its pair products in
+    slabs within HOM_CHUNK_BYTES (1 MiB), and neither coassociativity nor
+    the dual coproduct forms such an array (measured 2.2-2.3 MiB, 6.0 MiB
+    on C(S4) with the pair products in one array).  Each is measured on a
+    second call: the first also builds what the algebras keep (the
+    multiplication tensors, 0.5 MiB on S4)."""
     from fqg.duality import build_dual
     h = kind(symmetric(4))
-    bound = 1.25 * 16 * h.algebra.dim ** 4
+    bound = 3 * 2 ** 20
+    assert bound < 16 * h.algebra.dim ** 4
     for run in (lambda: verify_axioms(h), lambda: build_dual(h)):
         run()
         tracemalloc.start()

@@ -450,6 +450,24 @@ def test_column_class_defect_is_round_off(workbenches):
         assert wb.mu.certificates["second_leg_membership"] <= 1e-28, key
 
 
+@pytest.mark.parametrize("kind", ["group", "function"])
+def test_build_gns_peak_on_s4_stays_within_the_slab_bound(kind):
+    """The GNS certificate forms rep(e_i) rep(e_j) in slabs of i within
+    HOM_CHUNK_BYTES: a second build on C[S4] or C(S4) peaks at most 3 MiB
+    (measured 2.3-2.6 MiB), where all pair products in one array took
+    5.9-6.7 MiB, more than their N^4 complex entries (5.1 MiB)."""
+    h = (group_algebra if kind == "group" else function_algebra)(by_name("S4"))
+    build_gns(h)
+    tracemalloc.start()
+    try:
+        gns = build_gns(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gns.rep_defects["multiplicative"] < 1e-8
+    assert peak <= 3 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+
 def test_multiplicative_unitary_memory_at_dim_16():
     # n^3 x n^3 leg matrices alone would take ~1.3 GB at N = 16
     h = group_algebra(by_name("dihedral:8"))

@@ -87,6 +87,46 @@ def test_zero_matrix_has_rank_zero_and_the_identity_as_null_space():
             assert np.array_equal(ba.null_space(mat), np.eye(shape[1]))
 
 
+def _thin_svd_null_space(mat):
+    """The former null_space: the thin SVD of the (zero-padded) matrix itself,
+    with its m x n U factor."""
+    if mat.shape[0] < mat.shape[1]:
+        mat = np.vstack([mat, np.zeros((mat.shape[1] - mat.shape[0], mat.shape[1]))])
+    r, _, vh = ba.numerical_rank(mat)
+    return vh[r:].conj().T
+
+
+def test_null_space_projector_matches_the_thin_svd(workbenches, monkeypatch):
+    """Every system that null_space solves on the workbenches (Wedderburn's
+    centre, the Haar state, the cocentre, the kappa-symmetric elements, the
+    bi-inner model, the centre and the fixed vectors) has the null space
+    the thin SVD of the whole system gives: the same dimension and
+    orthogonal projectors within 1e-12."""
+    seen = []
+    primitive = ba.null_space
+
+    def recording(mat):
+        seen.append(mat)
+        return primitive(mat)
+    monkeypatch.setattr(ba, "null_space", recording)
+    for wb in workbenches.values():
+        h = wb.hopf
+        compute_haar(h.algebra, h.coproduct)
+        cocentre_basis(h)
+        ksymmetric_basis(h)
+        build_group_model(h)
+        build_dual(h)
+        ba.centre_basis(h.algebra)
+        fixed_and_cofixed(wb.mu)
+    monkeypatch.undo()
+    assert len(seen) >= 8 * len(workbenches)
+    assert any(m.shape[0] >= 4 * m.shape[1] for m in seen)
+    for mat in seen:
+        got, want = ba.null_space(mat), _thin_svd_null_space(mat)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= 1e-12, mat.shape
+
+
 def test_tiny_matrices_have_rank_zero_by_the_floor_of_one():
     mat = 1e-12 * RNG.standard_normal((5, 5))
     assert ba.numerical_rank(mat)[0] == 0
